@@ -6,9 +6,9 @@ from .quaternions import Quaternion, random_unit_quaternion
 from .symplectic import (RealFormMatrix, SpMatrix, bullet_action,
                          fiber_coincidence_check, is_member, membership_check,
                          project_bullet, random_sp_matrix, star_action)
-from .frames import (CombinedField, FRAME_GENERATORS, combined_eval, frame_eval,
-                     frame_field, generator_matrix, killing_residual,
-                     lie_derivative_metric, plane_generator)
+from .frames import (CombinedField, FRAME_GENERATORS, frame_eval, frame_field,
+                     generator_matrix, killing_residual, lie_derivative_metric,
+                     plane_generator)
 from .geometry import (geodesic_distance, metric_tensor, random_sphere_point,
                        sphere_volume, to_cartesian, to_spherical, volume_element)
 from .integrators import (EnsembleResult, NoisePath, SdeProblem,
@@ -17,12 +17,12 @@ from .integrators import (EnsembleResult, NoisePath, SdeProblem,
                           ito_correction_drift, ito_euler_step, sample_brownian,
                           simulate_ensemble, single_frame_problem)
 from .flows import (IntegratedFlow, NPointMotion, RotationFlow, continuity_modulus,
-                    flow_compose, flow_invert, isometry_check)
+                    isometry_check)
 from .density import (DensityEstimate, EntropyReport, GridSpec, entropy,
                       estimate_density, fokker_planck_residual,
                       generator_weak_check, max_entropy, uniform_density)
-from .exotic import (Deformation, ExoticMap, ScalingFunction, circle_images,
-                     entropy_on_surface, pullback_metric, pushforward_field,
-                     pushforward_flow)
+from .exotic import (ConjugatedFlow, Deformation, ExoticMap, ScalingFunction,
+                     circle_images, entropy_on_surface, pullback_metric,
+                     pushforward_field)
 
 __version__ = "0.1.0"

@@ -113,8 +113,12 @@ class ExperimentConfig:
             raise ConfigError(f"bad value: {exc}") from exc
         if cfg.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {cfg.experiment!r}")
+        if not (np.isfinite(cfg.dt) and np.isfinite(cfg.t_final)):
+            raise ConfigError("dt and t_final must be finite")
         if cfg.n_paths <= 0 or cfg.n_points <= 0 or cfg.dt <= 0 or cfg.t_final <= 0:
             raise ConfigError("numeric parameters must be positive")
+        if not 0.0 <= cfg.deformation_eps < 0.3:
+            raise ConfigError("deformation_eps must lie in [0, 0.3)")
         if cfg.grid_bins < 0 or cfg.grid_bins == 1:
             raise ConfigError("grid_bins must be 0 (auto) or >= 2")
         if cfg.scheme not in sint.SCHEMES:
@@ -218,16 +222,10 @@ def _run_frame_verify(cfg, outdir, summary):
     summary.add("gram_identity_dev", gram_dev, 1e-12)
     summary.add("tangency_dev", tang, 1e-14)
     summary.add("generator_square_dev", gen_dev, 1e-14)
-    killing = 0.0
-    for mu in range(1, 8):
-        fld = sfr.frame_field(mu)
-        for p in pts[:25]:
-            killing = max(killing, float(np.max(np.abs(
-                sfr.lie_derivative_metric(fld, p)))))
-    combo = sfr.CombinedField.constant(rng.standard_normal(7))
-    for p in pts[:25]:
-        killing = max(killing, float(np.max(np.abs(
-            sfr.lie_derivative_metric(combo, p)))))
+    fields = [sfr.frame_field(mu) for mu in range(1, 8)]
+    fields.append(sfr.CombinedField.constant(rng.standard_normal(7)))
+    killing = max(float(np.max(np.abs(sfr.lie_derivative_metric(fld, p))))
+                  for fld in fields for p in pts[:25])
     summary.add("killing_lie_derivative", killing, 1e-6)
     path = f"{outdir}/frame_residuals.csv"
     write_series_csv(path, ["mu", "gram_dev", "tangency_dev"],
@@ -239,8 +237,7 @@ def _run_frame_verify(cfg, outdir, summary):
 
 
 def _run_simulate(cfg, outdir, summary):
-    initial = np.zeros(8)
-    initial[0] = 1.0
+    initial = _e1()
     problem = _problem_from_field(cfg.field, initial)
     n_steps = int(round(cfg.t_final / cfg.dt))
     save = np.linspace(0.0, n_steps * cfg.dt, min(n_steps + 1, 11))
@@ -278,7 +275,7 @@ def _run_flow_check(cfg, outdir, summary):
     g1 = sflow.RotationFlow.from_noise(coeffs, sint.NoisePath(cfg.dt, noise.increments[:cut]))
     g2 = sflow.RotationFlow.from_noise(coeffs, sint.NoisePath(cfg.dt, noise.increments[cut:]),
                                        s=cut * cfg.dt)
-    whole = sflow.flow_compose(g1, g2)
+    whole = g1.compose(g2)
     dense = whole.as_matrix()
     cocycle = float(np.max(np.linalg.norm(
         g2.apply(g1.apply(pts)) - pts @ dense.T, axis=-1)))
@@ -363,8 +360,7 @@ def entropy_grid_bins(n_samples: int) -> int:
 
 def _run_entropy(cfg, outdir, summary):
     rng = np.random.default_rng(cfg.seed)
-    center = np.zeros(8)
-    center[0] = 1.0
+    center = _e1()
     starts = sgeo.random_cap_point(rng, center, 0.1, cfg.n_paths)
     problem = sint.brownian_problem(center)
     t_final = ENTROPY_TIMES[-1]
@@ -432,6 +428,14 @@ def _e1():
     return e
 
 
+def _circle12(thetas):
+    """The circle in the (z1, z2) plane that h fixes pointwise."""
+    circle = np.zeros((len(thetas), 8))
+    circle[:, 0] = np.cos(thetas)
+    circle[:, 1] = np.sin(thetas)
+    return circle
+
+
 def _interior_points(rng, n):
     pts = []
     for _ in range(n):
@@ -449,10 +453,7 @@ def _run_exotic_compare(cfg, outdir, summary):
     summary.add("roundtrip_dev",
                 float(np.max(np.linalg.norm(h.inverse(h.forward(pts)) - pts, axis=-1))),
                 1e-9)
-    thetas = np.linspace(0.0, 2.0 * np.pi, 181)
-    circle = np.zeros((181, 8))
-    circle[:, 0] = np.cos(thetas)
-    circle[:, 1] = np.sin(thetas)
+    circle = _circle12(np.linspace(0.0, 2.0 * np.pi, 181))
     summary.add("fixed_circle_dev",
                 float(np.max(np.linalg.norm(h.forward(circle) - circle, axis=-1))),
                 1e-12)
@@ -497,9 +498,9 @@ def _conjugation_gaps(h, seed, t=0.5, base_dt=0.002, levels=(4, 2, 1), n_noise=8
             for dw in coarse.increments:
                 z, _ = sint.heun_stratonovich_step(problem, z, dw, coarse.dt)
                 v1 = push(gamma)
-                pred = h.surface_project(gamma + dw[0] * v1)
+                pred = h.surface_point(gamma + dw[0] * v1)
                 v2 = push(pred)
-                gamma = h.surface_project(gamma + 0.5 * dw[0] * (v1 + v2))
+                gamma = h.surface_point(gamma + 0.5 * dw[0] * (v1 + v2))
             gaps[li] += float(np.linalg.norm(h.forward(z) - gamma))
     return list(gaps / n_noise)
 
@@ -509,12 +510,9 @@ def _run_circles(cfg, outdir, summary):
     images = sexo.circle_images(h)
     summary.add("circle_closure_dev", max(im.closure_error for im in images), 1e-9)
     fixed = [im for im in images if (im.i, im.j) == (1, 2)][0]
-    thetas = fixed.params
-    ref = np.zeros((len(thetas), 8))
-    ref[:, 0] = np.cos(thetas)
-    ref[:, 1] = np.sin(thetas)
     summary.add("fixed_circle_dev",
-                float(np.max(np.linalg.norm(fixed.points - ref, axis=-1))), 1e-12)
+                float(np.max(np.linalg.norm(fixed.points - _circle12(fixed.params),
+                                            axis=-1))), 1e-12)
     deformed = max(im.max_radial_deviation for im in images)
     if cfg.deformation_eps > 0:
         summary.add("max_radial_deviation", deformed, 1e-6, larger_ok=True)

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrators as sint
-from .frames import DIM
-from .geometry import (N_ANGLES, chart_jacobian, gauss_legendre, sphere_volume,
-                       to_cartesian, to_spherical, volume_element)
+from .geometry import (ANGLE_UPPER as ANGLE_SPANS, N_ANGLES, central_difference,
+                       chart_jacobian, sin_power_integral, sphere_volume, to_cartesian,
+                       to_spherical, volume_element)
 
-ANGLE_SPANS = np.array([np.pi] * 6 + [2.0 * np.pi])
 SIN_POWERS = tuple(range(6, 0, -1)) + (0,)  # per 0-based angle axis
 
 
@@ -49,11 +48,7 @@ class GridSpec:
         power = SIN_POWERS[axis]
         if power == 0:
             return np.diff(e)
-        out = np.empty(self.bins[axis])
-        for i in range(self.bins[axis]):
-            x, w = gauss_legendre(24, e[i], e[i + 1])
-            out[i] = np.sum(w * np.sin(x) ** power)
-        return out
+        return np.array([sin_power_integral(power, lo, hi) for lo, hi in zip(e, e[1:])])
 
     def axis_total(self, axis: int) -> float:
         return float(np.sum(self.axis_weights(axis)))
@@ -111,18 +106,23 @@ class MarginalDensity:
         return self.grid.centers(self.axes[pos])
 
 
+def _histogram(samples, grid: GridSpec):
+    """Occupied bins of (n, 8) sphere points: keys (K, 7), counts and the
+    bins' round-sphere volumes."""
+    if samples.shape[0] == 0:
+        raise ValueError("density estimation needs at least one sample")
+    keys, counts = np.unique(grid.bin_indices(to_spherical(samples)), axis=0,
+                             return_counts=True)
+    volumes = np.ones(len(keys))
+    for a in range(N_ANGLES):
+        volumes *= grid.axis_weights(a)[keys[:, a]]
+    return keys, counts, volumes
+
+
 def estimate_density(samples, grid: GridSpec) -> DensityEstimate:
     """Histogram sphere points over the angle grid with volume weights."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] == 0:
-        raise ValueError("density estimation needs at least one sample")
-    phi = to_spherical(samples)
-    idx = grid.bin_indices(phi)
-    keys, counts = np.unique(idx, axis=0, return_counts=True)
-    weights = [grid.axis_weights(a) for a in range(N_ANGLES)]
-    volumes = np.ones(len(keys))
-    for a in range(N_ANGLES):
-        volumes *= weights[a][keys[:, a]]
+    keys, counts, volumes = _histogram(samples, grid)
     densities = counts / (samples.shape[0] * volumes)
     return DensityEstimate(grid, samples.shape[0], keys, counts, volumes, densities)
 
@@ -148,21 +148,26 @@ class EntropyReport:
         return self.S + self.mm_correction
 
 
-def entropy(d: DensityEstimate, t: float | None = None) -> EntropyReport:
-    """Plug-in entropy -sum p log p * vol over occupied bins (empty bins add 0).
+def plugin_entropy(counts, densities, n: int, t: float | None = None) -> EntropyReport:
+    """Plug-in entropy -sum p log p * vol over occupied bins (empty bins add 0),
+    from the bin counts of n samples and the bin densities counts / (n vol).
 
     Reports the Miller-Madow bias correction (K-1)/(2n) and the sampling
     standard error of the plug-in value.
     """
-    n = d.n_samples
-    w = d.counts / n  # = p * vol per occupied bin
-    logp = np.log(d.densities)
+    w = counts / n  # = p * vol per occupied bin
+    logp = np.log(densities)
     s = float(-np.sum(w * logp))
     var = float(np.sum(w * logp ** 2) - s ** 2)
     se = float(np.sqrt(max(var, 0.0) / n))
-    mm = (len(d.counts) - 1) / (2.0 * n)
+    mm = (len(counts) - 1) / (2.0 * n)
     return EntropyReport(S=s, stderr=se, mm_correction=mm,
-                         n_occupied=len(d.counts), t=t)
+                         n_occupied=len(counts), t=t)
+
+
+def entropy(d: DensityEstimate, t: float | None = None) -> EntropyReport:
+    """Plug-in entropy of a sphere histogram; see ``plugin_entropy``."""
+    return plugin_entropy(d.counts, d.densities, d.n_samples, t)
 
 
 def max_entropy() -> float:
@@ -175,30 +180,25 @@ def max_entropy() -> float:
 
 def _channel_fields(fields):
     if isinstance(fields, sint.SdeProblem):
-        problem = fields
-        if problem.channel_mode == "shared":
-            return (lambda z: problem.diffusion_matrix(z)[..., 0, :],)
-        return problem.diffusion_fields
+        return fields.channel_fields
     if callable(fields):
         return (fields,)
     return tuple(fields)
 
 
 def angular_fields(phi, fields) -> np.ndarray:
-    """Push ambient channel fields into chart coordinates: rows G^-1 J^T V."""
-    fields = _channel_fields(fields)
+    """Push ambient channel fields into chart coordinates: rows G^-1 J^T V.
+
+    The chart is orthogonal, so G is diagonal.  Where a diagonal entry
+    vanishes (on the singular set) that coordinate is set to 0, the
+    least-squares value.
+    """
     z = to_cartesian(phi)
     jac = chart_jacobian(phi)
-    g = jac.T @ jac
-    rows = []
-    for fld in fields:
-        v = np.asarray(fld(z), dtype=float)
-        rhs = jac.T @ v
-        try:
-            rows.append(np.linalg.solve(g, rhs))
-        except np.linalg.LinAlgError:
-            rows.append(np.linalg.lstsq(g, rhs, rcond=None)[0])
-    return np.stack(rows)
+    g = np.sum(jac * jac, axis=0)
+    rhs = np.stack([np.asarray(fld(z), dtype=float)
+                    for fld in _channel_fields(fields)]) @ jac
+    return np.divide(rhs, g, out=np.zeros_like(rhs), where=g > 0.0)
 
 
 def angular_diffusion_matrix(phi, fields) -> np.ndarray:
@@ -216,16 +216,9 @@ def _wrap_last_angle(phi):
 def _angular_drift(phi, fields, h_inner: float) -> np.ndarray:
     """h^i = sum_{alpha, j} vtilde_alpha^j d vtilde_alpha^i / d phi_j."""
     base = angular_fields(phi, fields)  # (n_ch, 7)
-    out = np.zeros(N_ANGLES)
-    for j in range(N_ANGLES):
-        pp = np.array(phi)
-        pp[j] += h_inner
-        pm = np.array(phi)
-        pm[j] -= h_inner
-        dv = (angular_fields(_wrap_last_angle(pp), fields)
-              - angular_fields(_wrap_last_angle(pm), fields)) / (2.0 * h_inner)
-        out += np.einsum("a,ai->i", base[:, j], dv)
-    return out
+    dv = central_difference(lambda q: angular_fields(_wrap_last_angle(q), fields),
+                            phi, h_inner)  # (n_ch, 7, 7), last axis j
+    return np.einsum("aj,aij->i", base, dv)
 
 
 def uniform_density():
@@ -251,24 +244,16 @@ def fokker_planck_residual(p_fn, fields, phi, dp_dt: float = 0.0,
     if volume_element(phi) < 1e-6:
         raise ValueError("point is too close to the coordinate-singular set")
 
-    def bracket_drift(q, i):
-        h = _angular_drift(q, fields, h_inner)
-        return h[i] * p_fn(q) * volume_element(q)
+    def bracket_drift(q):
+        q = _wrap_last_angle(q)
+        return _angular_drift(q, fields, h_inner) * p_fn(q) * volume_element(q)
 
     def bracket_diff(q, i, j):
-        rows = angular_fields(q, fields)
-        dij = float(rows[:, i] @ rows[:, j])
+        dij = angular_diffusion_matrix(q, fields)[i, j]
         return dij * p_fn(q) * volume_element(q)
 
     res = -dp_dt * float(volume_element(phi))
-    for i in range(N_ANGLES):
-        pp = np.array(phi)
-        pp[i] += h_outer
-        pm = np.array(phi)
-        pm[i] -= h_outer
-        d1 = (bracket_drift(_wrap_last_angle(pp), i)
-              - bracket_drift(_wrap_last_angle(pm), i)) / (2.0 * h_outer)
-        res += -0.5 * d1
+    res += -0.5 * np.trace(central_difference(bracket_drift, phi, h_outer))
     for i in range(N_ANGLES):
         for j in range(N_ANGLES):
             if i == j:
@@ -303,13 +288,11 @@ def _entropy_rate_parts(marginal: MarginalDensity, diffusion,
     centers = [marginal.centers(i) for i in range(k)]
     spacings = [c[1] - c[0] for c in centers]
 
-    grads = np.gradient(dens, *spacings) if k > 1 else [np.gradient(dens, spacings[0])]
-    hessians = [[None] * k for _ in range(k)]
-    for i in range(k):
-        gi = grads[i]
-        sub = np.gradient(gi, *spacings) if k > 1 else [np.gradient(gi, spacings[0])]
-        for j in range(k):
-            hessians[i][j] = sub[j]
+    def grad(a):  # np.gradient returns a bare array, not a list, for one axis
+        return np.gradient(a, *spacings) if k > 1 else [np.gradient(a, spacings[0])]
+
+    grads = grad(dens)
+    hessians = [grad(g) for g in grads]
 
     rest = 1.0
     for a in range(N_ANGLES):
@@ -407,13 +390,7 @@ def _generator_apply(problem: sint.SdeProblem, f, states, h: float = 1e-4):
         out = out + (f(zp) - 2.0 * f(states) + f(zm)) / h ** 2
     out = 0.5 * out
     if problem.drift is not None:
-        grad = np.zeros(states.shape)
-        for i in range(DIM):
-            sp = states.copy()
-            sp[..., i] += h
-            sm = states.copy()
-            sm[..., i] -= h
-            grad[..., i] = (f(sp) - f(sm)) / (2.0 * h)
+        grad = central_difference(f, states, h)
         out = out + np.sum(np.asarray(problem.drift(states)) * grad, axis=-1)
     return out
 
@@ -448,7 +425,7 @@ def generator_weak_check(problem: sint.SdeProblem, f, t: float, n_paths: int,
 __all__ = [
     "GridSpec", "DensityEstimate", "MarginalDensity", "EntropyReport",
     "WeakCheckReport", "estimate_density", "write_density_csv", "entropy",
-    "max_entropy", "angular_fields", "angular_diffusion_matrix",
+    "plugin_entropy", "max_entropy", "angular_fields", "angular_diffusion_matrix",
     "uniform_density", "fokker_planck_residual", "entropy_rate_formula",
     "entropy_rate_fisher", "generator_weak_check",
 ]

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import EntropyReport, GridSpec
-from .frames import DIM, plane_generator
-from .geometry import to_cartesian, to_spherical, volume_element
+from .density import ANGLE_SPANS, EntropyReport, GridSpec, _histogram, plugin_entropy
+from .frames import DIM
+from .geometry import central_difference, to_cartesian, volume_element
 
 
 class RegularityError(ValueError):
@@ -38,8 +38,15 @@ def _smooth_transition(t):
     return np.where(t <= 0.0, lo, np.where(t >= 1.0, hi, np.where(mid, a / (a + b), hi)))
 
 
-def _smooth_transition_deriv(t, h=1e-6):
-    return (_smooth_transition(t + h) - _smooth_transition(t - h)) / (2.0 * h)
+def _smooth_transition_deriv(t):
+    """Analytic ramp derivative a b (1/t^2 + 1/(1-t)^2) / (a + b)^2 on (0, 1),
+    with a = exp(-1/t) and b = exp(-1/(1-t)); 0 elsewhere."""
+    t = np.asarray(t, dtype=float)
+    tm = np.clip(t, 1e-12, 1.0 - 1e-12)
+    a = np.exp(-1.0 / tm)
+    b = np.exp(-1.0 / (1.0 - tm))
+    d = a * b * (1.0 / tm ** 2 + 1.0 / (1.0 - tm) ** 2) / (a + b) ** 2
+    return np.where((t > 0.0) & (t < 1.0), d, 0.0)
 
 
 def _kink_transition(t):
@@ -96,41 +103,39 @@ class Deformation:
     def scale(self, direction):
         return 1.0 + self.eps * self.profile.value(direction)
 
-    def forward(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def _ray_scale(self, x) -> np.ndarray:
+        """The scale of the ray through each point, shaped to broadcast with x."""
         r = np.linalg.norm(x, axis=-1, keepdims=True)
         if np.any(r < 1e-300):
             raise ValueError("deformation is undefined at the origin")
+        s = np.asarray(self.scale(x / r))
+        return s[..., None] if s.ndim else s
+
+    def _scale_and_gradient(self, x):
+        """g = scale of x's ray and the gradient of s(x/|x|) in x, at one point."""
+        r = float(np.linalg.norm(x))
         u = x / r
-        s = np.asarray(self.scale(u))
-        return x * s[..., None] if s.ndim else x * s
+        return float(self.scale(u)), self.profile.gradient(u) / r
+
+    def forward(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return x * self._ray_scale(x)
 
     def inverse(self, y) -> np.ndarray:
         # the scaling depends only on the direction, which forward preserves
         y = np.asarray(y, dtype=float)
-        r = np.linalg.norm(y, axis=-1, keepdims=True)
-        if np.any(r < 1e-300):
-            raise ValueError("deformation inverse is undefined at the origin")
-        u = y / r
-        s = np.asarray(self.scale(u))
-        return y / (s[..., None] if s.ndim else s)
+        return y / self._ray_scale(y)
 
     def jacobian(self, x) -> np.ndarray:
         """Analytic d D / d x at a single point."""
         x = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(x))
-        u = x / r
-        g = float(self.scale(u))
-        grad_s = self.profile.gradient(u) / r  # gradient of s(x/|x|) in x
+        g, grad_s = self._scale_and_gradient(x)
         return g * np.eye(DIM) + self.eps * np.outer(x, grad_s)
 
     def inverse_jacobian(self, y) -> np.ndarray:
         """Analytic d D^{-1} / d y at a single point."""
         y = np.asarray(y, dtype=float)
-        r = float(np.linalg.norm(y))
-        u = y / r
-        g = float(self.scale(u))
-        grad_s = self.profile.gradient(u) / r
+        g, grad_s = self._scale_and_gradient(y)
         # D^{-1}(y) = y / g(y/|y|)
         return np.eye(DIM) / g - self.eps * np.outer(y, grad_s) / g ** 2
 
@@ -218,10 +223,6 @@ class ExoticMap:
         direction = direction / np.linalg.norm(direction, axis=-1, keepdims=True)
         return self.forward(direction)
 
-    def surface_project(self, y) -> np.ndarray:
-        """Retract an ambient point onto the surface along its ray."""
-        return self.surface_point(y)
-
 
 def pushforward_field(V, h: ExoticMap):
     """The induced field (h_* V)(gamma) = dh(h^{-1}(gamma)) V(h^{-1}(gamma)).
@@ -266,10 +267,6 @@ class ConjugatedFlow:
         return ConjugatedFlow(self.flow.invert(), self.h)
 
 
-def pushforward_flow(flow, h: ExoticMap) -> ConjugatedFlow:
-    return ConjugatedFlow(flow, h)
-
-
 def pullback_metric(gamma, h: ExoticMap) -> np.ndarray:
     """G' = J^T J with J the ambient Jacobian of h^{-1} at gamma.
 
@@ -290,16 +287,7 @@ def pullback_metric(gamma, h: ExoticMap) -> np.ndarray:
 
 def surface_patch_jacobian(h: ExoticMap, phi, step: float = 1e-6) -> np.ndarray:
     """8x7 derivative of the surface parameterization angles -> h(chart(angles))."""
-    phi = np.asarray(phi, dtype=float)
-    out = np.empty((DIM, 7))
-    for k in range(7):
-        pp = phi.copy()
-        pp[k] += step
-        pm = phi.copy()
-        pm[k] -= step
-        out[:, k] = (h.forward(to_cartesian(pp)) - h.forward(to_cartesian(pm))) \
-            / (2.0 * step)
-    return out
+    return central_difference(lambda q: h.forward(to_cartesian(q)), phi, step)
 
 
 def entropy_on_surface(gammas, h: ExoticMap, grid: GridSpec,
@@ -315,31 +303,16 @@ def entropy_on_surface(gammas, h: ExoticMap, grid: GridSpec,
     """
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
     dirs = gammas / np.linalg.norm(gammas, axis=-1, keepdims=True)
-    phi = to_spherical(dirs)
-    idx = grid.bin_indices(phi)
-    keys, counts = np.unique(idx, axis=0, return_counts=True)
-    widths = np.array([np.pi] * 6 + [2.0 * np.pi]) / np.asarray(grid.bins, dtype=float)
-    axis_weights = [grid.axis_weights(a) for a in range(7)]
-    volumes = np.empty(len(keys))
+    keys, counts, volumes = _histogram(dirs, grid)
+    widths = ANGLE_SPANS / np.asarray(grid.bins, dtype=float)
     for row, key in enumerate(keys):
-        center = (np.asarray(key, dtype=float) + 0.5) * widths
+        center = (key + 0.5) * widths
         m = surface_patch_jacobian(h, center)
         gp = pullback_metric(h.forward(to_cartesian(center)), h)
         gram = m.T @ gp @ m
-        ratio = np.sqrt(max(np.linalg.det(gram), 0.0)) / volume_element(center)
-        box = 1.0
-        for a in range(7):
-            box *= axis_weights[a][key[a]]
-        volumes[row] = box * ratio
+        volumes[row] *= np.sqrt(max(np.linalg.det(gram), 0.0)) / volume_element(center)
     n = gammas.shape[0]
-    dens = counts / (n * volumes)
-    w = counts / n
-    logp = np.log(dens)
-    s = float(-np.sum(w * logp))
-    var = float(np.sum(w * logp ** 2) - s ** 2)
-    return EntropyReport(S=s, stderr=float(np.sqrt(max(var, 0.0) / n)),
-                         mm_correction=(len(keys) - 1) / (2.0 * n),
-                         n_occupied=len(keys), t=t)
+    return plugin_entropy(counts, counts / (n * volumes), n, t)
 
 
 @dataclass
@@ -383,17 +356,11 @@ def write_circles_csv(images, fname) -> None:
                          + ",".join("%.17g" % v for v in pt) + "\n")
 
 
-def plane_circle_generator(i: int, j: int) -> np.ndarray:
-    """Generator whose integral curves are the coordinate circles; re-exported
-    for callers that iterate the 28 planes."""
-    return plane_generator(i, j)
-
-
 __all__ = [
     "RegularityError", "BumpProfile", "Deformation", "ScalingFunction",
     "ExoticMap", "ConjugatedFlow", "CircleImage",
     "identity_deformation", "constant_scaling",
-    "pushforward_field", "pushforward_flow", "pullback_metric",
+    "pushforward_field", "pullback_metric",
     "surface_patch_jacobian", "entropy_on_surface",
-    "circle_images", "write_circles_csv", "plane_circle_generator",
+    "circle_images", "write_circles_csv",
 ]

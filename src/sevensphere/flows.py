@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrators as sint
-from .geometry import geodesic_distance
+from .geometry import central_difference, geodesic_distance
 from .integrators import NoisePath, SdeProblem, frame_rotation_matrix
 
 _TIME_TOL = 1e-9
@@ -127,15 +127,6 @@ class ComposedFlow:
         return ComposedFlow([p.invert() for p in reversed(self.parts)])
 
 
-def flow_compose(first, second):
-    """first over [s, t] followed by second over [t, u]; endpoint-checked."""
-    return first.compose(second)
-
-
-def flow_invert(flow):
-    return flow.invert()
-
-
 @dataclass
 class NPointMotion:
     """Points advancing under one shared noise realization."""
@@ -179,11 +170,9 @@ def continuity_modulus(flow, points, max_separation: float = np.pi) -> Continuit
     Numerical evidence toward the homeomorphism property, not a proof.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    iu = np.triu_indices(pts.shape[0], 1)
-    before = geodesic_distance(pts[iu[0]], pts[iu[1]])
+    before = _pairwise(pts)
     keep = (before > 1e-12) & (before <= max_separation)
-    mapped = flow.apply(pts)
-    after = geodesic_distance(mapped[iu[0]], mapped[iu[1]])
+    after = _pairwise(flow.apply(pts))
     ratios = after[keep] / before[keep]
     if ratios.size == 0:
         raise ValueError("no usable pairs below the separation cutoff")
@@ -199,14 +188,8 @@ def flow_jacobian_conditioning(flow, z, h: float = 1e-6):
     looks like numerically; for isometric flows they all equal one.
     """
     z = np.asarray(z, dtype=float)
-    basis = _tangent_basis(z)
-    cols = []
-    for direction in basis:
-        zp = z + h * direction
-        zm = z - h * direction
-        cols.append((flow.apply(zp / np.linalg.norm(zp))
-                     - flow.apply(zm / np.linalg.norm(zm))) / (2.0 * h))
-    jac = np.stack(cols, axis=-1)  # 8 x 7
+    jac = central_difference(lambda y: flow.apply(y / np.linalg.norm(y)), z, h,
+                             directions=_tangent_basis(z))  # 8 x 7
     return np.linalg.svd(jac, compute_uv=False)
 
 
@@ -218,6 +201,6 @@ def _tangent_basis(z):
 
 __all__ = [
     "RotationFlow", "IntegratedFlow", "ComposedFlow", "NPointMotion",
-    "ContinuityReport", "flow_compose", "flow_invert",
+    "ContinuityReport",
     "isometry_check", "continuity_modulus", "flow_jacobian_conditioning",
 ]

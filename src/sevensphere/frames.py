@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import central_difference
+
 # (i, j, sign) terms, 1-based plane indices: each term contributes
 # sign * (z^i d/dz^j - z^j d/dz^i).
 PLANE_TERMS = (
@@ -126,29 +128,6 @@ class CombinedField:
         return np.einsum("...m,...mi->...i", a, u)
 
 
-def combined_eval(field: CombinedField, z) -> np.ndarray:
-    return field(z)
-
-
-def _tangential_coefficient_gradients(field: CombinedField, z, h: float):
-    """Central-difference gradients of the seven coefficients at unit z.
-
-    Coefficients are read at normalized points, so each gradient row is
-    automatically tangential (the radial derivative of the extension is zero).
-    """
-    z = np.asarray(z, dtype=float)
-    grads = np.zeros((N_FRAME_FIELDS, DIM))
-    for i in range(DIM):
-        zp = z.copy()
-        zp[i] += h
-        zm = z.copy()
-        zm[i] -= h
-        ap = field.coefficients_at(zp / np.linalg.norm(zp))
-        am = field.coefficients_at(zm / np.linalg.norm(zm))
-        grads[:, i] = (ap - am) / (2.0 * h)
-    return grads
-
-
 def killing_residual(field: CombinedField, z, h: float = 1e-5) -> np.ndarray:
     """Symmetrized obstruction matrix M_ij = sum_mu (U_mu^j dA^mu/dz^i + U_mu^i dA^mu/dz^j).
 
@@ -157,7 +136,10 @@ def killing_residual(field: CombinedField, z, h: float = 1e-5) -> np.ndarray:
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"finite-difference step must lie in [1e-7, 1e-3], got {h}")
     z = np.asarray(z, dtype=float)
-    grads = _tangential_coefficient_gradients(field, z, h)  # (7, 8), rows d A^mu
+    # Coefficients are read at normalized points, so each gradient row d A^mu
+    # is tangential (the radial derivative of that extension is zero).
+    grads = central_difference(lambda y: field.coefficients_at(y / np.linalg.norm(y)),
+                               z, h)  # (7, 8)
     u = frame_eval_all(z)  # (7, 8)
     m = np.einsum("mj,mi->ij", u, grads)
     return m + m.T
@@ -179,15 +161,7 @@ def lie_derivative_metric(V, z, h: float = 1e-5) -> np.ndarray:
     radial = abs(float(np.dot(v0, z)))
     if radial > 1e-8:
         raise ValueError(f"field is not tangent at z: <z, V(z)> = {radial:.3e}")
-    jac = np.zeros((DIM, DIM))
-    for i in range(DIM):
-        zp = z.copy()
-        zp[i] += h
-        zm = z.copy()
-        zm[i] -= h
-        vp = np.asarray(V(zp / np.linalg.norm(zp)), dtype=float)
-        vm = np.asarray(V(zm / np.linalg.norm(zm)), dtype=float)
-        jac[:, i] = (vp - vm) / (2.0 * h)
+    jac = central_difference(lambda y: V(y / np.linalg.norm(y)), z, h)
     sym = jac + jac.T
     proj = np.eye(DIM) - np.outer(z, z)
     return proj @ sym @ proj
@@ -196,6 +170,6 @@ def lie_derivative_metric(V, z, h: float = 1e-5) -> np.ndarray:
 __all__ = [
     "PLANE_TERMS", "FRAME_GENERATORS", "N_FRAME_FIELDS", "DIM",
     "plane_generator", "generator_matrix", "frame_eval", "frame_eval_all",
-    "frame_field", "CombinedField", "combined_eval",
+    "frame_field", "CombinedField",
     "killing_residual", "lie_derivative_metric",
 ]

@@ -39,10 +39,13 @@ def _check_ranges(phi):
 def to_cartesian(phi) -> np.ndarray:
     """Embed angles (..., 7) as unit vectors (..., 8)."""
     phi = _check_ranges(phi)
-    s = np.sin(phi)
-    c = np.cos(phi)
-    out = np.empty(phi.shape[:-1] + (DIM,))
-    prefix = np.ones(phi.shape[:-1])
+    return _embed(np.sin(phi), np.cos(phi))
+
+
+def _embed(s, c) -> np.ndarray:
+    """The chart's products of the per-angle factors s (sines) and c (cosines)."""
+    out = np.empty(s.shape[:-1] + (DIM,))
+    prefix = np.ones(s.shape[:-1])
     for k in range(N_ANGLES):
         out[..., k] = prefix * c[..., k]
         prefix = prefix * s[..., k]
@@ -92,35 +95,41 @@ def volume_element(phi) -> np.ndarray:
 
 
 def chart_jacobian(phi) -> np.ndarray:
-    """Analytic 8x7 Jacobian d z / d phi of to_cartesian at one angle vector."""
+    """Analytic 8x7 Jacobian d z / d phi of to_cartesian at one angle vector.
+
+    Column l is to_cartesian with sin(phi_l) -> cos(phi_l) and
+    cos(phi_l) -> -sin(phi_l), and zero above row l (those coordinates do not
+    involve phi_l).  The columns are mutually orthogonal, so G is diagonal.
+    """
     phi = _check_ranges(np.asarray(phi, dtype=float))
     if phi.ndim != 1:
         raise ValueError("chart_jacobian expects a single angle vector")
     s = np.sin(phi)
     c = np.cos(phi)
-    # factors[i] = list of the trig factors of z_i
-    factors = []
-    for i in range(N_ANGLES):
-        factors.append([("s", l) for l in range(i)] + [("c", i)])
-    factors.append([("s", l) for l in range(N_ANGLES - 1)] + [("s", 6)])
-    jac = np.zeros((DIM, N_ANGLES))
-    for i in range(DIM):
-        for kind, l in factors[i]:
-            # derivative of z_i with respect to phi_l: replace that factor
-            term = 1.0
-            for kind2, l2 in factors[i]:
-                if l2 == l and kind2 == kind:
-                    term *= c[l2] if kind == "s" else -s[l2]
-                else:
-                    term *= s[l2] if kind2 == "s" else c[l2]
-            jac[i, l] += term
-    return jac
+    swap = np.eye(N_ANGLES, dtype=bool)
+    return np.tril(_embed(np.where(swap, c, s), np.where(swap, -s, c)).T)
 
 
 def metric_tensor(phi) -> np.ndarray:
     """G = J^T J for the chart Jacobian; singular rows are identically zero at poles."""
     jac = chart_jacobian(phi)
     return jac.T @ jac
+
+
+def central_difference(f, x, h: float, directions=None) -> np.ndarray:
+    """Central differences (f(x + h d) - f(x - h d)) / (2h) along each direction d.
+
+    ``directions`` defaults to the coordinate axes of the last axis of x, so a
+    batch of points (..., n) is differentiated pointwise.  The result stacks
+    one derivative per direction on a new last axis, after the axes of f's
+    value; the error is O(h^2).
+    """
+    x = np.asarray(x, dtype=float)
+    if directions is None:
+        directions = np.eye(x.shape[-1])
+    return np.stack([(np.asarray(f(x + h * d), dtype=float)
+                      - np.asarray(f(x - h * d), dtype=float)) / (2.0 * h)
+                     for d in directions], axis=-1)
 
 
 def geodesic_distance(x, y) -> np.ndarray:
@@ -182,7 +191,7 @@ def random_cap_point(rng: np.random.Generator, center, radius: float, size=None)
 __all__ = [
     "N_ANGLES", "DIM", "ChartSingularityError",
     "to_cartesian", "to_spherical", "volume_element",
-    "chart_jacobian", "metric_tensor", "geodesic_distance",
+    "chart_jacobian", "metric_tensor", "central_difference", "geodesic_distance",
     "sphere_volume", "sphere_volume_quadrature",
     "gauss_legendre", "sin_power_integral",
     "random_sphere_point", "random_cap_point",

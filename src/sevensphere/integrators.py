@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import DIM, FRAME_GENERATORS, N_FRAME_FIELDS, frame_field
+from .frames import DIM, FRAME_GENERATORS, N_FRAME_FIELDS, frame_eval_all, frame_field
+from .geometry import central_difference
 
 CHUNK = 1024  # fixed path block size; independent of the worker count
 
@@ -30,8 +31,10 @@ class NoisePath:
         self.increments = np.asarray(self.increments, dtype=float)
         if self.increments.ndim != 2:
             raise ValueError("increments must be a (n_steps, n_channels) matrix")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not np.all(np.isfinite(self.increments)):
+            raise ValueError("increments must be finite")
 
     @property
     def n_steps(self) -> int:
@@ -130,6 +133,13 @@ class SdeProblem:
             return 1
         return len(self.diffusion_fields)
 
+    @property
+    def channel_fields(self) -> tuple:
+        """One field per Wiener channel: the summed field when shared."""
+        if self.channel_mode == "shared":
+            return (lambda z: self.diffusion_matrix(z)[..., 0, :],)
+        return self.diffusion_fields
+
     def diffusion_matrix(self, z) -> np.ndarray:
         """Per-channel field values at z; shape (..., n_channels, 8)."""
         z = np.asarray(z, dtype=float)
@@ -165,18 +175,6 @@ def combination_problem(c, initial, label: str = "combination") -> SdeProblem:
                       label=label)
 
 
-def _field_jacobian(fld, z, h=1e-6):
-    z = np.asarray(z, dtype=float)
-    jac = np.empty((DIM, DIM))
-    for j in range(DIM):
-        zp = z.copy()
-        zp[j] += h
-        zm = z.copy()
-        zm[j] -= h
-        jac[:, j] = (np.asarray(fld(zp)) - np.asarray(fld(zm))) / (2.0 * h)
-    return jac
-
-
 def ito_correction_drift(fields, z) -> np.ndarray:
     """h(z) = sum over channels of (dV/dz) V, the Stratonovich-to-Ito drift.
 
@@ -193,7 +191,7 @@ def ito_correction_drift(fields, z) -> np.ndarray:
             total = total + z @ (gen.T @ gen.T)
         else:
             v = np.asarray(fld(z), dtype=float)
-            jac = _field_jacobian(fld, z)
+            jac = central_difference(fld, z, 1e-6)
             if not np.all(np.isfinite(jac)):
                 raise FloatingPointError("field Jacobian is not finite")
             total = total + jac @ v
@@ -230,13 +228,11 @@ def ito_euler_step(problem: SdeProblem, z, dw, dt: float):
     z = np.asarray(z, dtype=float)
     dw = np.asarray(dw, dtype=float)
     vals = problem.diffusion_matrix(z)
-    if problem.channel_mode == "shared":
-        corr_fields = (lambda x: problem.diffusion_matrix(x)[..., 0, :],)
-    else:
-        corr_fields = problem.diffusion_fields
-    flat = z.reshape(-1, DIM)
-    h = np.stack([ito_correction_drift(corr_fields, p) for p in flat])
-    h = h.reshape(z.shape)
+    h = _batched_ito_correction_linear(problem, z)
+    if h is None:
+        flat = z.reshape(-1, DIM)
+        h = np.stack([ito_correction_drift(problem.channel_fields, p) for p in flat])
+        h = h.reshape(z.shape)
     znew = (z + 0.5 * dt * h + dt * _drift_value(problem, z)
             + np.einsum("...ci,...c->...i", vals, dw))
     norms = np.linalg.norm(znew, axis=-1, keepdims=True)
@@ -265,9 +261,7 @@ def frame_rotation_apply(a, z) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     z = np.asarray(z, dtype=float)
-    u = z @ FRAME_GENERATORS.reshape(N_FRAME_FIELDS * DIM, DIM).T
-    u = u.reshape(z.shape[:-1] + (N_FRAME_FIELDS, DIM))
-    kz = np.einsum("...m,...mi->...i", a, u)
+    kz = np.einsum("...m,...mi->...i", a, frame_eval_all(z))
     w = np.linalg.norm(a, axis=-1)[..., None]
     return np.cos(w) * z + np.sinc(w / np.pi) * kz
 
@@ -364,16 +358,7 @@ def _simulate_chunk(problem, scheme, path_lo, path_hi, n_steps, dt, seed, save_i
             z, d = heun_stratonovich_step(problem, z, dw, dt)
             defect = max(defect, d)
         elif scheme == "ito_euler":
-            vals = problem.diffusion_matrix(z)
-            h = _batched_ito_correction_linear(problem, z)
-            if h is None:
-                z, d = ito_euler_step(problem, z, dw, dt)
-            else:
-                znew = (z + 0.5 * dt * h + dt * _drift_value(problem, z)
-                        + np.einsum("...ci,...c->...i", vals, dw))
-                norms = np.linalg.norm(znew, axis=-1, keepdims=True)
-                d = float(np.max(np.abs(norms - 1.0)))
-                z = znew / norms
+            z, d = ito_euler_step(problem, z, dw, dt)
             defect = max(defect, d)
         else:
             raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")

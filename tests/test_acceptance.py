@@ -204,7 +204,7 @@ def test_criterion_09_flow_laws():
     g2 = sflow.RotationFlow.from_noise(np.eye(7),
                                        sint.NoisePath(0.01, noise.increments[cut:]),
                                        s=g1.t)
-    whole = sflow.flow_compose(g1, g2)
+    whole = g1.compose(g2)
     cocycle = float(np.max(np.linalg.norm(
         g2.apply(g1.apply(pts)) - pts @ whole.as_matrix().T, axis=-1)))
     ident = float(np.max(np.linalg.norm(

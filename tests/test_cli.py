@@ -135,8 +135,11 @@ def test_comments_and_blank_lines_ok(tmp_path):
     assert cli.main(["--config", cfg, "--output", str(out)]) == 0
 
 
-def test_config_positive_values_enforced(tmp_path):
-    cfg = write_config(tmp_path, "experiment = circles\nseed = 1\nn_paths = 0\n")
+@pytest.mark.parametrize("key, value", [("n_paths", "0"), ("dt", "nan"),
+                                        ("t_final", "inf"), ("deformation_eps", "nan"),
+                                        ("deformation_eps", "0.5")])
+def test_config_positive_values_enforced(tmp_path, key, value):
+    cfg = write_config(tmp_path, f"experiment = circles\nseed = 1\n{key} = {value}\n")
     assert cli.main(["--config", cfg]) == 2
 
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from sevensphere.density import (GridSpec, MarginalDensity, entropy,
+from sevensphere.density import (GridSpec, MarginalDensity, angular_fields, entropy,
                                  entropy_rate_fisher, entropy_rate_formula,
                                  estimate_density, fokker_planck_residual,
                                  angular_diffusion_matrix, generator_weak_check,
                                  max_entropy, uniform_density, write_density_csv)
-from sevensphere.geometry import (metric_tensor, random_cap_point,
-                                  random_sphere_point, sphere_volume)
+from sevensphere.geometry import (chart_jacobian, metric_tensor, random_cap_point,
+                                  random_sphere_point, sphere_volume, to_cartesian)
 from sevensphere.integrators import (brownian_problem, simulate_ensemble,
                                      single_frame_problem)
 
@@ -215,6 +215,20 @@ def test_full_frame_effective_polar_diffusion_is_one(rng):
         ginv = np.linalg.inv(metric_tensor(phi))
         np.testing.assert_allclose(d, ginv, atol=1e-12)
         assert d[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_angular_fields_on_singular_set_are_least_squares():
+    # at phi1 = 0 the metric has zero rows and columns; the pushed-forward
+    # fields must be the least-squares rows, finite and zero there
+    phi = np.array([0.0, 1.0, 2.0, 0.5, 1.5, 2.5, 4.0])
+    problem = brownian_problem(E[0])
+    jac = chart_jacobian(phi)
+    z = to_cartesian(phi)
+    expect = np.stack([np.linalg.lstsq(jac.T @ jac, jac.T @ f(z), rcond=None)[0]
+                       for f in problem.diffusion_fields])
+    rows = angular_fields(phi, problem)
+    assert np.all(np.isfinite(rows))
+    np.testing.assert_allclose(rows, expect, rtol=0, atol=1e-12)
 
 
 def test_entropy_rate_two_axis_uniform(rng):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from sevensphere.density import GridSpec, entropy, estimate_density
-from sevensphere.exotic import (BumpProfile, Deformation, ExoticMap,
-                                RegularityError, ScalingFunction, circle_images,
-                                constant_scaling, entropy_on_surface,
+from sevensphere.exotic import (BumpProfile, ConjugatedFlow, Deformation,
+                                ExoticMap, RegularityError, ScalingFunction,
+                                circle_images, constant_scaling, entropy_on_surface,
                                 identity_deformation, pullback_metric,
-                                pushforward_field, pushforward_flow,
-                                surface_patch_jacobian, write_circles_csv)
+                                pushforward_field, surface_patch_jacobian,
+                                write_circles_csv)
 from sevensphere.flows import RotationFlow
 from sevensphere.frames import frame_field
 from sevensphere.geometry import (gauss_legendre, geodesic_distance,
@@ -34,6 +34,19 @@ def circle12(n=181):
 # --------------------------------------------------------------------------
 # deformation and the map itself
 # --------------------------------------------------------------------------
+
+def test_smooth_transition_derivative_is_analytic():
+    from sevensphere.exotic import _smooth_transition as ramp
+    from sevensphere.exotic import _smooth_transition_deriv
+
+    t = np.linspace(0.02, 0.98, 97)
+    h = 1e-3
+    five_point = (ramp(t - 2 * h) - 8 * ramp(t - h) + 8 * ramp(t + h)
+                  - ramp(t + 2 * h)) / (12 * h)
+    np.testing.assert_allclose(_smooth_transition_deriv(t), five_point, rtol=0, atol=1e-8)
+    outside = np.array([-1.0, -1e-3, 0.0, 1.0, 1.0 + 1e-3, 2.0])
+    assert np.all(_smooth_transition_deriv(outside) == 0.0)
+
 
 def test_deformation_inverse_roundtrip(rng):
     d = Deformation(0.25)
@@ -185,7 +198,7 @@ def test_conjugated_flow_identity_map(rng):
     h = ExoticMap(identity_deformation())
     noise = sample_brownian(30, 0.01, 7, seed=3)
     flow = RotationFlow.from_noise(np.eye(7), noise)
-    conj = pushforward_flow(flow, h)
+    conj = ConjugatedFlow(flow, h)
     pts = random_sphere_point(rng, 10)
     np.testing.assert_allclose(conj.apply(pts), flow.apply(pts), atol=1e-12)
 
@@ -197,8 +210,8 @@ def test_conjugation_preserves_cocycle(rng):
     g1 = RotationFlow.from_noise(np.eye(7), NoisePath(0.01, noise.increments[:cut]))
     g2 = RotationFlow.from_noise(np.eye(7), NoisePath(0.01, noise.increments[cut:]),
                                  s=g1.t)
-    c1 = pushforward_flow(g1, h)
-    c2 = pushforward_flow(g2, h)
+    c1 = ConjugatedFlow(g1, h)
+    c2 = ConjugatedFlow(g2, h)
     whole = c1.compose(c2)
     pts = h.forward(random_sphere_point(rng, 50))
     gap = np.max(np.linalg.norm(c2.apply(c1.apply(pts)) - whole.apply(pts), axis=-1))
@@ -208,7 +221,7 @@ def test_conjugation_preserves_cocycle(rng):
 def test_conjugation_inverse_roundtrip(rng):
     h = bump_map()
     noise = sample_brownian(25, 0.01, 7, seed=6)
-    conj = pushforward_flow(RotationFlow.from_noise(np.eye(7), noise), h)
+    conj = ConjugatedFlow(RotationFlow.from_noise(np.eye(7), noise), h)
     pts = h.forward(random_sphere_point(rng, 30))
     back = conj.invert().apply(conj.apply(pts))
     assert np.max(np.linalg.norm(back - pts, axis=-1)) < 1e-9
@@ -362,10 +375,10 @@ def test_circle23_deformed():
 def test_circles_are_integral_curves():
     # the parameterized circle flows along the corresponding plane rotation:
     # d/dtheta (cos theta e_i + sin theta e_j) = -sin theta e_i + cos theta e_j
-    from sevensphere.exotic import plane_circle_generator
+    from sevensphere.frames import plane_generator
 
     thetas = np.linspace(0, 2 * np.pi, 13)
-    gen = plane_circle_generator(2, 5)
+    gen = plane_generator(2, 5)
     curve = np.zeros((13, 8))
     curve[:, 1] = np.cos(thetas)
     curve[:, 4] = np.sin(thetas)

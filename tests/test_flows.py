@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from sevensphere.flows import (IntegratedFlow, NPointMotion, RotationFlow,
-                               continuity_modulus, flow_compose, flow_invert,
-                               isometry_check)
+                               continuity_modulus, isometry_check)
 from sevensphere.frames import CombinedField
 from sevensphere.geometry import random_sphere_point
 from sevensphere.integrators import (NoisePath, SdeProblem, sample_brownian,
@@ -26,13 +25,13 @@ def test_compose_with_identity(rng):
     g1, _ = exact_triple()
     ident = RotationFlow.identity(s=g1.t)
     pts = random_sphere_point(rng, 32)
-    composed = flow_compose(g1, ident)
+    composed = g1.compose(ident)
     np.testing.assert_array_equal(composed.apply(pts), g1.apply(pts))
 
 
 def test_exact_cocycle_residual(rng):
     g1, g2 = exact_triple()
-    whole = flow_compose(g1, g2)
+    whole = g1.compose(g2)
     pts = random_sphere_point(rng, 100)
     via_parts = g2.apply(g1.apply(pts))
     via_dense = pts @ whole.as_matrix().T  # independent evaluation order
@@ -47,8 +46,8 @@ def test_exact_identity_property(rng):
 
 def test_exact_inverse_roundtrip(rng):
     g1, g2 = exact_triple()
-    whole = flow_compose(g1, g2)
-    inv = flow_invert(whole)
+    whole = g1.compose(g2)
+    inv = whole.invert()
     assert inv.s == whole.t and inv.t == whole.s
     pts = random_sphere_point(rng, 1000)
     back = inv.apply(whole.apply(pts))
@@ -73,7 +72,7 @@ def test_single_field_inverse_is_negated_angle():
 def test_compose_endpoint_mismatch_rejected():
     g1, g2 = exact_triple()
     with pytest.raises(ValueError):
-        flow_compose(g2, g1)
+        g2.compose(g1)
 
 
 def test_factors_orthogonal_unit_determinant():
@@ -86,7 +85,7 @@ def test_factors_orthogonal_unit_determinant():
 def test_isometry_check_exact_flow(rng):
     g1, g2 = exact_triple()
     motion = NPointMotion(random_sphere_point(rng, 20))
-    assert isometry_check(flow_compose(g1, g2), motion) < 1e-12
+    assert isometry_check(g1.compose(g2), motion) < 1e-12
 
 
 def test_isometry_check_identity(rng):
@@ -119,7 +118,7 @@ def test_continuity_modulus_identity(rng):
 
 def test_continuity_modulus_exact_rotation(rng):
     g1, g2 = exact_triple()
-    report = continuity_modulus(flow_compose(g1, g2), random_sphere_point(rng, 40))
+    report = continuity_modulus(g1.compose(g2), random_sphere_point(rng, 40))
     assert abs(report.modulus - 1.0) < 1e-10
 
 
@@ -166,7 +165,7 @@ def test_flow_jacobian_conditioning(rng):
     from sevensphere.flows import flow_jacobian_conditioning
 
     g1, g2 = exact_triple()
-    whole = flow_compose(g1, g2)
+    whole = g1.compose(g2)
     z = random_sphere_point(rng)
     sv = flow_jacobian_conditioning(whole, z)
     assert len(sv) == 7

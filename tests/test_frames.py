@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sevensphere.frames import (CombinedField, FRAME_GENERATORS, combined_eval,
+from sevensphere.frames import (CombinedField, FRAME_GENERATORS,
                                 frame_eval, frame_eval_all, frame_field,
                                 generator_matrix, killing_residual,
                                 lie_derivative_metric, plane_generator)
@@ -108,13 +108,13 @@ def test_plane_generator_validates():
 def test_combined_single_coefficient(rng):
     z = unit_vector(rng)
     field = CombinedField.constant(np.array([1.0, 0, 0, 0, 0, 0, 0]))
-    np.testing.assert_allclose(combined_eval(field, z), frame_eval(1, z), atol=1e-15)
+    np.testing.assert_allclose(field(z), frame_eval(1, z), atol=1e-15)
 
 
 def test_combined_zero(rng):
     z = unit_vector(rng)
     field = CombinedField.constant(np.zeros(7))
-    np.testing.assert_allclose(combined_eval(field, z), np.zeros(8), atol=0)
+    np.testing.assert_allclose(field(z), np.zeros(8), atol=0)
 
 
 def test_combined_state_dependent_at_pole():

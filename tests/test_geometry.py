@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sevensphere.geometry import (ChartSingularityError, chart_jacobian,
-                                  geodesic_distance, metric_tensor,
+from sevensphere.geometry import (ChartSingularityError, central_difference,
+                                  chart_jacobian, geodesic_distance, metric_tensor,
                                   random_sphere_point, sin_power_integral,
                                   sphere_volume, sphere_volume_quadrature,
                                   to_cartesian, to_spherical, volume_element)
@@ -124,6 +124,18 @@ def test_jacobian_by_finite_differences(rng):
         pm[k] -= h
         fd = (to_cartesian(pp) - to_cartesian(pm)) / (2 * h)
         np.testing.assert_allclose(jac[:, k], fd, atol=1e-8)
+
+
+def test_central_difference_exact_for_affine_maps(rng):
+    a = rng.standard_normal((3, 8))
+    c = rng.standard_normal(3)
+    x = rng.standard_normal(8)
+    np.testing.assert_allclose(central_difference(lambda y: a @ y + c, x, 1e-3), a,
+                               rtol=0, atol=1e-9)
+    directions = rng.standard_normal((5, 8))
+    np.testing.assert_allclose(
+        central_difference(lambda y: a @ y + c, x, 1e-3, directions=directions),
+        a @ directions.T, rtol=0, atol=1e-9)
 
 
 def test_metric_degenerate_at_pole():

@@ -50,6 +50,10 @@ def test_noise_path_validation():
     with pytest.raises(ValueError):
         NoisePath(0.0, np.zeros((3, 1)))
     with pytest.raises(ValueError):
+        NoisePath(float("nan"), np.zeros((3, 1)))
+    with pytest.raises(ValueError):
+        NoisePath(0.1, np.array([[0.0], [np.inf], [0.0]]))
+    with pytest.raises(ValueError):
         sample_brownian(0, 0.1, 1, seed=3)
 
 
