@@ -125,6 +125,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scheme {cfg.scheme!r}")
         if cfg.scaling not in ("constant", "bump-smooth", "bump-kink"):
             raise ConfigError(f"unknown scaling {cfg.scaling!r}")
+        _parse_field(cfg.field)
         return cfg
 
 
@@ -154,15 +155,32 @@ class RunSummary:
         return all(c.passed for c in self.checks)
 
 
+def _parse_field(spec: str):
+    """The ``field`` spec as "full", a frame index 1..7 or 7 finite combo
+    coefficients; anything else is a ConfigError."""
+    kind, _, arg = spec.partition(":")
+    try:
+        if spec == "full":
+            return spec
+        if kind == "frame" and 1 <= int(arg) <= 7:
+            return int(arg)
+        if kind == "combo":
+            coeffs = np.array([float(v) for v in arg.split(",")])
+            if coeffs.shape == (7,) and np.all(np.isfinite(coeffs)):
+                return coeffs
+    except ValueError:
+        pass
+    raise ConfigError(f"field must be full, frame:<1..7> or combo: with 7 finite "
+                      f"numbers, got {spec!r}")
+
+
 def _problem_from_field(spec: str, initial):
-    if spec == "full":
-        return sint.brownian_problem(initial)
-    if spec.startswith("frame:"):
-        return sint.single_frame_problem(int(spec.split(":", 1)[1]), initial)
-    if spec.startswith("combo:"):
-        coeffs = np.array([float(v) for v in spec.split(":", 1)[1].split(",")])
-        return sint.combination_problem(coeffs, initial)
-    raise ConfigError(f"unknown field spec {spec!r}")
+    field = _parse_field(spec)
+    if isinstance(field, int):
+        return sint.single_frame_problem(field, initial)
+    if isinstance(field, np.ndarray):
+        return sint.combination_problem(field, initial)
+    return sint.brownian_problem(initial)
 
 
 def _exotic_map(cfg: ExperimentConfig) -> sexo.ExoticMap:
@@ -487,22 +505,27 @@ def _conjugation_gaps(h, seed, t=0.5, base_dt=0.002, levels=(4, 2, 1), n_noise=8
     direct surface integration with pushforward fields, per coarsening level."""
     problem = sint.single_frame_problem(1, _e1())
     push = sexo.pushforward_field(sfr.frame_field(1), h)
-    gaps = np.zeros(len(levels))
-    for k in range(n_noise):
-        fine = sint.sample_brownian(int(round(t / base_dt)), base_dt, 1, seed,
-                                    path_index=k)
-        for li, level in enumerate(levels):
-            coarse = fine.coarsened(level)
+    fines = [sint.sample_brownian(int(round(t / base_dt)), base_dt, 1, seed, path_index=k)
+             for k in range(n_noise)]
+    gaps = []
+    for level in levels:
+        coarse = [fine.coarsened(level) for fine in fines]
+        ends = []
+        for path in coarse:
             z = _e1()
-            gamma = h.forward(z)
-            for dw in coarse.increments:
-                z, _ = sint.heun_stratonovich_step(problem, z, dw, coarse.dt)
-                v1 = push(gamma)
-                pred = h.surface_point(gamma + dw[0] * v1)
-                v2 = push(pred)
-                gamma = h.surface_point(gamma + 0.5 * dw[0] * (v1 + v2))
-            gaps[li] += float(np.linalg.norm(h.forward(z) - gamma))
-    return list(gaps / n_noise)
+            for dw in path.increments:
+                z, _ = sint.heun_stratonovich_step(problem, z, dw, path.dt)
+            ends.append(z)
+        # the surface side advances all noise paths at once: gamma is (n_noise, 8)
+        gamma = np.tile(h.forward(_e1()), (n_noise, 1))
+        for dw in np.stack([path.increments for path in coarse], axis=1):
+            v1 = push(gamma)
+            pred = h.surface_point(gamma + dw * v1)
+            v2 = push(pred)
+            gamma = h.surface_point(gamma + 0.5 * dw * (v1 + v2))
+        gaps.append(float(np.mean(np.linalg.norm(h.forward(np.array(ends)) - gamma,
+                                                 axis=-1))))
+    return gaps
 
 
 def _run_circles(cfg, outdir, summary):

@@ -76,19 +76,21 @@ class BumpProfile:
         return _kink_transition(t)
 
     def gradient(self, u):
-        """Ambient gradient at unit u; only available for the smooth profile."""
+        """Ambient gradient (..., 8) at unit points u (..., 8); only available
+        for the smooth profile."""
         if self.kind != "smooth":
             raise RegularityError("the kinked profile is not differentiable")
         u = np.asarray(u, dtype=float)
-        rho = _plane_distance(u)
+        rho = _plane_distance(u)[..., None]
         t = (rho - self.rho0) / (self.rho1 - self.rho0)
         dpsi = _smooth_transition_deriv(t) / (self.rho1 - self.rho0)
-        grad = np.zeros(DIM)
-        if rho > 1e-12:
-            grad[2:] = dpsi * u[2:] / rho
+        off_circle = rho > 1e-12
+        grad = np.zeros(u.shape)
+        grad[..., 2:] = np.where(off_circle,
+                                 dpsi * u[..., 2:] / np.where(off_circle, rho, 1.0), 0.0)
         # chain through the normalization u = x/|x| at |x| = 1
-        proj = np.eye(DIM) - np.outer(u, u)
-        return proj @ grad
+        proj = np.eye(DIM) - u[..., :, None] * u[..., None, :]
+        return (proj @ grad[..., None])[..., 0]
 
 
 class Deformation:
@@ -112,10 +114,11 @@ class Deformation:
         return s[..., None] if s.ndim else s
 
     def _scale_and_gradient(self, x):
-        """g = scale of x's ray and the gradient of s(x/|x|) in x, at one point."""
-        r = float(np.linalg.norm(x))
+        """g = scale of each point's ray, shaped (..., 1, 1) to scale the
+        (..., 8, 8) Jacobians, and the gradient (..., 8) of s(x/|x|) in x."""
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
         u = x / r
-        return float(self.scale(u)), self.profile.gradient(u) / r
+        return np.asarray(self.scale(u))[..., None, None], self.profile.gradient(u) / r
 
     def forward(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -127,17 +130,18 @@ class Deformation:
         return y / self._ray_scale(y)
 
     def jacobian(self, x) -> np.ndarray:
-        """Analytic d D / d x at a single point."""
+        """Analytic d D / d x, shape (..., 8, 8), at points x (..., 8)."""
         x = np.asarray(x, dtype=float)
         g, grad_s = self._scale_and_gradient(x)
-        return g * np.eye(DIM) + self.eps * np.outer(x, grad_s)
+        return g * np.eye(DIM) + self.eps * x[..., :, None] * grad_s[..., None, :]
 
     def inverse_jacobian(self, y) -> np.ndarray:
-        """Analytic d D^{-1} / d y at a single point."""
+        """Analytic d D^{-1} / d y, shape (..., 8, 8), at points y (..., 8)."""
         y = np.asarray(y, dtype=float)
         g, grad_s = self._scale_and_gradient(y)
         # D^{-1}(y) = y / g(y/|y|)
-        return np.eye(DIM) / g - self.eps * np.outer(y, grad_s) / g ** 2
+        return (np.eye(DIM) / g
+                - self.eps * y[..., :, None] * grad_s[..., None, :] / g ** 2)
 
 
 def identity_deformation() -> Deformation:
@@ -169,9 +173,10 @@ class ScalingFunction:
     def gradient(self, z) -> np.ndarray:
         if self.smoothness != "smooth":
             raise RegularityError("scaling function is not C1")
+        z = np.asarray(z, dtype=float)
         if self.eps == 0.0:
-            return np.zeros(DIM)
-        return self.eps * self.profile.gradient(np.asarray(z, dtype=float))
+            return np.zeros(z.shape)
+        return self.eps * self.profile.gradient(z)
 
 
 def constant_scaling(value: float = 1.0) -> ScalingFunction:
@@ -210,12 +215,14 @@ class ExoticMap:
         return d / n
 
     def jacobian(self, z) -> np.ndarray:
-        """d h / d z at one sphere point: (dD^{-1})(zeta) (z grad(beta)^T + beta I)."""
+        """d h / d z, shape (..., 8, 8), at sphere points z (..., 8):
+        (dD^{-1})(zeta) (z grad(beta)^T + beta I)."""
         z = np.asarray(z, dtype=float)
-        beta = float(self.scaling(z))
+        beta = np.asarray(self.scaling(z))[..., None]
         grad_beta = self.scaling.gradient(z)
-        dinv = self.deformation.inverse_jacobian(beta * z)
-        return dinv @ (np.outer(z, grad_beta) + beta * np.eye(DIM))
+        dinv = self.deformation.inverse_jacobian(z * beta)
+        return dinv @ (z[..., :, None] * grad_beta[..., None, :]
+                       + beta[..., None] * np.eye(DIM))
 
     def surface_point(self, direction) -> np.ndarray:
         """The model-surface point on a given ray (directions parameterize it)."""
@@ -236,11 +243,8 @@ def pushforward_field(V, h: ExoticMap):
             "only continuous, so the induced field may not exist")
 
     def field(gamma):
-        gamma = np.asarray(gamma, dtype=float)
-        if gamma.ndim == 1:
-            z = h.inverse(gamma)
-            return h.jacobian(z) @ np.asarray(V(z), dtype=float)
-        return np.stack([field(g) for g in gamma])
+        z = h.inverse(gamma)
+        return np.einsum("...ij,...j->...i", h.jacobian(z), np.asarray(V(z), dtype=float))
 
     field.label = "pushforward"
     return field
@@ -268,25 +272,27 @@ class ConjugatedFlow:
 
 
 def pullback_metric(gamma, h: ExoticMap) -> np.ndarray:
-    """G' = J^T J with J the ambient Jacobian of h^{-1} at gamma.
+    """G' = J^T J, shape (..., 8, 8), with J the ambient Jacobian of h^{-1} at
+    surface points gamma (..., 8).
 
     J annihilates the ray direction, so G' is the pulled-back round metric on
     the surface tangent plane and zero radially.
     """
     gamma = np.asarray(gamma, dtype=float)
     d = h.deformation.forward(gamma)
-    nd = float(np.linalg.norm(d))
-    if nd < 1e-300:
+    nd = np.linalg.norm(d, axis=-1, keepdims=True)
+    if np.any(nd < 1e-300):
         raise ValueError("deformation maps the point to the origin")
     jac_d = h.deformation.jacobian(gamma)
     # d/dgamma of D/|D| = (I - u u^T)/|D| . dD with u = D/|D|
     u = d / nd
-    jac = (np.eye(DIM) - np.outer(u, u)) @ jac_d / nd
-    return jac.T @ jac
+    jac = (np.eye(DIM) - u[..., :, None] * u[..., None, :]) @ jac_d / nd[..., None]
+    return np.swapaxes(jac, -1, -2) @ jac
 
 
 def surface_patch_jacobian(h: ExoticMap, phi, step: float = 1e-6) -> np.ndarray:
-    """8x7 derivative of the surface parameterization angles -> h(chart(angles))."""
+    """Derivative (..., 8, 7) of the surface parameterization angles ->
+    h(chart(angles)) at angle vectors phi (..., 7)."""
     return central_difference(lambda q: h.forward(to_cartesian(q)), phi, step)
 
 
@@ -304,13 +310,11 @@ def entropy_on_surface(gammas, h: ExoticMap, grid: GridSpec,
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
     dirs = gammas / np.linalg.norm(gammas, axis=-1, keepdims=True)
     keys, counts, volumes = _histogram(dirs, grid)
-    widths = ANGLE_SPANS / np.asarray(grid.bins, dtype=float)
-    for row, key in enumerate(keys):
-        center = (key + 0.5) * widths
-        m = surface_patch_jacobian(h, center)
-        gp = pullback_metric(h.forward(to_cartesian(center)), h)
-        gram = m.T @ gp @ m
-        volumes[row] *= np.sqrt(max(np.linalg.det(gram), 0.0)) / volume_element(center)
+    centers = (keys + 0.5) * (ANGLE_SPANS / np.asarray(grid.bins, dtype=float))
+    m = surface_patch_jacobian(h, centers)
+    gp = pullback_metric(h.forward(to_cartesian(centers)), h)
+    gram = np.swapaxes(m, -1, -2) @ gp @ m
+    volumes *= np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / volume_element(centers)
     n = gammas.shape[0]
     return plugin_entropy(counts, counts / (n * volumes), n, t)
 

@@ -137,7 +137,11 @@ def test_comments_and_blank_lines_ok(tmp_path):
 
 @pytest.mark.parametrize("key, value", [("n_paths", "0"), ("dt", "nan"),
                                         ("t_final", "inf"), ("deformation_eps", "nan"),
-                                        ("deformation_eps", "0.5")])
+                                        ("deformation_eps", "0.5"),
+                                        ("field", "frame:9"), ("field", "frame:0"),
+                                        ("field", "frame:-1"), ("field", "combo:1,2"),
+                                        ("field", "frame:x"),
+                                        ("field", "combo:1,0,0,0,0,0,nan")])
 def test_config_positive_values_enforced(tmp_path, key, value):
     cfg = write_config(tmp_path, f"experiment = circles\nseed = 1\n{key} = {value}\n")
     assert cli.main(["--config", cfg]) == 2

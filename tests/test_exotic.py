@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevensphere.density import GridSpec, entropy, estimate_density
 from sevensphere.exotic import (BumpProfile, ConjugatedFlow, Deformation,
@@ -234,6 +236,15 @@ def test_pushforward_sde_vs_conjugated_flow_refines():
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
+def test_conjugation_gaps_regression_oracle():
+    # exotic_summary.csv of exotic-compare at seed 1 (n_paths 10000,
+    # grid_bins 3), written when each noise path was stepped point by point
+    gaps = _conjugation_gaps(bump_map(), seed=1)
+    np.testing.assert_allclose(
+        gaps, [0.0042624451145609303, 0.0022413836993868128, 0.00065204606359104832],
+        rtol=1e-12, atol=0.0)
+
+
 # --------------------------------------------------------------------------
 # pullback metric
 # --------------------------------------------------------------------------
@@ -339,6 +350,88 @@ def test_surface_entropy_paired_with_sphere(rng):
     surface = entropy_on_surface(h.forward(samples), h, grid)
     band = 2.0 * max(np.hypot(sphere.stderr, surface.stderr), 1e-3)
     assert abs(surface.S - sphere.S) <= band
+
+
+def test_surface_bin_volumes_match_per_bin_loop(rng, monkeypatch):
+    from sevensphere import exotic
+    from sevensphere.density import ANGLE_SPANS, _histogram
+    from sevensphere.geometry import to_cartesian, volume_element
+
+    h = ExoticMap(Deformation(0.2),
+                  ScalingFunction(base=1.0, eps=0.1, profile=BumpProfile()))
+    gammas = h.forward(random_cap_point(rng, E[0], 0.8, 5000))
+    grid = GridSpec.uniform(3)
+    seen = {}
+    plugin_entropy = exotic.plugin_entropy
+
+    def spy(counts, densities, n, t=None):
+        seen.update(counts=counts, densities=densities, n=n)
+        return plugin_entropy(counts, densities, n, t)
+
+    monkeypatch.setattr(exotic, "plugin_entropy", spy)
+    entropy_on_surface(gammas, h, grid)
+    keys, counts, volumes = _histogram(
+        gammas / np.linalg.norm(gammas, axis=-1, keepdims=True), grid)
+    widths = ANGLE_SPANS / np.asarray(grid.bins, dtype=float)
+    for row, key in enumerate(keys):
+        center = (key + 0.5) * widths
+        m = surface_patch_jacobian(h, center)
+        g = pullback_metric(h.forward(to_cartesian(center)), h)
+        density = np.sqrt(max(np.linalg.det(m.T @ g @ m), 0.0))
+        volumes[row] *= density / volume_element(center)
+    np.testing.assert_array_equal(seen["counts"], counts)
+    np.testing.assert_allclose(counts / (seen["n"] * seen["densities"]), volumes,
+                               rtol=1e-13, atol=0.0)
+
+
+# --------------------------------------------------------------------------
+# batching: every map, Jacobian and field acts row by row on (..., 8)
+# --------------------------------------------------------------------------
+
+@st.composite
+def smooth_maps(draw):
+    rho0 = draw(st.floats(0.0, 0.95))
+    rho1 = draw(st.floats(rho0 + 0.05, 1.0))
+    eps = draw(st.floats(0.0, 0.3, exclude_max=True))
+    scaling_eps = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3, exclude_max=True)))
+    profile = BumpProfile(rho0, rho1)
+    return ExoticMap(Deformation(eps, profile),
+                     ScalingFunction(1.0, scaling_eps, profile))
+
+
+def batch_points(seed):
+    """Six random sphere points and two on the fixed (z1, z2) circle, where
+    rho = 0, shaped (2, 4, 8)."""
+    _, circle = circle12(5)
+    pts = np.vstack([random_sphere_point(np.random.default_rng(seed), 6), circle[1:3]])
+    return pts.reshape(2, 4, 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(smooth_maps(), st.integers(0, 2 ** 32 - 1))
+def test_batched_jacobians_equal_rowwise(h, seed):
+    z = batch_points(seed)
+    gamma = h.forward(z)
+    checks = [(h.deformation.profile.gradient, z),
+              (h.scaling.gradient, z),
+              (h.deformation.jacobian, 1.3 * z),
+              (h.deformation.inverse_jacobian, gamma),
+              (h.jacobian, z),
+              (lambda g: pullback_metric(g, h), gamma),
+              (pushforward_field(frame_field(1), h), gamma)]
+    tol = 4 * np.finfo(float).eps
+    for fn, pts in checks:
+        batch = fn(pts)
+        assert batch.shape[:2] == (2, 4) and np.all(np.isfinite(batch))
+        for idx in np.ndindex(2, 4):
+            np.testing.assert_allclose(batch[idx], fn(pts[idx]), rtol=tol, atol=tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(smooth_maps(), st.integers(0, 2 ** 32 - 1))
+def test_roundtrip_random_bump_parameters(h, seed):
+    z = batch_points(seed)
+    np.testing.assert_allclose(h.inverse(h.forward(z)), z, rtol=0.0, atol=1e-9)
 
 
 # --------------------------------------------------------------------------
