@@ -143,6 +143,7 @@ class RunSummary:
     config: dict
     checks: list = field(default_factory=list)
     artifacts: list = field(default_factory=list)
+    counters: dict = field(default_factory=dict)  # measured, not checked
     wall_time_s: float = 0.0
 
     def add(self, name, value, tolerance, larger_ok=False):
@@ -195,10 +196,10 @@ def _exotic_map(cfg: ExperimentConfig) -> sexo.ExoticMap:
 
 
 def write_series_csv(path, header, columns):
+    """One row per index of the equal-length numeric ``columns``, %.17g each."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        sint._write_rows(fh, sint._float_row(len(columns)), np.column_stack(columns))
 
 
 def write_series_svg(path, xs, ys, title):
@@ -263,6 +264,7 @@ def _run_simulate(cfg, outdir, summary):
     result = sint.simulate_ensemble(problem, cfg.n_paths, n_steps, cfg.dt,
                                     cfg.seed, scheme=cfg.scheme, save_times=save,
                                     threads=cfg.threads)
+    summary.counters["max_renorm_defect"] = result.max_renorm_defect
     norms = np.linalg.norm(result.states, axis=-1)
     summary.add("state_norm_dev", float(np.max(np.abs(norms - 1.0))), 1e-12)
     if cfg.field == "full":
@@ -387,6 +389,7 @@ def _run_entropy(cfg, outdir, summary):
                                     cfg.seed, scheme="exact_rotation",
                                     save_times=np.array(ENTROPY_TIMES),
                                     threads=cfg.threads, initial_points=starts)
+    summary.counters["max_renorm_defect"] = result.max_renorm_defect
     bins = cfg.grid_bins or entropy_grid_bins(cfg.n_paths)
     grid = sdens.GridSpec.uniform(bins)
     reports = []
@@ -428,6 +431,7 @@ def _run_fp_check(cfg, outdir, summary):
                                         lambda z: np.asarray(z)[..., 0],
                                         t=0.1, n_paths=cfg.n_paths, dt=1e-3,
                                         seed=cfg.seed, threads=cfg.threads)
+    summary.counters["max_renorm_defect"] = report.max_renorm_defect
     summary.add("weak_martingale_dev_over_3se",
                 abs(report.martingale_mean) / max(3.0 * report.stderr, 1e-300), 1.0)
     path = f"{outdir}/fp_residuals.csv"
@@ -483,6 +487,7 @@ def _run_exotic_compare(cfg, outdir, summary):
                                     int(round(0.5 / cfg.dt)), cfg.dt, cfg.seed,
                                     scheme="exact_rotation", threads=cfg.threads,
                                     initial_points=starts)
+    summary.counters["max_renorm_defect"] = result.max_renorm_defect
     samples = result.final_states
     grid = sdens.GridSpec.uniform(cfg.grid_bins or 3)
     sphere_side = sdens.entropy(sdens.estimate_density(samples, grid))
@@ -575,6 +580,7 @@ def run(cfg: ExperimentConfig, outdir: str) -> RunSummary:
         "checks": [{"name": c.name, "value": c.value, "tolerance": c.tolerance,
                     "passed": c.passed} for c in summary.checks],
         "artifacts": summary.artifacts,
+        "counters": summary.counters,
         "wall_time_s": summary.wall_time_s,
         "all_passed": summary.all_passed,
     }

@@ -20,6 +20,7 @@ import numpy as np
 from .density import ANGLE_SPANS, EntropyReport, GridSpec, _histogram, plugin_entropy
 from .frames import DIM
 from .geometry import central_difference, to_cartesian, volume_element
+from .integrators import _float_row, _write_rows
 
 
 class RegularityError(ValueError):
@@ -355,9 +356,8 @@ def write_circles_csv(images, fname) -> None:
     with open(fname, "w") as fh:
         fh.write("i,j,theta," + ",".join(f"g{k}" for k in range(1, DIM + 1)) + "\n")
         for im in images:
-            for theta, pt in zip(im.params, im.points):
-                fh.write(f"{im.i},{im.j},{'%.17g' % theta},"
-                         + ",".join("%.17g" % v for v in pt) + "\n")
+            _write_rows(fh, _float_row(DIM + 1, lead=f"{im.i},{im.j},"),
+                        np.column_stack([im.params, im.points]))
 
 
 __all__ = [

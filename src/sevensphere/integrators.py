@@ -18,6 +18,7 @@ from .frames import DIM, FRAME_GENERATORS, N_FRAME_FIELDS, frame_eval_all, frame
 from .geometry import central_difference
 
 CHUNK = 1024  # fixed path block size; independent of the worker count
+ROW_BLOCK = 1024  # CSV rows formatted per write; bounds the text held in memory
 
 
 @dataclass
@@ -75,12 +76,29 @@ def sample_brownian(n_steps: int, dt: float, n_channels: int,
     return NoisePath(dt, inc)
 
 
+def _write_rows(fh, row_format: str, rows) -> None:
+    """Write each row of the (n, k) array ``rows`` through ``row_format``.
+
+    Every block of ROW_BLOCK rows is converted by one ``%`` over the format
+    repeated per row; the conversion of each value is the one the format
+    names, so the bytes equal those of a row-by-row loop.
+    """
+    rows = np.asarray(rows, dtype=float)
+    for lo in range(0, len(rows), ROW_BLOCK):
+        block = rows[lo:lo + ROW_BLOCK]
+        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _float_row(k: int, lead: str = "") -> str:
+    """Row format: ``lead`` then k comma-separated %.17g values."""
+    return lead + ",".join(["%.17g"] * k) + "\n"
+
+
 def save_noise_path(path: NoisePath, fname) -> None:
     with open(fname, "w") as fh:
         fh.write("dt,n_steps,n_channels\n")
         fh.write(f"{'%.17g' % path.dt},{path.n_steps},{path.n_channels}\n")
-        for row in path.increments:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        _write_rows(fh, _float_row(path.n_channels), path.increments)
 
 
 def load_noise_path(fname) -> NoisePath:
@@ -104,7 +122,9 @@ class SdeProblem:
     "shared" (a single channel drives the sum of the fields).  When every
     field is a fixed linear combination of the frame fields,
     ``frame_coefficients`` holds one 7-vector per field and enables the
-    exact rotation scheme.
+    exact rotation scheme.  When every field is linear, V(z) = J z with the
+    matrix as its ``generator`` attribute, ``generators`` stacks the
+    matrices (n_fields, 8, 8); otherwise it is None.
     """
 
     diffusion_fields: tuple
@@ -126,6 +146,7 @@ class SdeProblem:
         if self.frame_coefficients is not None:
             self.frame_coefficients = np.atleast_2d(
                 np.asarray(self.frame_coefficients, dtype=float))
+        self.generators = _generator_stack(self.diffusion_fields)
 
     @property
     def n_channels(self) -> int:
@@ -141,10 +162,18 @@ class SdeProblem:
         return self.diffusion_fields
 
     def diffusion_matrix(self, z) -> np.ndarray:
-        """Per-channel field values at z; shape (..., n_channels, 8)."""
+        """Per-channel field values at z; shape (..., n_channels, 8).
+
+        Linear fields are evaluated together as one product with the
+        stacked generators, the others one call each.
+        """
         z = np.asarray(z, dtype=float)
-        vals = np.stack([np.asarray(f(z), dtype=float)
-                         for f in self.diffusion_fields], axis=-2)
+        if self.generators is not None:
+            flat = z @ self.generators.reshape(-1, DIM).T
+            vals = flat.reshape(z.shape[:-1] + self.generators.shape[:-1])
+        else:
+            vals = np.stack([np.asarray(f(z), dtype=float)
+                             for f in self.diffusion_fields], axis=-2)
         if self.channel_mode == "shared":
             vals = vals.sum(axis=-2, keepdims=True)
         return vals
@@ -175,33 +204,44 @@ def combination_problem(c, initial, label: str = "combination") -> SdeProblem:
                       label=label)
 
 
+def _generator_stack(fields):
+    """The ``generator`` matrices J of linear fields V(z) = J z, stacked
+    (n_fields, 8, 8); None when any field lacks one."""
+    gens = [getattr(f, "generator", None) for f in fields]
+    if not gens or any(g is None for g in gens):
+        return None
+    return np.array(gens, dtype=float)
+
+
 def ito_correction_drift(fields, z) -> np.ndarray:
     """h(z) = sum over channels of (dV/dz) V, the Stratonovich-to-Ito drift.
 
-    The time-discretized drift enters as h/2.  For a linear field V = J z the
-    contribution is J (J z); a single frame field therefore yields exactly -z.
+    The time-discretized drift enters as h/2.  For linear fields V = J z the
+    sum is (sum J J) z; a single frame field therefore yields exactly -z.
+    Other fields take a central-difference Jacobian each.
     """
     z = np.asarray(z, dtype=float)
     if callable(fields):
         fields = (fields,)
+    gens = _generator_stack(fields)
+    if gens is not None:
+        return z @ np.sum(gens @ gens, axis=0).T
     total = np.zeros_like(z)
     for fld in fields:
-        gen = getattr(fld, "generator", None)
-        if gen is not None:
-            total = total + z @ (gen.T @ gen.T)
-        else:
-            v = np.asarray(fld(z), dtype=float)
-            jac = central_difference(fld, z, 1e-6)
-            if not np.all(np.isfinite(jac)):
-                raise FloatingPointError("field Jacobian is not finite")
-            total = total + jac @ v
+        v = np.asarray(fld(z), dtype=float)
+        jac = central_difference(fld, z, 1e-6)
+        if not np.all(np.isfinite(jac)):
+            raise FloatingPointError("field Jacobian is not finite")
+        total = total + jac @ v
     return total
 
 
-def _drift_value(problem, z):
-    if problem.drift is None:
-        return 0.0
-    return np.asarray(problem.drift(z), dtype=float)
+def _increment(problem: SdeProblem, z, dw, dt: float):
+    """sum_c V_c(z) dw_c, plus dt times the drift when the problem has one."""
+    incr = np.einsum("...ci,...c->...i", problem.diffusion_matrix(z), dw)
+    if problem.drift is not None:
+        incr = incr + dt * np.asarray(problem.drift(z), dtype=float)
+    return incr
 
 
 def heun_stratonovich_step(problem: SdeProblem, z, dw, dt: float):
@@ -212,11 +252,8 @@ def heun_stratonovich_step(problem: SdeProblem, z, dw, dt: float):
     """
     z = np.asarray(z, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    vals = problem.diffusion_matrix(z)
-    incr = np.einsum("...ci,...c->...i", vals, dw) + dt * _drift_value(problem, z)
-    zpred = z + incr
-    vals2 = problem.diffusion_matrix(zpred)
-    incr2 = np.einsum("...ci,...c->...i", vals2, dw) + dt * _drift_value(problem, zpred)
+    incr = _increment(problem, z, dw, dt)
+    incr2 = _increment(problem, z + incr, dw, dt)
     znew = z + 0.5 * (incr + incr2)
     norms = np.linalg.norm(znew, axis=-1, keepdims=True)
     defect = float(np.max(np.abs(norms - 1.0)))
@@ -227,14 +264,12 @@ def ito_euler_step(problem: SdeProblem, z, dw, dt: float):
     """Euler-Maruyama step of the Ito form, drift h/2, then renormalization."""
     z = np.asarray(z, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    vals = problem.diffusion_matrix(z)
     h = _batched_ito_correction_linear(problem, z)
     if h is None:
         flat = z.reshape(-1, DIM)
         h = np.stack([ito_correction_drift(problem.channel_fields, p) for p in flat])
         h = h.reshape(z.shape)
-    znew = (z + 0.5 * dt * h + dt * _drift_value(problem, z)
-            + np.einsum("...ci,...c->...i", vals, dw))
+    znew = z + 0.5 * dt * h + _increment(problem, z, dw, dt)
     norms = np.linalg.norm(znew, axis=-1, keepdims=True)
     defect = float(np.max(np.abs(norms - 1.0)))
     return znew / norms, defect
@@ -242,14 +277,13 @@ def ito_euler_step(problem: SdeProblem, z, dw, dt: float):
 
 def _batched_ito_correction_linear(problem: SdeProblem, z):
     """Vectorized h(z) when every diffusion field carries a generator."""
-    gens = [getattr(f, "generator", None) for f in problem.diffusion_fields]
-    if any(g is None for g in gens):
+    gens = problem.generators
+    if gens is None:
         return None
     if problem.channel_mode == "shared":
         g = np.sum(gens, axis=0)
         return z @ (g.T @ g.T)
-    sq = np.sum([g @ g for g in gens], axis=0)
-    return z @ sq.T
+    return z @ np.sum(gens @ gens, axis=0).T
 
 
 def frame_rotation_apply(a, z) -> np.ndarray:
@@ -347,9 +381,11 @@ def _simulate_chunk(problem, scheme, path_lo, path_hi, n_steps, dt, seed, save_i
         z = np.array(initial_points[path_lo:path_hi], dtype=float)
     out = np.empty((n, len(save_idx), DIM))
     defect = 0.0
-    save_pos = {int(s): j for j, s in enumerate(save_idx)}
+    save_pos = {}  # step -> every output column saved at that step
+    for j, s in enumerate(save_idx):
+        save_pos.setdefault(int(s), []).append(j)
     if 0 in save_pos:
-        out[:, save_pos[0], :] = z
+        out[:, save_pos[0], :] = z[:, None, :]
     for step in range(n_steps):
         dw = inc[:, step, :]
         if scheme == "exact_rotation":
@@ -363,7 +399,7 @@ def _simulate_chunk(problem, scheme, path_lo, path_hi, n_steps, dt, seed, save_i
         else:
             raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")
         if step + 1 in save_pos:
-            out[:, save_pos[step + 1], :] = z
+            out[:, save_pos[step + 1], :] = z[:, None, :]
     return out, defect
 
 
@@ -415,12 +451,18 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
 
 def write_trajectories_csv(result: EnsembleResult, fname) -> None:
     """CSV rows path_id,t,z1..z8 in path order; %.17g keeps byte determinism."""
+    n_t = len(result.times)
+    row_format = _float_row(DIM + 1, lead="%d,")
+    paths_per_block = max(1, ROW_BLOCK // max(n_t, 1))
     with open(fname, "w") as fh:
         fh.write("path_id,t," + ",".join(f"z{i}" for i in range(1, DIM + 1)) + "\n")
-        for p in range(result.n_paths):
-            for j, t in enumerate(result.times):
-                row = ",".join("%.17g" % v for v in result.states[p, j])
-                fh.write(f"{p},{'%.17g' % t},{row}\n")
+        for lo in range(0, result.n_paths, paths_per_block):
+            hi = min(lo + paths_per_block, result.n_paths)
+            rows = np.empty(((hi - lo) * n_t, DIM + 2))
+            rows[:, 0] = np.repeat(np.arange(lo, hi), n_t)
+            rows[:, 1] = np.tile(result.times, hi - lo)
+            rows[:, 2:] = result.states[lo:hi].reshape(-1, DIM)
+            _write_rows(fh, row_format, rows)
 
 
 __all__ = [

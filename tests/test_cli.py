@@ -127,6 +127,21 @@ def test_summary_contains_config_echo_and_walltime(tmp_path):
     assert doc["wall_time_s"] > 0
     for check in doc["checks"]:
         assert set(check) == {"name", "value", "tolerance", "passed"}
+    assert doc["counters"] == {}  # circles runs no ensemble
+
+
+@pytest.mark.parametrize("experiment, scheme, positive", [
+    ("simulate", "heun", True), ("simulate", "ito_euler", True),
+    ("simulate", "exact_rotation", False), ("fp-check", "exact_rotation", False)])
+def test_summary_counts_renorm_defect(tmp_path, experiment, scheme, positive):
+    cfg = write_config(tmp_path, f"experiment = {experiment}\nseed = 4\n"
+                                 f"n_paths = 40\nt_final = 0.05\nscheme = {scheme}\n")
+    out = tmp_path / "out"
+    cli.main(["--config", cfg, "--output", str(out)])
+    doc = json.loads((out / "summary.json").read_text())
+    defect = doc["counters"]["max_renorm_defect"]
+    assert 0.0 < defect < 1.0 if positive else defect == 0.0
+    assert "max_renorm_defect" not in {c["name"] for c in doc["checks"]}
 
 
 def test_comments_and_blank_lines_ok(tmp_path):

@@ -1,0 +1,92 @@
+"""Every CSV writer against a row-by-row reference: one '%.17g' per value
+(ints as decimal), a comma between values and a newline per row.
+
+ROW_BLOCK is shrunk so that every file spans several blocks, and the row
+count is not a multiple of the block."""
+
+import numpy as np
+import pytest
+
+from sevensphere import cli, density, exotic, integrators
+from sevensphere.density import DensityEstimate, GridSpec
+from sevensphere.exotic import CircleImage
+from sevensphere.integrators import EnsembleResult, NoisePath
+
+# -0.0, the smallest subnormal, a huge value and values that need 17 digits
+SPECIAL = np.array([-0.0, 5e-324, 1e300, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0,
+                    np.nextafter(1.0, 2.0), 12345678.901234567])
+
+
+def ref_row(values) -> str:
+    return ",".join(str(v) if isinstance(v, (int, np.integer)) else "%.17g" % v
+                    for v in values) + "\n"
+
+
+def values(rng, shape):
+    out = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    flat = out.reshape(-1)
+    flat[:len(SPECIAL)] = SPECIAL[:flat.size]
+    return out
+
+
+@pytest.fixture(autouse=True)
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(integrators, "ROW_BLOCK", 7)
+
+
+@pytest.fixture
+def rng():
+    return np.random.default_rng(4)
+
+
+def test_trajectories_csv(tmp_path, rng):
+    times = np.array([0.0, 0.1 + 0.2, 1.0 / 3.0])
+    states = values(rng, (5, 3, 8))  # 5 paths of 2 per block: a partial last block
+    result = EnsembleResult(times, states, seed=1, scheme="heun", dt=0.1)
+    fname = tmp_path / "t.csv"
+    integrators.write_trajectories_csv(result, fname)
+    expected = "path_id,t,z1,z2,z3,z4,z5,z6,z7,z8\n" + "".join(
+        ref_row([p, times[j], *states[p, j]]) for p in range(5) for j in range(3))
+    assert fname.read_text() == expected
+
+
+def test_noise_path_csv(tmp_path, rng):
+    path = NoisePath(0.1 + 0.2, values(rng, (17, 3)))
+    fname = tmp_path / "n.csv"
+    integrators.save_noise_path(path, fname)
+    expected = ("dt,n_steps,n_channels\n" + ref_row([path.dt, 17, 3])
+                + "".join(ref_row(row) for row in path.increments))
+    assert fname.read_text() == expected
+
+
+def test_series_csv(tmp_path, rng):
+    ints = np.arange(1, 16)
+    floats = values(rng, 15)
+    listed = [float(v) for v in values(rng, 15)]
+    fname = tmp_path / "s.csv"
+    cli.write_series_csv(fname, ["k", "a", "b"], [ints, floats, listed])
+    expected = "k,a,b\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in zip(ints, floats, listed))
+    assert fname.read_text() == expected
+
+
+def test_circles_csv(tmp_path, rng):
+    images = [CircleImage(i, j, values(rng, n), values(rng, (n, 8)), 0.0, 0.0)
+              for i, j, n in ((1, 2, 9), (3, 8, 4))]
+    fname = tmp_path / "c.csv"
+    exotic.write_circles_csv(images, fname)
+    expected = "i,j,theta,g1,g2,g3,g4,g5,g6,g7,g8\n" + "".join(
+        ref_row([im.i, im.j, theta, *pt]) for im in images
+        for theta, pt in zip(im.params, im.points))
+    assert fname.read_text() == expected
+
+
+def test_density_csv(tmp_path, rng):
+    keys = rng.integers(0, 4, (11, 7))
+    vols, dens = values(rng, 11), values(rng, 11)
+    est = DensityEstimate(GridSpec.uniform(4), 100, keys, np.ones(11), vols, dens)
+    fname = tmp_path / "d.csv"
+    density.write_density_csv(est, fname)
+    expected = "i1,i2,i3,i4,i5,i6,i7,volume,density\n" + "".join(
+        ref_row([*key, v, d]) for key, v, d in zip(keys, vols, dens))
+    assert fname.read_text() == expected

@@ -279,6 +279,61 @@ def test_zero_diffusion_zero_residual(rng):
     assert fokker_planck_residual(p, [null_field], phi) == pytest.approx(0.0, abs=1e-12)
 
 
+def reference_fp_residual(p_fn, fields, phi, h_outer=1e-3, h_inner=1e-4):
+    """The stencil entry by entry: a fresh D at every point of every (i, j)."""
+    from sevensphere.density import _angular_drift, _wrap_last_angle
+    from sevensphere.geometry import central_difference, volume_element
+
+    def bracket_drift(q):
+        q = _wrap_last_angle(q)
+        return _angular_drift(q, fields, h_inner) * p_fn(q) * volume_element(q)
+
+    def bracket_diff(q, i, j):
+        return angular_diffusion_matrix(q, fields)[i, j] * p_fn(q) * volume_element(q)
+
+    res = -0.0 * float(volume_element(phi))
+    res += -0.5 * np.trace(central_difference(bracket_drift, phi, h_outer))
+    for i in range(7):
+        for j in range(7):
+            if i == j:
+                pp, pm = np.array(phi), np.array(phi)
+                pp[i] += h_outer
+                pm[i] -= h_outer
+                d2 = (bracket_diff(_wrap_last_angle(pp), i, i) - 2.0 * bracket_diff(phi, i, i)
+                      + bracket_diff(_wrap_last_angle(pm), i, i)) / h_outer ** 2
+            else:
+                d2 = 0.0
+                for si in (+1.0, -1.0):
+                    for sj in (+1.0, -1.0):
+                        q = np.array(phi)
+                        q[i] += si * h_outer
+                        q[j] += sj * h_outer
+                        d2 += si * sj * bracket_diff(_wrap_last_angle(q), i, j)
+                d2 /= 4.0 * h_outer ** 2
+            res += 0.5 * d2
+    return float(res)
+
+
+def test_fp_residual_evaluates_each_stencil_point_once(rng, monkeypatch):
+    from sevensphere import density
+
+    p = uniform_density()
+    phis = interior_angles(rng, 2)
+    phis[1, 6] = 2.0 * np.pi - 5e-4  # the stencil wraps the last angle
+    problems = (single_frame_problem(1, E[0]), brownian_problem(E[0]))
+    expected = [reference_fp_residual(p, pr, phi) for pr in problems for phi in phis]
+    calls = []
+
+    def counted(phi, fields):
+        calls.append(tuple(phi))
+        return angular_diffusion_matrix(phi, fields)
+
+    monkeypatch.setattr(density, "angular_diffusion_matrix", counted)
+    got = [fokker_planck_residual(p, pr, phi) for pr in problems for phi in phis]
+    assert got == expected
+    assert len(calls) == 4 * 99 and len(set(calls[:99])) == 99
+
+
 def test_fp_residual_rejects_singular_point():
     p = uniform_density()
     problem = single_frame_problem(1, E[0])

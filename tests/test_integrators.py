@@ -326,6 +326,18 @@ def test_trajectory_and_csv(tmp_path):
     assert len(lines) == 1 + 3 * 3
 
 
+def test_duplicate_save_times_fill_every_column():
+    problem = single_frame_problem(1, E[0])
+    once = simulate_ensemble(problem, 3, 10, 0.01, seed=5, scheme="heun",
+                             save_times=[0.05])
+    twice = simulate_ensemble(problem, 3, 10, 0.01, seed=5, scheme="heun",
+                              save_times=[0.05, 0.0, 0.05, 0.0])
+    for j in (0, 2):
+        np.testing.assert_array_equal(twice.states[:, j], once.states[:, 0])
+    for j in (1, 3):
+        np.testing.assert_array_equal(twice.states[:, j], np.tile(E[0], (3, 1)))
+
+
 def test_save_times_validated():
     problem = single_frame_problem(1, E[0])
     with pytest.raises(ValueError):
@@ -382,3 +394,55 @@ def test_ito_correction_rejects_non_finite():
 
     with pytest.raises(FloatingPointError):
         ito_correction_drift(broken, E[0])
+
+
+# --------------------------------------------------------------------------
+# linear diffusion fields: one product with the stacked generators
+# --------------------------------------------------------------------------
+
+def per_field_values(problem, z):
+    vals = np.stack([f(z) for f in problem.diffusion_fields], axis=-2)
+    if problem.channel_mode == "shared":
+        vals = vals.sum(axis=-2, keepdims=True)
+    return vals
+
+
+@pytest.mark.parametrize("make", [
+    lambda z0: brownian_problem(z0),
+    lambda z0: SdeProblem(tuple(frame_field(mu) for mu in (2, 5, 7)), z0,
+                          channel_mode="shared"),
+    *[lambda z0, mu=mu: single_frame_problem(mu, z0) for mu in range(1, 8)],
+], ids=["brownian", "shared"] + [f"frame{mu}" for mu in range(1, 8)])
+def test_stacked_generators_match_per_field_bitwise(rng, make):
+    problem = make(unit_vector(rng))
+    assert problem.generators is not None
+    z = random_sphere_point(rng, 60).reshape(3, 20, 8)
+    np.testing.assert_array_equal(problem.diffusion_matrix(z), per_field_values(problem, z))
+    np.testing.assert_array_equal(problem.diffusion_matrix(z[0, 0]),
+                                  per_field_values(problem, z[0, 0]))
+
+
+def test_stacked_combination_matches_per_field(rng):
+    problem = combination_problem(rng.standard_normal(7), unit_vector(rng))
+    z = random_sphere_point(rng, 200)
+    np.testing.assert_allclose(problem.diffusion_matrix(z), per_field_values(problem, z),
+                               rtol=0, atol=1e-15)
+
+
+def test_field_without_generator_takes_per_field_path(rng):
+    calls = []
+
+    def bare(z):  # frame field 3 without its generator attribute
+        calls.append(np.shape(z))
+        return frame_field(3)(z)
+
+    problem = SdeProblem((frame_field(1), bare), unit_vector(rng))
+    assert problem.generators is None
+    z = random_sphere_point(rng, 5)
+    vals = problem.diffusion_matrix(z)
+    assert calls == [(5, 8)]
+    np.testing.assert_array_equal(vals, per_field_values(brownian_problem(z[0]), z)[:, [0, 2]])
+    h = ito_euler_step(problem, z, np.zeros((5, 2)), 0.01)[0]
+    linear = SdeProblem((frame_field(1), frame_field(3)), z[0])
+    np.testing.assert_allclose(h, ito_euler_step(linear, z, np.zeros((5, 2)), 0.01)[0],
+                               atol=1e-9)
