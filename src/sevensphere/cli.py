@@ -8,10 +8,11 @@ the output directory and exits 0 only if all checks pass (2 on config errors).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,64 +23,51 @@ from . import frames as sfr
 from . import geometry as sgeo
 from . import integrators as sint
 
-SCHEMA = {
-    "experiment": "one of frame-verify | simulate | flow-check | entropy | "
-                  "fp-check | exotic-compare | circles",
-    "seed": "master seed (required; no wall-clock default)",
-    "n_paths": "ensemble size (default 1000)",
-    "n_points": "point count for geometric checks (default 500)",
-    "dt": "time step (default 0.01)",
-    "t_final": "final time (default 1.0)",
-    "scheme": "heun | exact_rotation | ito_euler (default exact_rotation)",
-    "field": "full | frame:<mu> | combo:c1,...,c7 (default full)",
-    "grid_bins": "histogram bins per angle; 0 sizes the grid from the sample "
-                 "count (default 0)",
-    "deformation_eps": "bump deformation strength in [0, 0.3) (default 0.2)",
-    "scaling": "constant | bump-smooth | bump-kink (default constant)",
-    "plots": "true | false: emit an SVG line chart per CSV series (default false)",
-}
-
-DEFAULTS = {
-    "n_paths": "1000",
-    "n_points": "500",
-    "dt": "0.01",
-    "t_final": "1.0",
-    "scheme": "exact_rotation",
-    "field": "full",
-    "grid_bins": "0",
-    "deformation_eps": "0.2",
-    "scaling": "constant",
-    "plots": "false",
-}
-
 EXPERIMENTS = ("frame-verify", "simulate", "flow-check", "entropy",
                "fp-check", "exotic-compare", "circles")
+BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _key(doc: str, default=dataclasses.MISSING, echo: bool = True):
+    """A config key: its ``--print-schema`` doc, which names the default as a
+    config value would spell it, and its default.  ``echo`` False keeps it
+    out of the summary's config echo."""
+    if default is not dataclasses.MISSING:
+        doc += f" (default {str(default).lower()})"
+    return field(default=default, metadata={"doc": doc, "echo": echo})
+
+
 @dataclass
 class ExperimentConfig:
-    experiment: str
-    seed: int
-    n_paths: int
-    n_points: int
-    dt: float
-    t_final: float
-    scheme: str
-    field: str
-    grid_bins: int
-    deformation_eps: float
-    scaling: str
-    plots: bool
+    """One run's settings.  Every field with a doc is a config key; the
+    schema, the parse and the summary's config echo are read off the fields.
+    Construction (and ``dataclasses.replace``) validates."""
+
+    experiment: str = _key("one of frame-verify | simulate | flow-check | entropy | "
+                           "fp-check | exotic-compare | circles")
+    seed: int = _key("master seed (required; no wall-clock default)")
+    n_paths: int = _key("ensemble size", 1000)
+    n_points: int = _key("point count for geometric checks", 500)
+    dt: float = _key("time step", 0.01)
+    t_final: float = _key("final time", 1.0)
+    scheme: str = _key("heun | exact_rotation | ito_euler", "exact_rotation")
+    field: str = _key("full | frame:<mu> | combo:c1,...,c7", "full")
+    grid_bins: int = _key("histogram bins per angle; 0 sizes the grid from the sample "
+                          "count", 0)
+    deformation_eps: float = _key("bump deformation strength in [0, 0.3)", 0.2)
+    scaling: str = _key("constant | bump-smooth | bump-kink", "constant")
+    plots: bool = _key("true | false: emit an SVG line chart per CSV series", False,
+                       echo=False)
     threads: int = 1
-    output: str = "."
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        raw = dict(DEFAULTS)
+        keys = {f.name: f for f in dataclasses.fields(cls) if "doc" in f.metadata}
+        raw = {}
         for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -87,7 +75,7 @@ class ExperimentConfig:
             if "=" not in stripped:
                 raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
             key, value = (part.strip() for part in stripped.split("=", 1))
-            if key not in SCHEMA:
+            if key not in keys:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             raw[key] = value
         if "experiment" not in raw:
@@ -95,38 +83,45 @@ class ExperimentConfig:
         if "seed" not in raw:
             raise ConfigError("missing required key 'seed' (runs must be seeded)")
         try:
-            cfg = cls(
-                experiment=raw["experiment"],
-                seed=int(raw["seed"]),
-                n_paths=int(raw["n_paths"]),
-                n_points=int(raw["n_points"]),
-                dt=float(raw["dt"]),
-                t_final=float(raw["t_final"]),
-                scheme=raw["scheme"],
-                field=raw["field"],
-                grid_bins=int(raw["grid_bins"]),
-                deformation_eps=float(raw["deformation_eps"]),
-                scaling=raw["scaling"],
-                plots=raw["plots"].lower() in ("true", "1", "yes"),
-            )
+            values = {key: _parse_value(keys[key].type, value) for key, value in raw.items()}
         except ValueError as exc:
             raise ConfigError(f"bad value: {exc}") from exc
-        if cfg.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-        if not (np.isfinite(cfg.dt) and np.isfinite(cfg.t_final)):
+        return cls(**values)
+
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (np.isfinite(self.dt) and np.isfinite(self.t_final)):
             raise ConfigError("dt and t_final must be finite")
-        if cfg.n_paths <= 0 or cfg.n_points <= 0 or cfg.dt <= 0 or cfg.t_final <= 0:
+        if self.n_paths <= 0 or self.n_points <= 0 or self.dt <= 0 or self.t_final <= 0:
             raise ConfigError("numeric parameters must be positive")
-        if not 0.0 <= cfg.deformation_eps < 0.3:
+        if not 0.0 <= self.deformation_eps < 0.3:
             raise ConfigError("deformation_eps must lie in [0, 0.3)")
-        if cfg.grid_bins < 0 or cfg.grid_bins == 1:
+        if self.grid_bins < 0 or self.grid_bins == 1:
             raise ConfigError("grid_bins must be 0 (auto) or >= 2")
-        if cfg.scheme not in sint.SCHEMES:
-            raise ConfigError(f"unknown scheme {cfg.scheme!r}")
-        if cfg.scaling not in ("constant", "bump-smooth", "bump-kink"):
-            raise ConfigError(f"unknown scaling {cfg.scaling!r}")
-        _parse_field(cfg.field)
-        return cfg
+        if self.scheme not in sint.SCHEMES:
+            raise ConfigError(f"unknown scheme {self.scheme!r}")
+        if self.scaling not in ("constant", "bump-smooth", "bump-kink"):
+            raise ConfigError(f"unknown scaling {self.scaling!r}")
+        _parse_field(self.field)
+        if self.experiment == "entropy":
+            try:
+                sint._save_indices(int(round(ENTROPY_TIMES[-1] / self.dt)), self.dt,
+                                   ENTROPY_TIMES)
+            except ValueError as exc:
+                raise ConfigError(f"entropy needs a dt that divides its save times "
+                                  f"{ENTROPY_TIMES}: {exc}") from exc
+
+
+def _parse_value(kind: str, text: str):
+    """A config value as the field's annotated type: int, float, bool or str."""
+    if kind == "bool":
+        if text.lower() not in BOOLEANS:
+            raise ValueError(f"expected one of {'/'.join(BOOLEANS)}, got {text!r}")
+        return BOOLEANS[text.lower()]
+    return {"int": int, "float": float, "str": str}[kind](text)
 
 
 @dataclass
@@ -187,7 +182,7 @@ def _problem_from_field(spec: str, initial):
 def _exotic_map(cfg: ExperimentConfig) -> sexo.ExoticMap:
     deform = sexo.Deformation(cfg.deformation_eps)
     if cfg.scaling == "constant":
-        scaling = sexo.constant_scaling()
+        scaling = sexo.ScalingFunction()
     else:
         kind = "smooth" if cfg.scaling == "bump-smooth" else "kink"
         scaling = sexo.ScalingFunction(base=1.0, eps=0.1,
@@ -418,14 +413,12 @@ def _run_entropy(cfg, outdir, summary):
 def _run_fp_check(cfg, outdir, summary):
     rng = np.random.default_rng(cfg.seed)
     p_uniform = sdens.uniform_density()
-    worst = {}
     names = {"frame:1": sint.single_frame_problem(1, _e1()),
              "full": sint.brownian_problem(_e1())}
     points = _interior_points(rng, 12)
     for label, problem in names.items():
         res = max(abs(sdens.fokker_planck_residual(p_uniform, problem, phi))
                   for phi in points)
-        worst[label] = res
         summary.add(f"fp_uniform_residual_{label.replace(':', '')}", res, 1e-3)
     report = sdens.generator_weak_check(sint.brownian_problem(_e1()),
                                         lambda z: np.asarray(z)[..., 0],
@@ -566,26 +559,14 @@ def run(cfg: ExperimentConfig, outdir: str) -> RunSummary:
     import os
 
     os.makedirs(outdir, exist_ok=True)
-    summary = RunSummary(cfg.experiment, {k: getattr(cfg, k) for k in
-                                          ("experiment", "seed", "n_paths", "n_points",
-                                           "dt", "t_final", "scheme", "field",
-                                           "grid_bins", "deformation_eps", "scaling",
-                                           "threads")})
+    summary = RunSummary(cfg.experiment, {f.name: getattr(cfg, f.name)
+                                          for f in dataclasses.fields(cfg)
+                                          if f.metadata.get("echo", True)})
     start = time.perf_counter()
     RUNNERS[cfg.experiment](cfg, outdir, summary)
     summary.wall_time_s = time.perf_counter() - start
-    doc = {
-        "experiment": summary.experiment,
-        "config": summary.config,
-        "checks": [{"name": c.name, "value": c.value, "tolerance": c.tolerance,
-                    "passed": c.passed} for c in summary.checks],
-        "artifacts": summary.artifacts,
-        "counters": summary.counters,
-        "wall_time_s": summary.wall_time_s,
-        "all_passed": summary.all_passed,
-    }
     with open(f"{outdir}/summary.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump({**asdict(summary), "all_passed": summary.all_passed}, fh, indent=2)
         fh.write("\n")
     return summary
 
@@ -600,8 +581,9 @@ def main(argv=None) -> int:
     parser.add_argument("--print-schema", action="store_true")
     args = parser.parse_args(argv)
     if args.print_schema:
-        for key, doc in SCHEMA.items():
-            print(f"{key:18s} {doc}")
+        for f in dataclasses.fields(ExperimentConfig):
+            if "doc" in f.metadata:
+                print(f"{f.name:18s} {f.metadata['doc']}")
         return 0
     if not args.config:
         print("error: --config is required (or --print-schema)", file=sys.stderr)
@@ -609,11 +591,11 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             cfg = ExperimentConfig.from_text(fh.read())
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
     except (OSError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
     cfg.threads = max(1, args.threads)
     summary = run(cfg, args.output)
     for c in summary.checks:

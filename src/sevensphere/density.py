@@ -280,85 +280,57 @@ def fokker_planck_residual(p_fn, fields, phi, dp_dt: float = 0.0,
     return float(res)
 
 
-def _entropy_rate_parts(marginal: MarginalDensity, diffusion,
-                        exclude_boundary: int = 1):
-    """Quadratic (Fisher) and curvature quadrature terms of the rate integrals."""
-    axes = marginal.axes
-    k = len(axes)
+def _entropy_rate_parts(marginal: MarginalDensity, diffusion):
+    """Quadratic (Fisher) and curvature quadrature terms of the rate integrals
+    over the interior cells (one cell in from every edge of the grid)."""
+    k = len(marginal.axes)
     if k not in (1, 2):
         raise ValueError("entropy rate supports marginals over 1 or 2 angles")
-    dens = marginal.densities
-    centers = [marginal.centers(i) for i in range(k)]
-    spacings = [c[1] - c[0] for c in centers]
+    spacings = [np.diff(marginal.centers(i)[:2])[0] for i in range(k)]
 
-    def grad(a):  # np.gradient returns a bare array, not a list, for one axis
-        return np.gradient(a, *spacings) if k > 1 else [np.gradient(a, spacings[0])]
+    def grad(a):  # (k, ...): np.gradient returns a bare array for one axis
+        return np.reshape(np.gradient(a, *spacings), (k,) + a.shape)
 
-    grads = grad(dens)
-    hessians = [grad(g) for g in grads]
-
-    rest = 1.0
-    for a in range(N_ANGLES):
-        if a not in axes:
-            rest *= marginal.grid.axis_total(a)
-    tracked_weights = [marginal.grid.axis_weights(a) for a in axes]
-
-    quad_total = 0.0
-    curv_total = 0.0
-    skipped = 0
-    for cell in np.ndindex(*dens.shape):
-        interior = all(exclude_boundary <= cell[i] < dens.shape[i] - exclude_boundary
-                       for i in range(k))
-        if not interior:
-            continue
-        p = dens[cell]
-        if p <= 0.0:
-            skipped += 1
-            continue
-        phi_tracked = np.array([centers[i][cell[i]] for i in range(k)])
-        d = diffusion(phi_tracked) if callable(diffusion) else np.asarray(diffusion)
-        d = np.atleast_2d(np.asarray(d, dtype=float))
-        quad = 0.0
-        curv = 0.0
-        for i in range(k):
-            for j in range(k):
-                quad += d[i, j] * grads[i][cell] * grads[j][cell]
-                curv += d[i, j] * hessians[i][j][cell]
-        w = rest
-        for i in range(k):
-            w *= tracked_weights[i][cell[i]]
-        quad_total += 0.5 * (quad / p) * w
-        curv_total += 0.5 * curv * w
-    if skipped:
-        warnings.warn(f"entropy rate skipped {skipped} zero-density interior cells")
-    return float(quad_total), float(curv_total)
+    inner = (slice(1, -1),) * k
+    g = grad(marginal.densities)
+    hess = np.stack([grad(gi) for gi in g])  # (k, k, ...)
+    d = np.atleast_2d(np.asarray(diffusion, dtype=float))
+    p = marginal.densities[inner]
+    quad = np.einsum("ij,i...,j...->...", d, g[(slice(None),) + inner],
+                     g[(slice(None),) + inner])
+    curv = np.einsum("ij,ij...->...", d, hess[(slice(None),) * 2 + inner])
+    w = 0.5 * marginal.volumes[inner]
+    occupied = p > 0.0
+    if not occupied.all():
+        warnings.warn(f"entropy rate skipped {np.count_nonzero(~occupied)} "
+                      f"zero-density interior cells")
+    return (float(np.sum(quad[occupied] / p[occupied] * w[occupied])),
+            float(np.sum(curv[occupied] * w[occupied])))
 
 
-def entropy_rate_formula(marginal: MarginalDensity, diffusion,
-                         exclude_boundary: int = 1) -> float:
+def entropy_rate_formula(marginal: MarginalDensity, diffusion) -> float:
     """Entropy rate bracket on a marginal grid, as a quadrature.
 
     Evaluates   integral of 1/2 [ (1/p) sum D_ij d_i p d_j p - sum D_ij d^2_ij p ]
     over the tracked angles against the area measure, with the untracked
-    angles integrated out.  ``diffusion`` is a constant (k, k) matrix or a
-    callable phi_tracked -> (k, k) giving the effective diffusion on the
-    tracked angles.  Grid derivatives are central differences; zero-density
-    cells inside the region are excluded with a warning.
+    angles integrated out.  ``diffusion`` is the constant (k, k) effective
+    diffusion on the tracked angles.  Grid derivatives are central
+    differences; zero-density cells inside the region are excluded with a
+    warning, and so are the cells on the grid's edges.
 
     The curvature term integrates the bare Hessian, without transport through
     the angle-dependent volume factor; for dynamics preserving the area
     measure the production form ``entropy_rate_fisher`` is the rate that
     matches finite differences of measured entropies.
     """
-    quad, curv = _entropy_rate_parts(marginal, diffusion, exclude_boundary)
+    quad, curv = _entropy_rate_parts(marginal, diffusion)
     return quad - curv
 
 
-def entropy_rate_fisher(marginal: MarginalDensity, diffusion,
-                        exclude_boundary: int = 1) -> float:
+def entropy_rate_fisher(marginal: MarginalDensity, diffusion) -> float:
     """Production (Fisher) form of the entropy rate:
     1/2 integral of (1/p) sum D_ij d_i p d_j p against the area measure."""
-    quad, _ = _entropy_rate_parts(marginal, diffusion, exclude_boundary)
+    quad, _ = _entropy_rate_parts(marginal, diffusion)
     return quad
 
 

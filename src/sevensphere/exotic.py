@@ -145,10 +145,6 @@ class Deformation:
                 - self.eps * y[..., :, None] * grad_s[..., None, :] / g ** 2)
 
 
-def identity_deformation() -> Deformation:
-    return Deformation(eps=0.0)
-
-
 class ScalingFunction:
     """Positive function on the sphere; the radius assigned to each direction."""
 
@@ -180,21 +176,13 @@ class ScalingFunction:
         return self.eps * self.profile.gradient(z)
 
 
-def constant_scaling(value: float = 1.0) -> ScalingFunction:
-    return ScalingFunction(base=value)
-
-
 class ExoticMap:
     """The homeomorphism h(z) = D^{-1}(beta(z) z) and its inverse."""
 
     def __init__(self, deformation: Deformation | None = None,
                  scaling: ScalingFunction | None = None):
-        self.deformation = deformation or identity_deformation()
-        self.scaling = scaling or constant_scaling()
-
-    @classmethod
-    def bump(cls, eps: float = 0.2, **profile_kwargs) -> "ExoticMap":
-        return cls(Deformation(eps, BumpProfile(**profile_kwargs)))
+        self.deformation = deformation or Deformation(0.0)
+        self.scaling = scaling or ScalingFunction()
 
     @property
     def is_identity(self) -> bool:
@@ -247,7 +235,6 @@ def pushforward_field(V, h: ExoticMap):
         z = h.inverse(gamma)
         return np.einsum("...ij,...j->...i", h.jacobian(z), np.asarray(V(z), dtype=float))
 
-    field.label = "pushforward"
     return field
 
 
@@ -363,7 +350,6 @@ def write_circles_csv(images, fname) -> None:
 __all__ = [
     "RegularityError", "BumpProfile", "Deformation", "ScalingFunction",
     "ExoticMap", "ConjugatedFlow", "CircleImage",
-    "identity_deformation", "constant_scaling",
     "pushforward_field", "pullback_metric",
     "surface_patch_jacobian", "entropy_on_surface",
     "circle_images", "write_circles_csv",

@@ -1,6 +1,6 @@
-"""Stochastic flow maps: exact factored-rotation flows, re-integrated
-numerical flows, composition, inversion, and the isometry/continuity
-diagnostics for n-point motions.
+"""Stochastic flow maps: exact factored-rotation flows with composition and
+inversion, re-integrated Heun flows, and the isometry/continuity diagnostics
+for n-point motions.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class RotationFlow:
     def from_noise(cls, coefficients, noise: NoisePath, s: float = 0.0) -> "RotationFlow":
         """Build the factored flow of a frame-coefficient problem from increments."""
         coefficients = np.atleast_2d(np.asarray(coefficients, dtype=float))
-        factors = [frame_rotation_matrix(dw @ coefficients) for dw in noise.increments]
+        factors = frame_rotation_matrix(noise.increments @ coefficients)
         return cls(s, s + noise.n_steps * noise.dt, factors)
 
     def apply(self, z) -> np.ndarray:
@@ -66,31 +66,19 @@ class RotationFlow:
 
 
 class IntegratedFlow:
-    """Flow over [s, t] evaluated by re-integration of a stored noise path."""
+    """Flow over [s, t] evaluated by Heun re-integration of a stored noise path."""
 
-    def __init__(self, problem: SdeProblem, noise: NoisePath, s: float = 0.0,
-                 scheme: str = "heun"):
+    def __init__(self, problem: SdeProblem, noise: NoisePath, s: float = 0.0):
         self.problem = problem
         self.noise = noise
         self.s = float(s)
         self.t = float(s + noise.n_steps * noise.dt)
-        self.scheme = scheme
 
     def apply(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        dt = self.noise.dt
         for dw in self.noise.increments:
-            if self.scheme == "heun":
-                z, _ = sint.heun_stratonovich_step(self.problem, z, dw, dt)
-            elif self.scheme == "ito_euler":
-                z, _ = sint.ito_euler_step(self.problem, z, dw, dt)
-            else:
-                raise ValueError(f"unsupported scheme {self.scheme!r}")
+            z, _ = sint.heun_stratonovich_step(self.problem, z, dw, self.noise.dt)
         return z
-
-    def compose(self, later: "IntegratedFlow") -> "ComposedFlow":
-        _check_chain(self.t, later.s)
-        return ComposedFlow([self, later])
 
     def invert(self) -> "IntegratedFlow":
         """Backward integration: reversed, negated increments.
@@ -98,33 +86,9 @@ class IntegratedFlow:
         Approximate inverse; the round-trip defect is of the scheme's order.
         """
         rev = NoisePath(self.noise.dt, -self.noise.increments[::-1].copy())
-        flow = IntegratedFlow(self.problem, rev, s=self.t, scheme=self.scheme)
+        flow = IntegratedFlow(self.problem, rev, s=self.t)
         flow.t = self.s
         return flow
-
-
-class ComposedFlow:
-    """Ordered chain of flows applied left to right."""
-
-    def __init__(self, parts):
-        parts = list(parts)
-        for earlier, later in zip(parts, parts[1:]):
-            _check_chain(earlier.t, later.s)
-        self.parts = parts
-        self.s = parts[0].s
-        self.t = parts[-1].t
-
-    def apply(self, z):
-        for p in self.parts:
-            z = p.apply(z)
-        return z
-
-    def compose(self, later):
-        _check_chain(self.t, later.s)
-        return ComposedFlow(self.parts + [later])
-
-    def invert(self):
-        return ComposedFlow([p.invert() for p in reversed(self.parts)])
 
 
 @dataclass
@@ -158,10 +122,6 @@ class ContinuityReport:
     max_ratio: float
     min_ratio: float
     n_pairs: int
-
-    @property
-    def modulus(self) -> float:
-        return self.max_ratio
 
 
 def continuity_modulus(flow, points, max_separation: float = np.pi) -> ContinuityReport:
@@ -200,7 +160,7 @@ def _tangent_basis(z):
 
 
 __all__ = [
-    "RotationFlow", "IntegratedFlow", "ComposedFlow", "NPointMotion",
+    "RotationFlow", "IntegratedFlow", "NPointMotion",
     "ContinuityReport",
     "isometry_check", "continuity_modulus", "flow_jacobian_conditioning",
 ]

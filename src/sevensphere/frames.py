@@ -78,7 +78,6 @@ def frame_field(mu: int):
         return np.asarray(z, dtype=float) @ gen.T
 
     field.generator = gen
-    field.label = f"U{mu}"
     return field
 
 
@@ -90,13 +89,11 @@ class CombinedField:
     differences in the ambient space stay well defined.
     """
 
-    def __init__(self, coeffs, smoothness: int = 1, label: str = "A"):
+    def __init__(self, coeffs):
         self.coeffs = coeffs
-        self.smoothness = smoothness
-        self.label = label
 
     @classmethod
-    def constant(cls, c, label: str = "A") -> "CombinedField":
+    def constant(cls, c) -> "CombinedField":
         c = np.asarray(c, dtype=float)
         if c.shape != (N_FRAME_FIELDS,):
             raise ValueError(f"expected 7 coefficients, got shape {c.shape}")
@@ -105,7 +102,7 @@ class CombinedField:
             z = np.asarray(z, dtype=float)
             return np.broadcast_to(c, z.shape[:-1] + (N_FRAME_FIELDS,)).copy()
 
-        field = cls(coeffs, smoothness=np.inf, label=label)
+        field = cls(coeffs)
         field.constant_coefficients = c
         # constant combination is itself linear: a single generator matrix
         field.generator = np.tensordot(c, FRAME_GENERATORS, axes=(0, 0))

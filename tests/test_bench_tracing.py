@@ -1,7 +1,7 @@
 """The benchmark's tracer (sevenbench/tracing.py) patches names of the
-package by attribute; a renamed or removed name must fail here, not only in
-a benchmark run.  It runs in a subprocess so the patching cannot leak into
-other tests."""
+package by attribute; a renamed or removed name, or a step called past the
+patched module global, must fail here, not only in a benchmark run.  It runs
+in a subprocess so the patching cannot leak into other tests."""
 
 import os
 import subprocess
@@ -14,9 +14,11 @@ SCRIPT = """
 import importlib
 import sys
 
+import numpy as np
 import tracing
 
-tracing.install(tracing.Tracer())
+tracer = tracing.Tracer()
+tracing.install(tracer)
 missing = []
 for name in ("quaternions", "symplectic", "frames", "geometry", "integrators",
              "flows", "density", "exotic", "cli"):
@@ -25,6 +27,14 @@ for name in ("quaternions", "symplectic", "frames", "geometry", "integrators",
                 if not hasattr(module, attr)]
 if missing:
     sys.exit("names in __all__ that do not resolve: " + ", ".join(missing))
+
+from sevensphere import integrators
+
+integrators.simulate_ensemble(integrators.brownian_problem(np.eye(8)[0]), 50, 5, 0.01,
+                              seed=1, scheme="heun")
+calls = tracer.layer_metrics(1.0)["integrators.step.heun.calls"]
+if calls != 5:
+    sys.exit(f"traced heun steps: {calls}, expected 5 (one per step of one chunk)")
 """
 
 

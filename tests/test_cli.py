@@ -156,10 +156,33 @@ def test_comments_and_blank_lines_ok(tmp_path):
                                         ("field", "frame:9"), ("field", "frame:0"),
                                         ("field", "frame:-1"), ("field", "combo:1,2"),
                                         ("field", "frame:x"),
-                                        ("field", "combo:1,0,0,0,0,0,nan")])
-def test_config_positive_values_enforced(tmp_path, key, value):
+                                        ("field", "combo:1,0,0,0,0,0,nan"),
+                                        ("seed", "-1"), ("plots", "maybe")])
+def test_config_positive_values_enforced(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, f"experiment = circles\nseed = 1\n{key} = {value}\n")
     assert cli.main(["--config", cfg]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_negative_seed_override_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, "experiment = circles\nseed = 1\n")
+    assert cli.main(["--config", cfg, "--output", str(tmp_path / "out"),
+                     "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_entropy_dt_must_divide_save_times(tmp_path, capsys):
+    cfg = write_config(tmp_path, "experiment = entropy\nseed = 1\ndt = 0.03\n")
+    assert cli.main(["--config", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "multiples of dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, parsed", [("true", True), ("Yes", True), ("1", True),
+                                           ("false", False), ("NO", False), ("0", False)])
+def test_plots_accepts_boolean_spellings(value, parsed):
+    text = f"experiment = circles\nseed = 1\nplots = {value}\n"
+    assert cli.ExperimentConfig.from_text(text).plots is parsed
 
 
 def test_grid_bins_validation(tmp_path):

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from sevensphere.density import GridSpec, entropy, estimate_density
 from sevensphere.exotic import (BumpProfile, ConjugatedFlow, Deformation,
                                 ExoticMap, RegularityError, ScalingFunction,
-                                circle_images, constant_scaling, entropy_on_surface,
-                                identity_deformation, pullback_metric,
+                                circle_images, entropy_on_surface, pullback_metric,
                                 pushforward_field, surface_patch_jacobian,
                                 write_circles_csv)
 from sevensphere.flows import RotationFlow
@@ -90,7 +89,7 @@ def test_deformation_jacobian_matches_fd(rng):
 
 
 def test_identity_map_is_identity(rng):
-    h = ExoticMap(identity_deformation(), constant_scaling())
+    h = ExoticMap()
     assert h.is_identity
     pts = random_sphere_point(rng, 100)
     np.testing.assert_allclose(h.forward(pts), pts, atol=1e-15)
@@ -125,7 +124,7 @@ def test_inverse_unit_norm(rng):
 
 
 def test_inverse_of_identity_deformation_normalizes(rng):
-    h = ExoticMap(identity_deformation())
+    h = ExoticMap()
     x = random_sphere_point(rng) * 2.5
     np.testing.assert_allclose(h.inverse(x), x / np.linalg.norm(x), atol=1e-15)
 
@@ -152,7 +151,7 @@ def test_scaling_positive_enforced():
 # --------------------------------------------------------------------------
 
 def test_pushforward_identity_map(rng):
-    h = ExoticMap(identity_deformation())
+    h = ExoticMap()
     push = pushforward_field(frame_field(1), h)
     for _ in range(20):
         z = random_sphere_point(rng)
@@ -197,7 +196,7 @@ def test_pushforward_refuses_kinked_scaling():
 
 
 def test_conjugated_flow_identity_map(rng):
-    h = ExoticMap(identity_deformation())
+    h = ExoticMap()
     noise = sample_brownian(30, 0.01, 7, seed=3)
     flow = RotationFlow.from_noise(np.eye(7), noise)
     conj = ConjugatedFlow(flow, h)
@@ -250,7 +249,7 @@ def test_conjugation_gaps_regression_oracle():
 # --------------------------------------------------------------------------
 
 def test_pullback_identity_is_tangent_projector(rng):
-    h = ExoticMap(identity_deformation())
+    h = ExoticMap()
     z = random_sphere_point(rng)
     g = pullback_metric(z, h)
     np.testing.assert_allclose(g, np.eye(8) - np.outer(z, z), atol=1e-12)
@@ -327,7 +326,7 @@ def test_surface_patch_matches_pullback_reference(rng):
 # --------------------------------------------------------------------------
 
 def test_surface_entropy_identity_map_matches_sphere(rng):
-    h = ExoticMap(identity_deformation())
+    h = ExoticMap()
     samples = random_sphere_point(rng, 20000)
     grid = GridSpec.uniform(3)
     sphere = entropy(estimate_density(samples, grid))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import integrate, special
 from scipy.linalg import expm
 
 from sevensphere.frames import CombinedField, frame_field, generator_matrix
@@ -96,6 +97,25 @@ def test_correction_full_frame(rng):
     np.testing.assert_allclose(ito_correction_drift(fields, z), -7.0 * z, atol=1e-14)
 
 
+def bent_field():
+    """State-dependent field: coefficient z1 on U_1, so no generator."""
+    return CombinedField(lambda z: np.stack(
+        [z[..., 0]] + [np.zeros_like(z[..., 0])] * 6, axis=-1))
+
+
+@pytest.mark.parametrize("fields", [
+    lambda z0: tuple(frame_field(mu) for mu in (1, 4, 6)),
+    lambda z0: SdeProblem(tuple(frame_field(mu) for mu in (2, 5, 7)), z0,
+                          channel_mode="shared").channel_fields,
+    lambda z0: (bent_field(),),
+], ids=["linear", "shared", "state-dependent"])
+def test_correction_batch_matches_rows(rng, fields):
+    z = random_sphere_point(rng, 60).reshape(3, 20, 8)
+    fields = fields(z[0, 0])
+    rows = np.array([[ito_correction_drift(fields, p) for p in row] for row in z])
+    np.testing.assert_array_equal(ito_correction_drift(fields, z), rows)
+
+
 def test_correction_fd_matches_generator(rng):
     z = unit_vector(rng)
     combo = CombinedField.constant(np.array([0.5, 0, -1.0, 0, 0, 2.0, 0]))
@@ -134,6 +154,36 @@ def test_exact_step_isometry(rng):
     assert abs(np.dot(xr, yr) - np.dot(x, y)) <= 1e-13
 
 
+def test_exact_step_turns_by_increment_norm(rng):
+    z = random_sphere_point(rng, 50)
+    a = rng.normal(0.0, 0.8, (50, 7))
+    out = exact_rotation_step(np.eye(7), z, a)
+    np.testing.assert_allclose(np.sum(out * z, axis=-1), np.cos(np.linalg.norm(a, axis=-1)),
+                               atol=1e-14)
+
+
+def exact_step_mean_factor(dt):
+    """E cos(sqrt(dt) chi_7) in closed form: the stated per-step mean factor."""
+    return np.exp(-dt / 2) * (1.0 - 3.0 * dt + dt ** 2 - dt ** 3 / 15.0)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2, 5e-2])
+def test_exact_step_mean_factor_matches_quadrature(dt):
+    # the step angle over seven channels is sqrt(dt) chi_7
+    def integrand(r):
+        return (np.cos(np.sqrt(dt) * r) * r ** 6 * np.exp(-r * r / 2)
+                / (2 ** 2.5 * special.gamma(3.5)))
+
+    quad, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
+    assert abs(quad - exact_step_mean_factor(dt)) < 1e-12
+
+
+@pytest.mark.parametrize("dt, rel_err", [(1e-2, -0.0350), (1e-3, -0.0035)])
+def test_exact_step_mean_bias_is_first_order(dt, rel_err):
+    mean = exact_step_mean_factor(dt) ** round(1.0 / dt)
+    assert mean / np.exp(-3.5) - 1.0 == pytest.approx(rel_err, abs=5e-5)
+
+
 def test_closed_form_rotation_matches_pade_expm(rng):
     # dual route: the anticommutation closed form against scipy's
     # scaling-and-squaring exponential of the same skew matrix
@@ -142,6 +192,13 @@ def test_closed_form_rotation_matches_pade_expm(rng):
         k = np.tensordot(a, np.stack([generator_matrix(m) for m in range(1, 8)]),
                          axes=(0, 0))
         np.testing.assert_allclose(frame_rotation_matrix(a), expm(k), atol=1e-13)
+
+
+def test_rotation_matrix_batch_matches_rows(rng):
+    a = rng.normal(0, 0.7, (2000, 7))
+    rows = np.array([frame_rotation_matrix(x) for x in a])
+    np.testing.assert_array_equal(frame_rotation_matrix(a.reshape(40, 50, 7)),
+                                  rows.reshape(40, 50, 8, 8))
 
 
 def test_heun_zero_increment_fixed_point(rng):
