@@ -2,10 +2,9 @@
 unit sphere in R^8 and their transport onto a twisted-structure model surface.
 """
 
-from .quaternions import Quaternion, random_unit_quaternion
-from .symplectic import (RealFormMatrix, SpMatrix, bullet_action,
-                         fiber_coincidence_check, is_member, membership_check,
-                         project_bullet, random_sp_matrix, star_action)
+from .symplectic import (bullet_action, is_member, membership_residuals,
+                         project_bullet, qconj, qmul, random_sp_matrix,
+                         random_unit_quaternion, real_form, star_action)
 from .frames import (CombinedField, FRAME_GENERATORS, frame_eval, frame_field,
                      generator_matrix, killing_residual, lie_derivative_metric,
                      plane_generator)

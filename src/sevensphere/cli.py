@@ -77,6 +77,8 @@ class ExperimentConfig:
             key, value = (part.strip() for part in stripped.split("=", 1))
             if key not in keys:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            if key in raw:
+                raise ConfigError(f"line {lineno}: key {key!r} is set twice")
             raw[key] = value
         if "experiment" not in raw:
             raise ConfigError("missing required key 'experiment'")
@@ -88,6 +90,12 @@ class ExperimentConfig:
             raise ConfigError(f"bad value: {exc}") from exc
         return cls(**values)
 
+    @property
+    def n_steps(self) -> int:
+        """Time steps of the run's ensemble, to t_final or its fixed horizon."""
+        horizon = {"entropy": ENTROPY_TIMES[-1], "exotic-compare": EXOTIC_T_FINAL}
+        return int(round(horizon.get(self.experiment, self.t_final) / self.dt))
+
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
@@ -97,6 +105,9 @@ class ExperimentConfig:
             raise ConfigError("dt and t_final must be finite")
         if self.n_paths <= 0 or self.n_points <= 0 or self.dt <= 0 or self.t_final <= 0:
             raise ConfigError("numeric parameters must be positive")
+        if self.experiment in ("simulate", "exotic-compare") and self.n_steps < 1:
+            raise ConfigError(f"dt = {self.dt} is too large: {self.experiment} would "
+                              f"take {self.n_steps} steps")
         if not 0.0 <= self.deformation_eps < 0.3:
             raise ConfigError("deformation_eps must lie in [0, 0.3)")
         if self.grid_bins < 0 or self.grid_bins == 1:
@@ -108,8 +119,7 @@ class ExperimentConfig:
         _parse_field(self.field)
         if self.experiment == "entropy":
             try:
-                sint._save_indices(int(round(ENTROPY_TIMES[-1] / self.dt)), self.dt,
-                                   ENTROPY_TIMES)
+                sint._save_indices(self.n_steps, self.dt, ENTROPY_TIMES)
             except ValueError as exc:
                 raise ConfigError(f"entropy needs a dt that divides its save times "
                                   f"{ENTROPY_TIMES}: {exc}") from exc
@@ -253,7 +263,7 @@ def _run_frame_verify(cfg, outdir, summary):
 def _run_simulate(cfg, outdir, summary):
     initial = _e1()
     problem = _problem_from_field(cfg.field, initial)
-    n_steps = int(round(cfg.t_final / cfg.dt))
+    n_steps = cfg.n_steps
     save = np.linspace(0.0, n_steps * cfg.dt, min(n_steps + 1, 11))
     save = np.round(save / cfg.dt) * cfg.dt
     result = sint.simulate_ensemble(problem, cfg.n_paths, n_steps, cfg.dt,
@@ -283,7 +293,7 @@ def _run_simulate(cfg, outdir, summary):
 def _run_flow_check(cfg, outdir, summary):
     rng = np.random.default_rng(cfg.seed)
     pts = sgeo.random_sphere_point(rng, 64)
-    n_steps = max(2, int(round(cfg.t_final / cfg.dt)))
+    n_steps = max(2, cfg.n_steps)
     coeffs = np.eye(7)
     noise = sint.sample_brownian(n_steps, cfg.dt, 7, cfg.seed, path_index=0)
     cut = n_steps // 2
@@ -361,6 +371,7 @@ def heun_refinement_residuals(problem, points, seed, n_fine=256, dt_fine=0.5 / 2
 
 
 ENTROPY_TIMES = (0.0, 0.2, 0.5, 1.0, 2.0)
+EXOTIC_T_FINAL = 0.5  # horizon of exotic-compare's paired-entropy ensemble
 
 
 def entropy_grid_bins(n_samples: int) -> int:
@@ -378,9 +389,7 @@ def _run_entropy(cfg, outdir, summary):
     center = _e1()
     starts = sgeo.random_cap_point(rng, center, 0.1, cfg.n_paths)
     problem = sint.brownian_problem(center)
-    t_final = ENTROPY_TIMES[-1]
-    n_steps = int(round(t_final / cfg.dt))
-    result = sint.simulate_ensemble(problem, cfg.n_paths, n_steps, cfg.dt,
+    result = sint.simulate_ensemble(problem, cfg.n_paths, cfg.n_steps, cfg.dt,
                                     cfg.seed, scheme="exact_rotation",
                                     save_times=np.array(ENTROPY_TIMES),
                                     threads=cfg.threads, initial_points=starts)
@@ -452,13 +461,8 @@ def _circle12(thetas):
 
 
 def _interior_points(rng, n):
-    pts = []
-    for _ in range(n):
-        phi = np.empty(7)
-        phi[:6] = rng.uniform(0.7, np.pi - 0.7, 6)
-        phi[6] = rng.uniform(0.7, 2.0 * np.pi - 0.7)
-        pts.append(phi)
-    return pts
+    """n chart points (n, 7), each angle at least 0.7 inside its range."""
+    return rng.uniform(0.7, np.array([np.pi - 0.7] * 6 + [2.0 * np.pi - 0.7]), (n, 7))
 
 
 def _run_exotic_compare(cfg, outdir, summary):
@@ -476,8 +480,7 @@ def _run_exotic_compare(cfg, outdir, summary):
     center = _e1()
     starts = sgeo.random_cap_point(rng, center, 0.5, cfg.n_paths)
     problem = sint.brownian_problem(center)
-    result = sint.simulate_ensemble(problem, cfg.n_paths,
-                                    int(round(0.5 / cfg.dt)), cfg.dt, cfg.seed,
+    result = sint.simulate_ensemble(problem, cfg.n_paths, cfg.n_steps, cfg.dt, cfg.seed,
                                     scheme="exact_rotation", threads=cfg.threads,
                                     initial_points=starts)
     summary.counters["max_renorm_defect"] = result.max_renorm_defect

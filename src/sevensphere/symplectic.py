@@ -1,182 +1,125 @@
-"""2x2 quaternionic matrices with orthonormal columns and the two circle-group
-actions on them: the column-scaling action whose orbits project to the round
-7-sphere, and the conjugating action that produces the twisted quotient.
+"""Sp(2, H) as float64 arrays, with its two S^3 actions: bullet, whose orbits
+project to the round 7-sphere through the first column, and star, whose
+quotient Sp(2)/star is the Gromoll-Meyer sphere.
+
+A quaternion is an array (..., 4) in the order (w, x, y, z); a matrix
+[[a, b], [c, d]] is an array (..., 2, 2, 4) with ``Q[..., 0, 1] = b`` and so on.
+Every function broadcasts over leading axes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .quaternions import ONE, Quaternion, random_unit_quaternion
 
 MEMBERSHIP_TOL = 1e-10
 UNIT_TOL = 1e-9
 
 
-class SpMatrix:
-    """Matrix [[a, b], [c, d]] with quaternion entries."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion):
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
-
-    @classmethod
-    def identity(cls) -> "SpMatrix":
-        return cls(ONE, Quaternion(), Quaternion(), ONE)
-
-    def entries(self):
-        return self.a, self.b, self.c, self.d
-
-    def isclose(self, other, tol=1e-12) -> bool:
-        return all(p.isclose(q, tol) for p, q in zip(self.entries(), other.entries()))
-
-    def __repr__(self):
-        return f"SpMatrix(a={self.a}, b={self.b}, c={self.c}, d={self.d})"
+def _shape(size, *tail):
+    return (() if size is None else tuple(np.atleast_1d(size))) + tail
 
 
-@dataclass
-class MembershipCheck:
-    ok: bool
-    column_residual: float
-    orthogonality_residual: float
+def qmul(p, q):
+    """Hamilton product p q."""
+    pw, px, py, pz = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    qw, qx, qy, qz = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack([pw * qw - px * qx - py * qy - pz * qz,
+                     pw * qx + px * qw + py * qz - pz * qy,
+                     pw * qy - px * qz + py * qw + pz * qx,
+                     pw * qz + px * qy - py * qx + pz * qw], axis=-1)
 
 
-def membership_check(Q: SpMatrix, tol: float = MEMBERSHIP_TOL) -> MembershipCheck:
-    """Test the two defining conditions: unit columns and conj(b)a + conj(d)c = 0.
-
-    Never raises; reports residual magnitudes alongside the verdict.
-    """
-    col1 = Q.a.norm_sq() + Q.c.norm_sq()
-    col2 = Q.b.norm_sq() + Q.d.norm_sq()
-    col_res = max(abs(col1 - 1.0), abs(col2 - 1.0))
-    orth = Q.b.conj() * Q.a + Q.d.conj() * Q.c
-    orth_res = orth.norm()
-    return MembershipCheck(col_res <= tol and orth_res <= tol, col_res, orth_res)
+def qconj(q):
+    return np.asarray(q, dtype=float) * [1.0, -1.0, -1.0, -1.0]
 
 
-def is_member(Q: SpMatrix, tol: float = MEMBERSHIP_TOL) -> bool:
-    return membership_check(Q, tol).ok
+def random_unit_quaternion(rng: np.random.Generator, size=None) -> np.ndarray:
+    """Uniform draws (*size, 4) on the unit quaternions: normalized 4D Gaussians."""
+    v = rng.standard_normal(_shape(size, 4))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _require_unit(q: Quaternion):
-    if abs(q.norm() - 1.0) > UNIT_TOL:
-        raise ValueError(f"action requires a unit quaternion, got |q| = {q.norm()!r}")
+def membership_residuals(Q):
+    """The two defining conditions of Sp(2): the largest deviation of a
+    column's squared norm from 1, and |conj(b) a + conj(d) c|.  Never raises."""
+    Q = np.asarray(Q, dtype=float)
+    columns = np.sum(Q * Q, axis=(-3, -1))
+    (a, c), (b, d) = np.moveaxis(Q, (-2, -3), (0, 1))
+    orth = qmul(qconj(b), a) + qmul(qconj(d), c)
+    return np.max(np.abs(columns - 1.0), axis=-1), np.linalg.norm(orth, axis=-1)
 
 
-def bullet_action(q: Quaternion, Q: SpMatrix) -> SpMatrix:
-    """Right-multiply the second column by conj(q); the first column is untouched."""
-    _require_unit(q)
-    qc = q.conj()
-    return SpMatrix(Q.a, Q.b * qc, Q.c, Q.d * qc)
+def is_member(Q, tol: float = MEMBERSHIP_TOL):
+    column, orthogonality = membership_residuals(Q)
+    return (column <= tol) & (orthogonality <= tol)
 
 
-def star_action(q: Quaternion, Q: SpMatrix) -> SpMatrix:
-    """Conjugate the first column by q and left-multiply the second column by q."""
-    _require_unit(q)
-    qc = q.conj()
-    return SpMatrix(q * Q.a * qc, q * Q.b, q * Q.c * qc, q * Q.d)
+def _require_unit(q):
+    q = np.asarray(q, dtype=float)
+    dev = np.abs(np.linalg.norm(q, axis=-1) - 1.0)
+    if not np.all(dev <= UNIT_TOL):  # written so that NaN fails too
+        raise ValueError(f"actions require unit quaternions, got ||q| - 1| = {np.max(dev)!r}")
+    return q
 
 
-def quaternion_pair_to_point(p: Quaternion, q: Quaternion) -> np.ndarray:
-    """Interleave two quaternions into an 8-vector: (p0, q0, p1, q1, p2, q2, p3, q3)."""
-    return np.array([p.w, q.w, p.x, q.x, p.y, q.y, p.z, q.z])
+def _from_columns(first, second):
+    """The matrix with columns (a, c) = ``first`` and (b, d) = ``second``."""
+    return np.stack(np.broadcast_arrays(first, second), axis=-2)
 
 
-def point_to_quaternion_pair(z) -> tuple[Quaternion, Quaternion]:
-    z = np.asarray(z, dtype=float)
-    return (Quaternion(z[0], z[2], z[4], z[6]),
-            Quaternion(z[1], z[3], z[5], z[7]))
+def bullet_action(q, Q):
+    """Right-multiply the second column by conj(q); the first is untouched."""
+    first, second = np.moveaxis(np.asarray(Q, dtype=float), -2, 0)
+    return _from_columns(first, qmul(second, qconj(_require_unit(q))[..., None, :]))
 
 
-def project_bullet(Q: SpMatrix, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """Map a member matrix to the 8-vector built from its first column (a, c)."""
-    check = membership_check(Q, tol)
-    if not check.ok:
-        raise ValueError(
-            "projection requires a member matrix; residuals "
-            f"(columns {check.column_residual:.3e}, "
-            f"orthogonality {check.orthogonality_residual:.3e})"
-        )
-    return quaternion_pair_to_point(Q.a, Q.c)
+def star_action(q, Q):
+    """Conjugate the first column by q and left-multiply the second by q."""
+    q = _require_unit(q)[..., None, :]
+    first, second = np.moveaxis(np.asarray(Q, dtype=float), -2, 0)
+    return _from_columns(qmul(qmul(q, first), qconj(q)), qmul(q, second))
 
 
-@dataclass
-class RealFormMatrix:
-    """Matrix [[alpha, beta], [-beta, alpha]] with real alpha, beta, alpha^2 + beta^2 = 1."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        r = self.alpha ** 2 + self.beta ** 2
-        if abs(r - 1.0) > 1e-9:
-            raise ValueError(f"alpha^2 + beta^2 = {r!r}, expected 1")
-
-    def as_sp_matrix(self) -> SpMatrix:
-        return SpMatrix(Quaternion(self.alpha), Quaternion(self.beta),
-                        Quaternion(-self.beta), Quaternion(self.alpha))
+def project_bullet(Q, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """Map member matrices to the 8-vectors (a0, c0, a1, c1, a2, c2, a3, c3)
+    of their first columns."""
+    if not np.all(is_member(Q, tol)):
+        column, orthogonality = membership_residuals(Q)
+        raise ValueError("projection requires member matrices; worst residuals (columns "
+                         f"{np.max(column):.3e}, orthogonality {np.max(orthogonality):.3e})")
+    first = np.asarray(Q, dtype=float)[..., 0, :]
+    return np.swapaxes(first, -1, -2).reshape(first.shape[:-2] + (8,))
 
 
-def fiber_coincidence_check(R: RealFormMatrix, q: Quaternion,
-                            tol: float = 1e-12) -> Quaternion:
-    """Return q' with q' star R = q bullet R entrywise.
-
-    For real-form matrices the two orbits coincide and q' is conj(q); the
-    equality is asserted entrywise, a mismatch means an implementation bug.
-    """
-    _require_unit(q)
-    Q = R.as_sp_matrix()
-    qprime = q.conj()
-    left = bullet_action(q, Q)
-    right = star_action(qprime, Q)
-    for p, r in zip(left.entries(), right.entries()):
-        if not p.isclose(r, tol):
-            raise RuntimeError(
-                "orbit coincidence failed on a real-form matrix: "
-                f"{p} vs {r} (this indicates a bug in the actions)"
-            )
-    return qprime
+def real_form(alpha, beta) -> np.ndarray:
+    """The member matrices [[alpha, beta], [-beta, alpha]] of real alpha, beta
+    with alpha^2 + beta^2 = 1."""
+    alpha, beta = np.broadcast_arrays(alpha, beta)
+    r = alpha ** 2 + beta ** 2
+    if not np.all(np.abs(r - 1.0) <= UNIT_TOL):  # written so that NaN fails too
+        raise ValueError(f"alpha^2 + beta^2 must be 1, got up to {np.max(r)!r}")
+    Q = np.zeros(alpha.shape + (2, 2, 4))
+    Q[..., 0, 0, 0] = Q[..., 1, 1, 0] = alpha
+    Q[..., 0, 1, 0], Q[..., 1, 0, 0] = beta, -beta
+    return Q
 
 
-def random_sp_matrix(rng: np.random.Generator) -> SpMatrix:
-    """Draw a random member matrix.
-
-    First column uniform on the unit 8-sphere of pairs, second column obtained
-    from a random draw by one quaternionic Gram-Schmidt sweep against the first.
-    """
-    while True:
-        v = rng.standard_normal(8)
-        v /= np.linalg.norm(v)
-        a = Quaternion(*v[:4])
-        c = Quaternion(*v[4:])
-        w = rng.standard_normal(8)
-        b0 = Quaternion(*w[:4])
-        d0 = Quaternion(*w[4:])
-        # t = conj(b0) a + conj(d0) c; subtracting (a, c) * conj(t) zeroes it out
-        t = b0.conj() * a + d0.conj() * c
-        b = b0 - a * t.conj()
-        d = d0 - c * t.conj()
-        n = np.sqrt(b.norm_sq() + d.norm_sq())
-        if n > 1e-6:
-            return SpMatrix(a, b * (1.0 / n), c, d * (1.0 / n))
-
-
-def random_real_form(rng: np.random.Generator) -> RealFormMatrix:
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    return RealFormMatrix(float(np.cos(theta)), float(np.sin(theta)))
+def random_sp_matrix(rng: np.random.Generator, size=None) -> np.ndarray:
+    """Random member matrices (*size, 2, 2, 4): the first column uniform on the
+    unit sphere of quaternion pairs, the second a Gaussian draw after one
+    quaternionic Gram-Schmidt sweep against the first.  The sweep leaves a 4D
+    Gaussian, below norm 1e-6 with probability about 1e-25, so none is redrawn."""
+    first = rng.standard_normal(_shape(size, 2, 4))
+    first /= np.linalg.norm(first, axis=(-2, -1), keepdims=True)
+    second = rng.standard_normal(_shape(size, 2, 4))
+    # t = conj(b0) a + conj(d0) c; subtracting (a, c) conj(t) zeroes it out
+    t = np.sum(qmul(qconj(second), first), axis=-2)
+    second = second - qmul(first, qconj(t)[..., None, :])
+    second /= np.linalg.norm(second, axis=(-2, -1), keepdims=True)
+    return _from_columns(first, second)
 
 
 __all__ = [
-    "SpMatrix", "MembershipCheck", "RealFormMatrix",
-    "membership_check", "is_member", "bullet_action", "star_action",
-    "project_bullet", "fiber_coincidence_check",
-    "quaternion_pair_to_point", "point_to_quaternion_pair",
-    "random_sp_matrix", "random_real_form",
-    "random_unit_quaternion",
+    "qmul", "qconj", "random_unit_quaternion", "membership_residuals", "is_member",
+    "bullet_action", "star_action", "project_bullet", "real_form", "random_sp_matrix",
 ]

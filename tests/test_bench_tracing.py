@@ -12,16 +12,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 import importlib
+import pkgutil
 import sys
 
 import numpy as np
+import sevensphere
 import tracing
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
 missing = []
-for name in ("quaternions", "symplectic", "frames", "geometry", "integrators",
-             "flows", "density", "exotic", "cli"):
+for _, name, _ in pkgutil.iter_modules(sevensphere.__path__):
     module = importlib.import_module("sevensphere." + name)
     missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
                 if not hasattr(module, attr)]

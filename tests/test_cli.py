@@ -150,18 +150,36 @@ def test_comments_and_blank_lines_ok(tmp_path):
     assert cli.main(["--config", cfg, "--output", str(out)]) == 0
 
 
-@pytest.mark.parametrize("key, value", [("n_paths", "0"), ("dt", "nan"),
-                                        ("t_final", "inf"), ("deformation_eps", "nan"),
-                                        ("deformation_eps", "0.5"),
-                                        ("field", "frame:9"), ("field", "frame:0"),
-                                        ("field", "frame:-1"), ("field", "combo:1,2"),
-                                        ("field", "frame:x"),
-                                        ("field", "combo:1,0,0,0,0,0,nan"),
-                                        ("seed", "-1"), ("plots", "maybe")])
-def test_config_positive_values_enforced(tmp_path, capsys, key, value):
-    cfg = write_config(tmp_path, f"experiment = circles\nseed = 1\n{key} = {value}\n")
-    assert cli.main(["--config", cfg]) == 2
+CONFIG_ERRORS = [  # (experiment, config lines that it must reject)
+    ("circles", "n_paths = 0"), ("circles", "dt = nan"), ("circles", "t_final = inf"),
+    ("circles", "deformation_eps = nan"), ("circles", "deformation_eps = 0.5"),
+    ("circles", "field = frame:9"), ("circles", "field = frame:0"),
+    ("circles", "field = frame:-1"), ("circles", "field = combo:1,2"),
+    ("circles", "field = frame:x"), ("circles", "field = combo:1,0,0,0,0,0,nan"),
+    ("circles", "seed = -1"), ("circles", "plots = maybe"),
+    # runs that would take 0 steps: round(0.4 / 1.0) and round(0.5 / 2.0)
+    ("simulate", "dt = 1.0\nt_final = 0.4"), ("exotic-compare", "dt = 2.0"),
+]
+
+
+@pytest.mark.parametrize("experiment, lines", CONFIG_ERRORS,
+                         ids=[lines.replace(" = ", "-").replace("\n", "-")
+                              for _, lines in CONFIG_ERRORS])
+def test_config_positive_values_enforced(tmp_path, capsys, experiment, lines):
+    text = f"experiment = {experiment}\n{lines}\n"
+    if not lines.startswith("seed"):
+        text += "seed = 1\n"
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["--config", cfg, "--output", str(tmp_path / "out")]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_key_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, "experiment = circles\nseed = 1\nseed = 2\n")
+    assert cli.main(["--config", cfg, "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "seed" in err
 
 
 def test_negative_seed_override_rejected(tmp_path, capsys):
