@@ -105,9 +105,15 @@ class ExperimentConfig:
             raise ConfigError("dt and t_final must be finite")
         if self.n_paths <= 0 or self.n_points <= 0 or self.dt <= 0 or self.t_final <= 0:
             raise ConfigError("numeric parameters must be positive")
-        if self.experiment in ("simulate", "exotic-compare") and self.n_steps < 1:
+        min_steps = {"simulate": 1, "exotic-compare": 1, "flow-check": 2}
+        if self.n_steps < min_steps.get(self.experiment, 0):
             raise ConfigError(f"dt = {self.dt} is too large: {self.experiment} would "
-                              f"take {self.n_steps} steps")
+                              f"take {self.n_steps} steps, it needs at least "
+                              f"{min_steps[self.experiment]}")
+        if self.n_paths < 2 and (self.experiment == "fp-check" or
+                                 (self.experiment, self.field) == ("simulate", "full")):
+            raise ConfigError(f"{self.experiment} needs n_paths >= 2: its statistical "
+                              f"check divides by a sample standard deviation")
         if not 0.0 <= self.deformation_eps < 0.3:
             raise ConfigError("deformation_eps must lie in [0, 0.3)")
         if self.grid_bins < 0 or self.grid_bins == 1:
@@ -116,6 +122,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.scaling not in ("constant", "bump-smooth", "bump-kink"):
             raise ConfigError(f"unknown scaling {self.scaling!r}")
+        if (self.experiment, self.scaling) == ("exotic-compare", "bump-kink"):
+            raise ConfigError("exotic-compare pushes fields forward, which needs a C1 "
+                              "scaling; bump-kink is only continuous")
         _parse_field(self.field)
         if self.experiment == "entropy":
             try:
@@ -293,7 +302,7 @@ def _run_simulate(cfg, outdir, summary):
 def _run_flow_check(cfg, outdir, summary):
     rng = np.random.default_rng(cfg.seed)
     pts = sgeo.random_sphere_point(rng, 64)
-    n_steps = max(2, cfg.n_steps)
+    n_steps = cfg.n_steps
     coeffs = np.eye(7)
     noise = sint.sample_brownian(n_steps, cfg.dt, 7, cfg.seed, path_index=0)
     cut = n_steps // 2
@@ -312,8 +321,7 @@ def _run_flow_check(cfg, outdir, summary):
     summary.add("inverse_residual",
                 float(np.max(np.linalg.norm(inv.apply(whole.apply(pts)) - pts,
                                             axis=-1))), 1e-12)
-    motion = sflow.NPointMotion(pts[:16])
-    summary.add("isometry_distortion", sflow.isometry_check(whole, motion), 1e-12)
+    summary.add("isometry_distortion", sflow.isometry_check(whole, pts[:16]), 1e-12)
     # Frame-generated steps invert exactly under negated reversed increments
     # (the quadratic term is scalar and renormalizes away), so the round-trip
     # defect is measured on a state-dependent field instead.
@@ -323,7 +331,7 @@ def _run_flow_check(cfg, outdir, summary):
     summary.add("heun_compose_refinement_ratio", dec, 1.0)
     bent = sfr.CombinedField(lambda z: np.stack(
         [z[..., 0]] + [np.zeros_like(z[..., 0])] * 6, axis=-1))
-    state_dep = sint.SdeProblem((bent,), pts[0], channel_mode="shared")
+    state_dep = sint.SdeProblem((bent,), pts[0])
     _, roundtrips = heun_refinement_residuals(state_dep, pts[:8], cfg.seed)
     dec_rt = max(roundtrips[i + 1] / roundtrips[i] for i in range(len(roundtrips) - 1))
     summary.add("heun_roundtrip_refinement_ratio", dec_rt, 1.0)
@@ -343,9 +351,6 @@ def heun_refinement_residuals(problem, points, seed, n_fine=256, dt_fine=0.5 / 2
     takes one, and is otherwise identical, so the residual is the genuine
     step-splitting defect of the scheme and shrinks with the step size.
     """
-    if problem.drift is not None:
-        raise ValueError("refinement residuals assume drift-free dynamics "
-                         "(the bridging step carries a shortened duration)")
     cut = n_fine // 2 + 1  # odd: interior to one step of every coarse grid
     residuals = np.zeros(len(levels))
     roundtrips = np.zeros(len(levels))

@@ -177,9 +177,9 @@ def max_entropy() -> float:
 # coordinate pushforward of fields and the Fokker-Planck machinery
 # ---------------------------------------------------------------------------
 
-def _channel_fields(fields):
+def _diffusion_fields(fields):
     if isinstance(fields, sint.SdeProblem):
-        return fields.channel_fields
+        return fields.diffusion_fields
     if callable(fields):
         return (fields,)
     return tuple(fields)
@@ -196,7 +196,7 @@ def angular_fields(phi, fields) -> np.ndarray:
     jac = chart_jacobian(phi)
     g = np.sum(jac * jac, axis=0)
     rhs = np.stack([np.asarray(fld(z), dtype=float)
-                    for fld in _channel_fields(fields)]) @ jac
+                    for fld in _diffusion_fields(fields)]) @ jac
     return np.divide(rhs, g, out=np.zeros_like(rhs), where=g > 0.0)
 
 
@@ -354,21 +354,14 @@ class WeakCheckReport:
 
 def _generator_apply(problem: sint.SdeProblem, f, states, h: float = 1e-4):
     """(L f)(z) for a batch of points via second differences along the
-    channel flows plus the optional drift term."""
+    channel flows."""
     states = np.asarray(states, dtype=float)
     out = np.zeros(states.shape[:-1])
-    coeffs = problem.frame_coefficients
-    if coeffs is None:
-        raise ValueError("weak check requires constant frame coefficients")
-    for c in coeffs:
+    for c in problem.frame_coefficients:
         zp = sint.frame_rotation_apply(h * c, states)
         zm = sint.frame_rotation_apply(-h * c, states)
         out = out + (f(zp) - 2.0 * f(states) + f(zm)) / h ** 2
-    out = 0.5 * out
-    if problem.drift is not None:
-        grad = central_difference(f, states, h)
-        out = out + np.sum(np.asarray(problem.drift(states)) * grad, axis=-1)
-    return out
+    return 0.5 * out
 
 
 def generator_weak_check(problem: sint.SdeProblem, f, t: float, n_paths: int,

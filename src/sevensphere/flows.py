@@ -91,19 +91,10 @@ class IntegratedFlow:
         return flow
 
 
-@dataclass
-class NPointMotion:
-    """Points advancing under one shared noise realization."""
-
-    points: np.ndarray  # (n, 8)
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-
-
-def isometry_check(flow, motion: NPointMotion) -> float:
-    """Largest distortion of pairwise geodesic distances under the flow."""
-    pts = motion.points
+def isometry_check(flow, points) -> float:
+    """Largest distortion of pairwise geodesic distances among ``points``
+    (n, 8) under the flow."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 2:
         raise ValueError("need at least two points to measure distortion")
     before = _pairwise(pts)
@@ -160,7 +151,7 @@ def _tangent_basis(z):
 
 
 __all__ = [
-    "RotationFlow", "IntegratedFlow", "NPointMotion",
+    "RotationFlow", "IntegratedFlow",
     "ContinuityReport",
     "isometry_check", "continuity_modulus", "flow_jacobian_conditioning",
 ]

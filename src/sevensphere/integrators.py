@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import DIM, FRAME_GENERATORS, N_FRAME_FIELDS, frame_eval_all, frame_field
+from .frames import (DIM, FRAME_GENERATORS, N_FRAME_FIELDS, CombinedField,
+                     frame_eval_all, frame_field)
 from .geometry import central_difference
 
 CHUNK = 1024  # fixed path block size; independent of the worker count
@@ -116,22 +117,18 @@ def load_noise_path(fname) -> NoisePath:
 
 @dataclass
 class SdeProblem:
-    """Diffusion fields, optional drift and an initial point on the sphere.
+    """Diffusion fields, one Wiener channel each, and an initial point on
+    the sphere: the Stratonovich SDE dz = sum_c V_c(z) o dW^c.
 
-    ``channel_mode`` is "independent" (one Wiener channel per field) or
-    "shared" (a single channel drives the sum of the fields).  When every
-    field is a fixed linear combination of the frame fields,
-    ``frame_coefficients`` holds one 7-vector per field and enables the
-    exact rotation scheme.  When every field is linear, V(z) = J z with the
-    matrix as its ``generator`` attribute, ``generators`` stacks the
-    matrices (n_fields, 8, 8); otherwise it is None.
+    Both stacks below are read off the fields and are None unless every
+    field carries the attribute.  ``generators`` (n_fields, 8, 8) stacks the
+    matrices J of linear fields V(z) = J z.  ``frame_coefficients``
+    (n_fields, 7) stacks the constant frame coefficients of fixed frame
+    combinations and enables the exact rotation scheme.
     """
 
     diffusion_fields: tuple
     initial: np.ndarray
-    drift: object = None  # optional callable z -> 8-vector; the zero slot
-    channel_mode: str = "independent"
-    frame_coefficients: np.ndarray | None = None
 
     def __post_init__(self):
         self.diffusion_fields = tuple(self.diffusion_fields)
@@ -140,32 +137,12 @@ class SdeProblem:
             raise ValueError("initial point must be an 8-vector")
         if abs(np.linalg.norm(self.initial) - 1.0) > 1e-10:
             raise ValueError("initial point must lie on the unit sphere")
-        if self.channel_mode not in ("independent", "shared"):
-            raise ValueError(f"unknown channel mode {self.channel_mode!r}")
-        if self.frame_coefficients is not None:
-            self.frame_coefficients = np.atleast_2d(
-                np.asarray(self.frame_coefficients, dtype=float))
-        self.generators = _generator_stack(self.diffusion_fields)
+        self.generators = _stack(self.diffusion_fields, "generator")
+        self.frame_coefficients = _stack(self.diffusion_fields, "coefficients")
 
     @property
     def n_channels(self) -> int:
-        if self.channel_mode == "shared":
-            return 1
         return len(self.diffusion_fields)
-
-    @property
-    def channel_fields(self) -> tuple:
-        """One field per Wiener channel: the summed field when shared, which
-        carries the summed ``generator`` when every field is linear."""
-        if self.channel_mode == "independent":
-            return self.diffusion_fields
-
-        def summed(z):
-            return self.diffusion_matrix(z)[..., 0, :]
-
-        if self.generators is not None:
-            summed.generator = self.generators.sum(axis=0)
-        return (summed,)
 
     def diffusion_matrix(self, z) -> np.ndarray:
         """Per-channel field values at z; shape (..., n_channels, 8).
@@ -176,45 +153,33 @@ class SdeProblem:
         z = np.asarray(z, dtype=float)
         if self.generators is not None:
             flat = z @ self.generators.reshape(-1, DIM).T
-            vals = flat.reshape(z.shape[:-1] + self.generators.shape[:-1])
-        else:
-            vals = np.stack([np.asarray(f(z), dtype=float)
-                             for f in self.diffusion_fields], axis=-2)
-        if self.channel_mode == "shared":
-            vals = vals.sum(axis=-2, keepdims=True)
-        return vals
+            return flat.reshape(z.shape[:-1] + self.generators.shape[:-1])
+        return np.stack([np.asarray(f(z), dtype=float)
+                         for f in self.diffusion_fields], axis=-2)
 
 
 def brownian_problem(initial) -> SdeProblem:
     """All seven frame fields with independent channels: Brownian motion."""
-    fields = tuple(frame_field(mu) for mu in range(1, N_FRAME_FIELDS + 1))
-    return SdeProblem(fields, initial, channel_mode="independent",
-                      frame_coefficients=np.eye(N_FRAME_FIELDS))
+    return SdeProblem([frame_field(mu) for mu in range(1, N_FRAME_FIELDS + 1)], initial)
 
 
 def single_frame_problem(mu: int, initial) -> SdeProblem:
     """One frame field driven by one scalar channel."""
-    coeffs = np.zeros((1, N_FRAME_FIELDS))
-    coeffs[0, mu - 1] = 1.0
-    return SdeProblem((frame_field(mu),), initial, frame_coefficients=coeffs)
+    return SdeProblem((frame_field(mu),), initial)
 
 
 def combination_problem(c, initial) -> SdeProblem:
-    """Constant coefficient combination of the frame, single shared channel."""
-    from .frames import CombinedField
-
-    field = CombinedField.constant(np.asarray(c, dtype=float))
-    return SdeProblem((field,), initial,
-                      frame_coefficients=np.atleast_2d(np.asarray(c, dtype=float)))
+    """Constant coefficient combination of the frame, one scalar channel."""
+    return SdeProblem((CombinedField.constant(c),), initial)
 
 
-def _generator_stack(fields):
-    """The ``generator`` matrices J of linear fields V(z) = J z, stacked
-    (n_fields, 8, 8); None when any field lacks one."""
-    gens = [getattr(f, "generator", None) for f in fields]
-    if not gens or any(g is None for g in gens):
+def _stack(fields, attr):
+    """The array attribute ``attr`` of every field, stacked along a new first
+    axis; None when any field lacks it."""
+    vals = [getattr(f, attr, None) for f in fields]
+    if not vals or any(v is None for v in vals):
         return None
-    return np.array(gens, dtype=float)
+    return np.array(vals, dtype=float)
 
 
 def ito_correction_drift(fields, z) -> np.ndarray:
@@ -228,7 +193,7 @@ def ito_correction_drift(fields, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if callable(fields):
         fields = (fields,)
-    gens = _generator_stack(fields)
+    gens = _stack(fields, "generator")
     if gens is not None:
         return z @ np.sum(gens @ gens, axis=0).T
     total = np.zeros_like(z)
@@ -240,12 +205,9 @@ def ito_correction_drift(fields, z) -> np.ndarray:
     return total
 
 
-def _increment(problem: SdeProblem, z, dw, dt: float):
-    """sum_c V_c(z) dw_c, plus dt times the drift when the problem has one."""
-    incr = np.einsum("...ci,...c->...i", problem.diffusion_matrix(z), dw)
-    if problem.drift is not None:
-        incr = incr + dt * np.asarray(problem.drift(z), dtype=float)
-    return incr
+def _increment(problem: SdeProblem, z, dw):
+    """sum_c V_c(z) dw_c."""
+    return np.einsum("...ci,...c->...i", problem.diffusion_matrix(z), dw)
 
 
 def _renormalize(z):
@@ -258,12 +220,14 @@ def heun_stratonovich_step(problem: SdeProblem, z, dw, dt: float):
     """One predictor-corrector Stratonovich step followed by renormalization.
 
     ``z`` is (..., 8), ``dw`` is (..., n_channels).  Returns the new points and
-    the largest norm defect absorbed by the renormalization.
+    the largest norm defect absorbed by the renormalization.  The step sees
+    the time step only through ``dw``; ``dt`` keeps the signature of
+    ``ito_euler_step``.
     """
     z = np.asarray(z, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    incr = _increment(problem, z, dw, dt)
-    incr2 = _increment(problem, z + incr, dw, dt)
+    incr = _increment(problem, z, dw)
+    incr2 = _increment(problem, z + incr, dw)
     return _renormalize(z + 0.5 * (incr + incr2))
 
 
@@ -271,8 +235,8 @@ def ito_euler_step(problem: SdeProblem, z, dw, dt: float):
     """Euler-Maruyama step of the Ito form, drift h/2, then renormalization."""
     z = np.asarray(z, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    h = ito_correction_drift(problem.channel_fields, z)
-    return _renormalize(z + 0.5 * dt * h + _increment(problem, z, dw, dt))
+    h = ito_correction_drift(problem.diffusion_fields, z)
+    return _renormalize(z + 0.5 * dt * h + _increment(problem, z, dw))
 
 
 def frame_rotation_apply(a, z) -> np.ndarray:
@@ -298,7 +262,7 @@ def frame_rotation_matrix(a) -> np.ndarray:
     return np.cos(w) * np.eye(DIM) + np.sinc(w / np.pi) * k
 
 
-def exact_rotation_step(coefficients, z, dw, dt: float | None = None):
+def exact_rotation_step(coefficients, z, dw):
     """Exact isometric step for frame-coefficient dynamics.
 
     ``coefficients`` is (n_channels, 7);  ``dw`` is (..., n_channels).  The
@@ -383,7 +347,7 @@ def _simulate_chunk(problem, scheme, path_lo, path_hi, n_steps, dt, seed, save_i
     for step in range(n_steps):
         dw = inc[:, step, :]
         if scheme == "exact_rotation":
-            z = exact_rotation_step(problem.frame_coefficients, z, dw, dt)
+            z = exact_rotation_step(problem.frame_coefficients, z, dw)
         elif scheme == "heun":
             z, d = heun_stratonovich_step(problem, z, dw, dt)
             defect = max(defect, d)
@@ -402,19 +366,15 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
     regardless of ``threads``.
 
     ``initial_points`` (n_paths, 8) overrides the problem's single initial
-    point.  The exact rotation scheme requires constant frame coefficients and
-    rejects state-dependent problems.
+    point.  The exact rotation scheme requires every field to carry constant
+    frame ``coefficients`` and rejects state-dependent problems.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")
-    if scheme == "exact_rotation":
-        if problem.frame_coefficients is None:
-            raise ValueError("exact rotation scheme needs constant frame "
-                             "coefficients; state-dependent coefficient fields "
-                             "are not supported")
-        if problem.drift is not None:
-            raise ValueError("exact rotation scheme integrates pure rotations; "
-                             "use heun or ito_euler for problems with drift")
+    if scheme == "exact_rotation" and problem.frame_coefficients is None:
+        raise ValueError("exact rotation scheme needs every field to carry "
+                         "constant frame coefficients; state-dependent "
+                         "coefficient fields are not supported")
     if initial_points is not None:
         initial_points = np.asarray(initial_points, dtype=float)
         if initial_points.shape != (n_paths, DIM):

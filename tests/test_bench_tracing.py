@@ -36,6 +36,14 @@ integrators.simulate_ensemble(integrators.brownian_problem(np.eye(8)[0]), 50, 5,
 calls = tracer.layer_metrics(1.0)["integrators.step.heun.calls"]
 if calls != 5:
     sys.exit(f"traced heun steps: {calls}, expected 5 (one per step of one chunk)")
+
+# the traced frame fields must keep the coefficients the exact scheme reads
+for problem in (integrators.brownian_problem(np.eye(8)[0]),
+                integrators.single_frame_problem(3, np.eye(8)[0])):
+    integrators.simulate_ensemble(problem, 50, 5, 0.01, seed=1, scheme="exact_rotation")
+calls = tracer.layer_metrics(1.0)["integrators.step.exact_rotation.calls"]
+if calls != 10:
+    sys.exit(f"traced exact rotation steps: {calls}, expected 10 (5 per ensemble)")
 """
 
 

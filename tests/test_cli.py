@@ -159,6 +159,13 @@ CONFIG_ERRORS = [  # (experiment, config lines that it must reject)
     ("circles", "seed = -1"), ("circles", "plots = maybe"),
     # runs that would take 0 steps: round(0.4 / 1.0) and round(0.5 / 2.0)
     ("simulate", "dt = 1.0\nt_final = 0.4"), ("exotic-compare", "dt = 2.0"),
+    # flow-check splits its path in two, so it needs 2 steps: 0 and 1 here
+    # (keys in the other order keep the case ids unique)
+    ("flow-check", "t_final = 0.4\ndt = 1.0"), ("flow-check", "t_final = 0.4\ndt = 0.3"),
+    # one path has no sample standard deviation for the statistical check
+    ("simulate", "field = full\nn_paths = 1"), ("fp-check", "n_paths = 1"),
+    # the pushforward of exotic-compare needs a C1 scaling function
+    ("exotic-compare", "scaling = bump-kink"),
 ]
 
 
@@ -221,6 +228,17 @@ def test_simulate_with_frame_and_combo_fields(tmp_path):
             "n_paths = 100", "t_final = 0.05", "dt = 0.01", "scheme = heun", ""]))
         out = tmp_path / spec.replace(":", "_").replace(",", "-")
         assert cli.main(["--config", cfg, "--output", str(out)]) == 0
+
+
+def test_single_path_simulate_of_one_frame_is_valid(tmp_path):
+    # no statistical check runs for field = frame:<mu>, so one path is enough
+    cfg = write_config(tmp_path, "experiment = simulate\nseed = 4\nn_paths = 1\n"
+                                 "field = frame:2\nt_final = 0.05\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg, "--output", str(out)]) == 0
+    doc = json.loads((out / "summary.json").read_text(),
+                     parse_constant=lambda name: pytest.fail(f"{name} in summary.json"))
+    assert doc["all_passed"] is True
 
 
 def test_bad_field_spec_rejected(tmp_path, capsys):

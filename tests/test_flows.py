@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sevensphere.flows import (IntegratedFlow, NPointMotion, RotationFlow,
-                               continuity_modulus, isometry_check)
+from sevensphere.flows import (IntegratedFlow, RotationFlow, continuity_modulus,
+                               isometry_check)
 from sevensphere.frames import CombinedField
 from sevensphere.geometry import random_sphere_point
 from sevensphere.integrators import (NoisePath, SdeProblem, sample_brownian,
@@ -84,29 +84,26 @@ def test_factors_orthogonal_unit_determinant():
 
 def test_isometry_check_exact_flow(rng):
     g1, g2 = exact_triple()
-    motion = NPointMotion(random_sphere_point(rng, 20))
-    assert isometry_check(g1.compose(g2), motion) < 1e-12
+    assert isometry_check(g1.compose(g2), random_sphere_point(rng, 20)) < 1e-12
 
 
 def test_isometry_check_identity(rng):
-    motion = NPointMotion(random_sphere_point(rng, 5))
-    assert isometry_check(RotationFlow.identity(), motion) == 0.0
+    assert isometry_check(RotationFlow.identity(), random_sphere_point(rng, 5)) == 0.0
 
 
 def test_isometry_check_needs_two_points():
     with pytest.raises(ValueError):
-        isometry_check(RotationFlow.identity(), NPointMotion(E[0]))
+        isometry_check(RotationFlow.identity(), E[0])
 
 
 def test_non_killing_flow_distorts(rng):
     # coefficients A^1 = z^1 break the Killing condition; distances drift
     field = CombinedField(lambda z: np.stack(
         [z[..., 0]] + [np.zeros_like(z[..., 0])] * 6, axis=-1))
-    problem = SdeProblem((field,), E[0], channel_mode="shared")
+    problem = SdeProblem((field,), E[0])
     noise = sample_brownian(200, 0.01, 1, seed=23)
     flow = IntegratedFlow(problem, noise)
-    motion = NPointMotion(random_sphere_point(rng, 10))
-    assert isometry_check(flow, motion) > 1e-3
+    assert isometry_check(flow, random_sphere_point(rng, 10)) > 1e-3
 
 
 def test_continuity_modulus_identity(rng):
@@ -143,7 +140,7 @@ def test_heun_roundtrip_refines_for_state_dependent_field(rng):
     pts = random_sphere_point(rng, 8)
     field = CombinedField(lambda z: np.stack(
         [z[..., 0]] + [np.zeros_like(z[..., 0])] * 6, axis=-1))
-    problem = SdeProblem((field,), E[0], channel_mode="shared")
+    problem = SdeProblem((field,), E[0])
     _, roundtrips = heun_refinement_residuals(problem, pts, seed=404)
     assert all(r > 1e-6 for r in roundtrips)
     assert all(a > b for a, b in zip(roundtrips, roundtrips[1:]))
@@ -173,7 +170,7 @@ def test_flow_jacobian_conditioning(rng):
     # a heun flow of a smooth non-isometric field stays well conditioned
     field = CombinedField(lambda z: np.stack(
         [z[..., 0]] + [np.zeros_like(z[..., 0])] * 6, axis=-1))
-    problem = SdeProblem((field,), E[0], channel_mode="shared")
+    problem = SdeProblem((field,), E[0])
     flow = IntegratedFlow(problem, sample_brownian(40, 0.01, 1, seed=77))
     sv = flow_jacobian_conditioning(flow, z)
     assert sv[0] / sv[-1] < 3.0

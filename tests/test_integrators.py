@@ -3,7 +3,8 @@ import pytest
 from scipy import integrate, special
 from scipy.linalg import expm
 
-from sevensphere.frames import CombinedField, frame_field, generator_matrix
+from sevensphere.frames import (FRAME_GENERATORS, CombinedField, frame_field,
+                                generator_matrix)
 from sevensphere.geometry import geodesic_distance, random_sphere_point
 from sevensphere.integrators import (NoisePath, SdeProblem, brownian_problem,
                                      combination_problem, exact_rotation_step,
@@ -105,10 +106,9 @@ def bent_field():
 
 @pytest.mark.parametrize("fields", [
     lambda z0: tuple(frame_field(mu) for mu in (1, 4, 6)),
-    lambda z0: SdeProblem(tuple(frame_field(mu) for mu in (2, 5, 7)), z0,
-                          channel_mode="shared").channel_fields,
+    lambda z0: (CombinedField.constant(np.isin(np.arange(1, 8), (2, 5, 7)) * 1.0),),
     lambda z0: (bent_field(),),
-], ids=["linear", "shared", "state-dependent"])
+], ids=["linear", "combination", "state-dependent"])
 def test_correction_batch_matches_rows(rng, fields):
     z = random_sphere_point(rng, 60).reshape(3, 20, 8)
     fields = fields(z[0, 0])
@@ -250,7 +250,7 @@ def test_ito_euler_drift_uses_half_correction(rng):
 def test_exact_rejected_for_state_dependent():
     field = CombinedField(lambda z: np.stack(
         [z[..., 0]] + [np.zeros_like(z[..., 0])] * 6, axis=-1))
-    problem = SdeProblem((field,), E[0], channel_mode="shared")
+    problem = SdeProblem((field,), E[0])
     with pytest.raises(ValueError):
         simulate_ensemble(problem, 2, 2, 0.01, seed=1, scheme="exact_rotation")
 
@@ -418,31 +418,6 @@ def test_path_generator_reproducible():
     np.testing.assert_array_equal(a, b)
 
 
-def test_heun_integrates_deterministic_drift():
-    # zero noise, rotational drift: the midpoint scheme tracks the rotation
-    # with second-order accuracy
-    z0 = E[0]
-    problem = SdeProblem((frame_field(2),), z0, drift=frame_field(1),
-                         frame_coefficients=np.eye(7)[1:2])
-    t = 1.0
-    errors = []
-    for n in (50, 100, 200):
-        z = z0.copy()
-        for _ in range(n):
-            z, _ = heun_stratonovich_step(problem, z, np.zeros(1), t / n)
-        exact = expm(t * generator_matrix(1)) @ z0
-        errors.append(np.linalg.norm(z - exact))
-    assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.2)
-    assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.2)
-
-
-def test_exact_scheme_rejects_drift():
-    problem = SdeProblem((frame_field(1),), E[0], drift=frame_field(2),
-                         frame_coefficients=np.eye(7)[:1])
-    with pytest.raises(ValueError):
-        simulate_ensemble(problem, 1, 2, 0.01, seed=1, scheme="exact_rotation")
-
-
 def test_ito_correction_rejects_non_finite():
     def broken(z):
         out = np.asarray(z, dtype=float).copy()
@@ -458,18 +433,14 @@ def test_ito_correction_rejects_non_finite():
 # --------------------------------------------------------------------------
 
 def per_field_values(problem, z):
-    vals = np.stack([f(z) for f in problem.diffusion_fields], axis=-2)
-    if problem.channel_mode == "shared":
-        vals = vals.sum(axis=-2, keepdims=True)
-    return vals
+    return np.stack([f(z) for f in problem.diffusion_fields], axis=-2)
 
 
 @pytest.mark.parametrize("make", [
     lambda z0: brownian_problem(z0),
-    lambda z0: SdeProblem(tuple(frame_field(mu) for mu in (2, 5, 7)), z0,
-                          channel_mode="shared"),
+    lambda z0: SdeProblem(tuple(frame_field(mu) for mu in (2, 5, 7)), z0),
     *[lambda z0, mu=mu: single_frame_problem(mu, z0) for mu in range(1, 8)],
-], ids=["brownian", "shared"] + [f"frame{mu}" for mu in range(1, 8)])
+], ids=["brownian", "three-frame"] + [f"frame{mu}" for mu in range(1, 8)])
 def test_stacked_generators_match_per_field_bitwise(rng, make):
     problem = make(unit_vector(rng))
     assert problem.generators is not None
@@ -503,3 +474,33 @@ def test_field_without_generator_takes_per_field_path(rng):
     linear = SdeProblem((frame_field(1), frame_field(3)), z[0])
     np.testing.assert_allclose(h, ito_euler_step(linear, z, np.zeros((5, 2)), 0.01)[0],
                                atol=1e-9)
+
+
+# --------------------------------------------------------------------------
+# exact-rotation coefficients: read off the fields
+# --------------------------------------------------------------------------
+
+def test_frame_coefficients_follow_the_fields(rng):
+    z0 = unit_vector(rng)
+    c = rng.standard_normal(7)
+    cases = [(brownian_problem(z0), np.eye(7)),
+             (combination_problem(c, z0), np.atleast_2d(c)),
+             (SdeProblem(tuple(frame_field(mu) for mu in (2, 5, 7)), z0),
+              np.eye(7)[[1, 4, 6]])]
+    cases += [(single_frame_problem(mu, z0), np.eye(7)[mu - 1:mu]) for mu in range(1, 8)]
+    for problem, coeffs in cases:
+        np.testing.assert_array_equal(problem.frame_coefficients, coeffs)
+        np.testing.assert_array_equal(
+            np.tensordot(problem.frame_coefficients, FRAME_GENERATORS, axes=(-1, 0)),
+            problem.generators)
+
+
+def test_field_without_coefficients_has_no_exact_scheme():
+    def bare(z):  # frame field 3 without its attributes
+        return frame_field(3)(z)
+
+    for fields in ((bare,), (frame_field(1), bare)):
+        problem = SdeProblem(fields, E[0])
+        assert problem.frame_coefficients is None
+        with pytest.raises(ValueError, match="coefficients"):
+            simulate_ensemble(problem, 2, 2, 0.01, seed=1, scheme="exact_rotation")
