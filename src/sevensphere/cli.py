@@ -32,13 +32,18 @@ class ConfigError(ValueError):
     pass
 
 
-def _key(doc: str, default=dataclasses.MISSING, echo: bool = True):
+def _key(doc: str, default=dataclasses.MISSING, echo: bool = True,
+         read_by: tuple = EXPERIMENTS):
     """A config key: its ``--print-schema`` doc, which names the default as a
-    config value would spell it, and its default.  ``echo`` False keeps it
-    out of the summary's config echo."""
+    config value would spell it, its default and the experiments that read
+    it; the parser rejects it for any other.  ``echo`` False keeps it out of
+    the summary's config echo."""
     if default is not dataclasses.MISSING:
         doc += f" (default {str(default).lower()})"
-    return field(default=default, metadata={"doc": doc, "echo": echo})
+    doc += "; read by " + ("every experiment" if read_by == EXPERIMENTS
+                           else ", ".join(read_by))
+    return field(default=default, metadata={"doc": doc, "echo": echo,
+                                            "read_by": read_by})
 
 
 @dataclass
@@ -50,24 +55,30 @@ class ExperimentConfig:
     experiment: str = _key("one of frame-verify | simulate | flow-check | entropy | "
                            "fp-check | exotic-compare | circles")
     seed: int = _key("master seed (required; no wall-clock default)")
-    n_paths: int = _key("ensemble size", 1000)
-    n_points: int = _key("point count for geometric checks", 500)
-    dt: float = _key("time step", 0.01)
-    t_final: float = _key("final time", 1.0)
-    scheme: str = _key("heun | exact_rotation | ito_euler", "exact_rotation")
-    field: str = _key("full | frame:<mu> | combo:c1,...,c7", "full")
+    n_paths: int = _key("ensemble size", 1000,
+                        read_by=("simulate", "entropy", "fp-check", "exotic-compare"))
+    n_points: int = _key("point count for geometric checks", 500,
+                         read_by=("frame-verify", "exotic-compare"))
+    dt: float = _key("time step", 0.01,
+                     read_by=("simulate", "flow-check", "entropy", "exotic-compare"))
+    t_final: float = _key("final time", 1.0, read_by=("simulate", "flow-check"))
+    scheme: str = _key("heun | exact_rotation | ito_euler", "exact_rotation",
+                       read_by=("simulate",))
+    field: str = _key("full | frame:<mu> | combo:c1,...,c7", "full", read_by=("simulate",))
     grid_bins: int = _key("histogram bins per angle; 0 sizes the grid from the sample "
-                          "count", 0)
-    deformation_eps: float = _key("bump deformation strength in [0, 0.3)", 0.2)
-    scaling: str = _key("constant | bump-smooth | bump-kink", "constant")
+                          "count", 0, read_by=("entropy", "exotic-compare"))
+    deformation_eps: float = _key("bump deformation strength in [0, 0.3)", 0.2,
+                                  read_by=("exotic-compare", "circles"))
+    scaling: str = _key("constant | bump-smooth | bump-kink", "constant",
+                        read_by=("exotic-compare", "circles"))
     plots: bool = _key("true | false: emit an SVG line chart per CSV series", False,
-                       echo=False)
+                       echo=False, read_by=("simulate", "entropy"))
     threads: int = 1
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         keys = {f.name: f for f in dataclasses.fields(cls) if "doc" in f.metadata}
-        raw = {}
+        raw, linenos = {}, {}
         for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -79,11 +90,16 @@ class ExperimentConfig:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             if key in raw:
                 raise ConfigError(f"line {lineno}: key {key!r} is set twice")
-            raw[key] = value
+            raw[key], linenos[key] = value, lineno
         if "experiment" not in raw:
             raise ConfigError("missing required key 'experiment'")
         if "seed" not in raw:
             raise ConfigError("missing required key 'seed' (runs must be seeded)")
+        experiment = raw["experiment"]
+        for key in raw:
+            if experiment in EXPERIMENTS and experiment not in keys[key].metadata["read_by"]:
+                raise ConfigError(f"line {linenos[key]}: {experiment} does not read "
+                                  f"key {key!r}")
         try:
             values = {key: _parse_value(keys[key].type, value) for key, value in raw.items()}
         except ValueError as exc:
@@ -325,54 +341,20 @@ def _run_flow_check(cfg, outdir, summary):
     # Frame-generated steps invert exactly under negated reversed increments
     # (the quadratic term is scalar and renormalizes away), so the round-trip
     # defect is measured on a state-dependent field instead.
-    residuals, _ = heun_refinement_residuals(
+    residuals, _ = sflow.heun_refinement_residuals(
         sint.brownian_problem(pts[0]), pts[:8], cfg.seed)
     dec = max(residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1))
     summary.add("heun_compose_refinement_ratio", dec, 1.0)
     bent = sfr.CombinedField(lambda z: np.stack(
         [z[..., 0]] + [np.zeros_like(z[..., 0])] * 6, axis=-1))
     state_dep = sint.SdeProblem((bent,), pts[0])
-    _, roundtrips = heun_refinement_residuals(state_dep, pts[:8], cfg.seed)
+    _, roundtrips = sflow.heun_refinement_residuals(state_dep, pts[:8], cfg.seed)
     dec_rt = max(roundtrips[i + 1] / roundtrips[i] for i in range(len(roundtrips) - 1))
     summary.add("heun_roundtrip_refinement_ratio", dec_rt, 1.0)
     path = f"{outdir}/flow_residuals.csv"
     write_series_csv(path, ["level", "compose_residual", "roundtrip_residual"],
                      [[8, 4, 2], residuals, roundtrips])
     summary.artifacts.append(path)
-
-
-def heun_refinement_residuals(problem, points, seed, n_fine=256, dt_fine=0.5 / 256,
-                              levels=(8, 4, 2), n_noise=12):
-    """Cocycle and round-trip defects of re-integrated flows, averaged over
-    noise realizations, at a sequence of coarsening levels.
-
-    The split time sits strictly inside one step of each coarse grid: the
-    composed flow takes two partial steps across it where the direct flow
-    takes one, and is otherwise identical, so the residual is the genuine
-    step-splitting defect of the scheme and shrinks with the step size.
-    """
-    cut = n_fine // 2 + 1  # odd: interior to one step of every coarse grid
-    residuals = np.zeros(len(levels))
-    roundtrips = np.zeros(len(levels))
-    for k in range(n_noise):
-        fine = sint.sample_brownian(n_fine, dt_fine, problem.n_channels, seed,
-                                    path_index=k)
-        inc = fine.increments
-        for li, level in enumerate(levels):
-            boundary = ((cut + level - 1) // level) * level  # next grid point
-            left = sint.NoisePath(dt_fine, inc[:cut]).coarsened(level)
-            bridge = inc[cut:boundary].sum(axis=0, keepdims=True)
-            right_steps = sint.NoisePath(dt_fine, inc[boundary:]).coarsened(level)
-            right = sint.NoisePath(dt_fine * level,
-                                   np.vstack([bridge, right_steps.increments]))
-            f1 = sflow.IntegratedFlow(problem, left)
-            f2 = sflow.IntegratedFlow(problem, right, s=f1.t)
-            direct = sflow.IntegratedFlow(problem, fine.coarsened(level))
-            residuals[li] += float(np.mean(np.linalg.norm(
-                f2.apply(f1.apply(points)) - direct.apply(points), axis=-1)))
-            roundtrips[li] += float(np.mean(np.linalg.norm(
-                direct.invert().apply(direct.apply(points)) - points, axis=-1)))
-    return list(residuals / n_noise), list(roundtrips / n_noise)
 
 
 ENTROPY_TIMES = (0.0, 0.2, 0.5, 1.0, 2.0)
@@ -497,41 +479,13 @@ def _run_exotic_compare(cfg, outdir, summary):
     band = 2.0 * max(np.hypot(sphere_side.stderr, surface_side.stderr), 1e-3)
     summary.add("paired_entropy_gap_over_band", gap / band, 1.0)
     # conjugated flow vs direct integration with pushforward fields
-    gaps = _conjugation_gaps(h, cfg.seed)
+    gaps = sexo.conjugation_gaps(h, cfg.seed)
     summary.add("conjugation_gap_refinement_ratio",
                 max(gaps[i + 1] / gaps[i] for i in range(len(gaps) - 1)), 1.0)
     path = f"{outdir}/exotic_summary.csv"
     write_series_csv(path, ["level", "conjugation_gap"],
                      [np.arange(len(gaps)), gaps])
     summary.artifacts.append(path)
-
-
-def _conjugation_gaps(h, seed, t=0.5, base_dt=0.002, levels=(4, 2, 1), n_noise=8):
-    """Average pathwise gap between the conjugated sphere integration and the
-    direct surface integration with pushforward fields, per coarsening level."""
-    problem = sint.single_frame_problem(1, _e1())
-    push = sexo.pushforward_field(sfr.frame_field(1), h)
-    fines = [sint.sample_brownian(int(round(t / base_dt)), base_dt, 1, seed, path_index=k)
-             for k in range(n_noise)]
-    gaps = []
-    for level in levels:
-        coarse = [fine.coarsened(level) for fine in fines]
-        ends = []
-        for path in coarse:
-            z = _e1()
-            for dw in path.increments:
-                z, _ = sint.heun_stratonovich_step(problem, z, dw, path.dt)
-            ends.append(z)
-        # the surface side advances all noise paths at once: gamma is (n_noise, 8)
-        gamma = np.tile(h.forward(_e1()), (n_noise, 1))
-        for dw in np.stack([path.increments for path in coarse], axis=1):
-            v1 = push(gamma)
-            pred = h.surface_point(gamma + dw * v1)
-            v2 = push(pred)
-            gamma = h.surface_point(gamma + 0.5 * dw * (v1 + v2))
-        gaps.append(float(np.mean(np.linalg.norm(h.forward(np.array(ends)) - gamma,
-                                                 axis=-1))))
-    return gaps
 
 
 def _run_circles(cfg, outdir, summary):

@@ -1,14 +1,16 @@
-"""The sphere-to-model-surface homeomorphism h, built from a configurable
-ambient deformation D and a positive scaling function beta:
+"""The sphere-to-model-surface homeomorphism h, a radial graph built from a
+positive scaling function beta and a ray scale s, both functions of the
+direction:
 
-    h(z)      = D^{-1}(beta(z) z)
-    h^{-1}(g) = D(g) / |D(g)|
+    h(z)      = (beta / s)(z) z
+    h^{-1}(g) = g / |g|
+    G'(g)     = (I - u u^T) / |g|^2,  u = g / |g|
 
-The default deformation family scales each ray by a smooth bump of the
-direction that vanishes on a neighbourhood of the circle in the (z1, z2)
-plane, so that circle is fixed pointwise and h has a closed-form inverse.
-A kinked (merely continuous) scaling profile is provided to exercise the
-regularity failure of the field pushforward.
+so the inverse and the pulled-back round metric G' are the same for every
+map of the family.  The default ray scale s = 1 + eps * bump is one on a
+neighbourhood of the circle in the (z1, z2) plane, so that circle is fixed
+pointwise.  A kinked (merely continuous) scaling profile is provided to
+exercise the regularity failure of the field pushforward.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .density import ANGLE_SPANS, EntropyReport, GridSpec, _histogram, plugin_entropy
 from .frames import DIM
 from .geometry import central_difference, to_cartesian, volume_element
-from .integrators import _float_row, _write_rows
+from . import integrators
 
 
 class RegularityError(ValueError):
@@ -50,10 +52,6 @@ def _smooth_transition_deriv(t):
     return np.where((t > 0.0) & (t < 1.0), d, 0.0)
 
 
-def _kink_transition(t):
-    return np.clip(t, 0.0, 1.0)
-
-
 def _plane_distance(u):
     """sqrt(u3^2 + ... + u8^2): distance-like coordinate off the (z1,z2) circle."""
     u = np.asarray(u, dtype=float)
@@ -72,9 +70,7 @@ class BumpProfile:
 
     def value(self, u):
         t = (_plane_distance(u) - self.rho0) / (self.rho1 - self.rho0)
-        if self.kind == "smooth":
-            return _smooth_transition(t)
-        return _kink_transition(t)
+        return _smooth_transition(t) if self.kind == "smooth" else np.clip(t, 0.0, 1.0)
 
     def gradient(self, u):
         """Ambient gradient (..., 8) at unit points u (..., 8); only available
@@ -94,57 +90,6 @@ class BumpProfile:
         return (proj @ grad[..., None])[..., 0]
 
 
-class Deformation:
-    """Direction-dependent radial scaling D(x) = x * (1 + eps * s(x/|x|))."""
-
-    def __init__(self, eps: float = 0.2, profile: BumpProfile | None = None):
-        if not 0.0 <= eps < 0.3:
-            raise ValueError("deformation strength must lie in [0, 0.3)")
-        self.eps = eps
-        self.profile = profile or BumpProfile()
-
-    def scale(self, direction):
-        return 1.0 + self.eps * self.profile.value(direction)
-
-    def _ray_scale(self, x) -> np.ndarray:
-        """The scale of the ray through each point, shaped to broadcast with x."""
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        if np.any(r < 1e-300):
-            raise ValueError("deformation is undefined at the origin")
-        s = np.asarray(self.scale(x / r))
-        return s[..., None] if s.ndim else s
-
-    def _scale_and_gradient(self, x):
-        """g = scale of each point's ray, shaped (..., 1, 1) to scale the
-        (..., 8, 8) Jacobians, and the gradient (..., 8) of s(x/|x|) in x."""
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        u = x / r
-        return np.asarray(self.scale(u))[..., None, None], self.profile.gradient(u) / r
-
-    def forward(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return x * self._ray_scale(x)
-
-    def inverse(self, y) -> np.ndarray:
-        # the scaling depends only on the direction, which forward preserves
-        y = np.asarray(y, dtype=float)
-        return y / self._ray_scale(y)
-
-    def jacobian(self, x) -> np.ndarray:
-        """Analytic d D / d x, shape (..., 8, 8), at points x (..., 8)."""
-        x = np.asarray(x, dtype=float)
-        g, grad_s = self._scale_and_gradient(x)
-        return g * np.eye(DIM) + self.eps * x[..., :, None] * grad_s[..., None, :]
-
-    def inverse_jacobian(self, y) -> np.ndarray:
-        """Analytic d D^{-1} / d y, shape (..., 8, 8), at points y (..., 8)."""
-        y = np.asarray(y, dtype=float)
-        g, grad_s = self._scale_and_gradient(y)
-        # D^{-1}(y) = y / g(y/|y|)
-        return (np.eye(DIM) / g
-                - self.eps * y[..., :, None] * grad_s[..., None, :] / g ** 2)
-
-
 class ScalingFunction:
     """Positive function on the sphere; the radius assigned to each direction."""
 
@@ -160,24 +105,42 @@ class ScalingFunction:
             return "smooth"
         return "c0"
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        val = self.base + self.eps * self.profile.value(z)
-        if np.any(np.asarray(val) <= 0.0):
+    def __call__(self, z) -> np.ndarray:
+        val = np.asarray(self.base + self.eps * self.profile.value(z))
+        if np.any(val <= 0.0):
             raise ValueError("scaling function must stay positive")
         return val
 
     def gradient(self, z) -> np.ndarray:
         if self.smoothness != "smooth":
             raise RegularityError("scaling function is not C1")
-        z = np.asarray(z, dtype=float)
         if self.eps == 0.0:
-            return np.zeros(z.shape)
+            return np.zeros(np.shape(z))
         return self.eps * self.profile.gradient(z)
 
 
+class Deformation(ScalingFunction):
+    """The ray scale s(u) = 1 + eps * bump(u): the ambient deformation
+    x -> x s(x/|x|) stretches each ray by a factor of its direction only."""
+
+    def __init__(self, eps: float = 0.2, profile: BumpProfile | None = None):
+        if not 0.0 <= eps < 0.3:
+            raise ValueError("deformation strength must lie in [0, 0.3)")
+        super().__init__(1.0, eps, profile)
+
+
+def _unit(x):
+    """x / |x| and |x| (shaped (..., 1)) for points x (..., 8)."""
+    x = np.asarray(x, dtype=float)
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    if np.any(r < 1e-300):
+        raise ValueError("the model surface has no point on the ray of the origin")
+    return x / r, r
+
+
 class ExoticMap:
-    """The homeomorphism h(z) = D^{-1}(beta(z) z) and its inverse."""
+    """The radial graph h(z) = (beta / s)(z) z of the sphere and its inverse,
+    the normalization h^{-1}(gamma) = gamma / |gamma|."""
 
     def __init__(self, deformation: Deformation | None = None,
                  scaling: ScalingFunction | None = None):
@@ -191,33 +154,25 @@ class ExoticMap:
 
     def forward(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        beta = np.asarray(self.scaling(z))
-        zeta = z * (beta[..., None] if beta.ndim else beta)
-        return self.deformation.inverse(zeta)
+        zeta = z * self.scaling(z)[..., None]
+        return zeta / self.deformation(_unit(zeta)[0])[..., None]
 
     def inverse(self, gamma) -> np.ndarray:
-        gamma = np.asarray(gamma, dtype=float)
-        d = self.deformation.forward(gamma)
-        n = np.linalg.norm(d, axis=-1, keepdims=True)
-        if np.any(n < 1e-300):
-            raise ValueError("deformation maps a surface point to the origin")
-        return d / n
+        return _unit(gamma)[0]
 
     def jacobian(self, z) -> np.ndarray:
-        """d h / d z, shape (..., 8, 8), at sphere points z (..., 8):
-        (dD^{-1})(zeta) (z grad(beta)^T + beta I)."""
+        """d h / d z = r I + z grad(r)^T, shape (..., 8, 8), at sphere points
+        z (..., 8), with r = beta / s and grad r = (s grad beta - beta grad s) / s^2."""
         z = np.asarray(z, dtype=float)
-        beta = np.asarray(self.scaling(z))[..., None]
-        grad_beta = self.scaling.gradient(z)
-        dinv = self.deformation.inverse_jacobian(z * beta)
-        return dinv @ (z[..., :, None] * grad_beta[..., None, :]
-                       + beta[..., None] * np.eye(DIM))
+        beta = self.scaling(z)[..., None]
+        s = self.deformation(z)[..., None]
+        grad_r = (s * self.scaling.gradient(z) - beta * self.deformation.gradient(z)) / s ** 2
+        return ((beta / s)[..., None] * np.eye(DIM)
+                + z[..., :, None] * grad_r[..., None, :])
 
     def surface_point(self, direction) -> np.ndarray:
         """The model-surface point on a given ray (directions parameterize it)."""
-        direction = np.asarray(direction, dtype=float)
-        direction = direction / np.linalg.norm(direction, axis=-1, keepdims=True)
-        return self.forward(direction)
+        return self.forward(_unit(direction)[0])
 
 
 def pushforward_field(V, h: ExoticMap):
@@ -259,23 +214,43 @@ class ConjugatedFlow:
         return ConjugatedFlow(self.flow.invert(), self.h)
 
 
-def pullback_metric(gamma, h: ExoticMap) -> np.ndarray:
-    """G' = J^T J, shape (..., 8, 8), with J the ambient Jacobian of h^{-1} at
-    surface points gamma (..., 8).
+def conjugation_gaps(h: ExoticMap, seed, t=0.5, base_dt=0.002, levels=(4, 2, 1),
+                     n_noise=8):
+    """Average pathwise gap between the conjugated sphere integration and the
+    direct surface integration with pushforward fields, per coarsening level."""
+    start = np.eye(DIM)[0]
+    problem = integrators.single_frame_problem(1, start)
+    push = pushforward_field(problem.diffusion_fields[0], h)
+    fines = [integrators.sample_brownian(int(round(t / base_dt)), base_dt, 1, seed,
+                                         path_index=k)
+             for k in range(n_noise)]
+    gaps = []
+    for level in levels:
+        coarse = [fine.coarsened(level) for fine in fines]
+        ends = []
+        for path in coarse:
+            z = start
+            for dw in path.increments:
+                z, _ = integrators.heun_stratonovich_step(problem, z, dw)
+            ends.append(z)
+        # the surface side advances all noise paths at once: gamma is (n_noise, 8)
+        gamma = np.tile(h.forward(start), (n_noise, 1))
+        for dw in np.stack([path.increments for path in coarse], axis=1):
+            v1 = push(gamma)
+            pred = h.surface_point(gamma + dw * v1)
+            v2 = push(pred)
+            gamma = h.surface_point(gamma + 0.5 * dw * (v1 + v2))
+        gaps.append(float(np.mean(np.linalg.norm(h.forward(np.array(ends)) - gamma,
+                                                 axis=-1))))
+    return gaps
 
-    J annihilates the ray direction, so G' is the pulled-back round metric on
-    the surface tangent plane and zero radially.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    d = h.deformation.forward(gamma)
-    nd = np.linalg.norm(d, axis=-1, keepdims=True)
-    if np.any(nd < 1e-300):
-        raise ValueError("deformation maps the point to the origin")
-    jac_d = h.deformation.jacobian(gamma)
-    # d/dgamma of D/|D| = (I - u u^T)/|D| . dD with u = D/|D|
-    u = d / nd
-    jac = (np.eye(DIM) - u[..., :, None] * u[..., None, :]) @ jac_d / nd[..., None]
-    return np.swapaxes(jac, -1, -2) @ jac
+
+def pullback_metric(gamma) -> np.ndarray:
+    """G' = (I - u u^T) / |gamma|^2 with u = gamma / |gamma|, shape (..., 8, 8),
+    at surface points gamma (..., 8): the round metric pulled back through
+    h^{-1}(gamma) = u, the same for every map of the family, zero radially."""
+    u, r = _unit(gamma)
+    return (np.eye(DIM) - u[..., :, None] * u[..., None, :]) / r[..., None] ** 2
 
 
 def surface_patch_jacobian(h: ExoticMap, phi, step: float = 1e-6) -> np.ndarray:
@@ -296,11 +271,10 @@ def entropy_on_surface(gammas, h: ExoticMap, grid: GridSpec,
     pullback metric therefore shifts the volumes and the entropy.
     """
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
-    dirs = gammas / np.linalg.norm(gammas, axis=-1, keepdims=True)
-    keys, counts, volumes = _histogram(dirs, grid)
+    keys, counts, volumes = _histogram(_unit(gammas)[0], grid)
     centers = (keys + 0.5) * (ANGLE_SPANS / np.asarray(grid.bins, dtype=float))
     m = surface_patch_jacobian(h, centers)
-    gp = pullback_metric(h.forward(to_cartesian(centers)), h)
+    gp = pullback_metric(h.forward(to_cartesian(centers)))
     gram = np.swapaxes(m, -1, -2) @ gp @ m
     volumes *= np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / volume_element(centers)
     n = gammas.shape[0]
@@ -343,14 +317,14 @@ def write_circles_csv(images, fname) -> None:
     with open(fname, "w") as fh:
         fh.write("i,j,theta," + ",".join(f"g{k}" for k in range(1, DIM + 1)) + "\n")
         for im in images:
-            _write_rows(fh, _float_row(DIM + 1, lead=f"{im.i},{im.j},"),
-                        np.column_stack([im.params, im.points]))
+            row = integrators._float_row(DIM + 1, lead=f"{im.i},{im.j},")
+            integrators._write_rows(fh, row, np.column_stack([im.params, im.points]))
 
 
 __all__ = [
     "RegularityError", "BumpProfile", "Deformation", "ScalingFunction",
     "ExoticMap", "ConjugatedFlow", "CircleImage",
-    "pushforward_field", "pullback_metric",
+    "pushforward_field", "conjugation_gaps", "pullback_metric",
     "surface_patch_jacobian", "entropy_on_surface",
     "circle_images", "write_circles_csv",
 ]

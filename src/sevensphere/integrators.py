@@ -216,13 +216,12 @@ def _renormalize(z):
     return z / norms, float(np.max(np.abs(norms - 1.0)))
 
 
-def heun_stratonovich_step(problem: SdeProblem, z, dw, dt: float):
+def heun_stratonovich_step(problem: SdeProblem, z, dw):
     """One predictor-corrector Stratonovich step followed by renormalization.
 
     ``z`` is (..., 8), ``dw`` is (..., n_channels).  Returns the new points and
-    the largest norm defect absorbed by the renormalization.  The step sees
-    the time step only through ``dw``; ``dt`` keeps the signature of
-    ``ito_euler_step``.
+    the largest norm defect absorbed by the renormalization.  Without a drift
+    the step sees the time step only through ``dw``.
     """
     z = np.asarray(z, dtype=float)
     dw = np.asarray(dw, dtype=float)
@@ -349,7 +348,7 @@ def _simulate_chunk(problem, scheme, path_lo, path_hi, n_steps, dt, seed, save_i
         if scheme == "exact_rotation":
             z = exact_rotation_step(problem.frame_coefficients, z, dw)
         elif scheme == "heun":
-            z, d = heun_stratonovich_step(problem, z, dw, dt)
+            z, d = heun_stratonovich_step(problem, z, dw)
             defect = max(defect, d)
         else:
             z, d = ito_euler_step(problem, z, dw, dt)

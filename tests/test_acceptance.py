@@ -91,7 +91,7 @@ def test_criterion_04_integrator_convergence():
     for dt in (1e-2, 5e-3, 2.5e-3):
         dw = (np.sqrt(dt) * xi)[:, None]
         z = np.broadcast_to(z0, (64, 8))
-        heun, _ = sint.heun_stratonovich_step(problem, z, dw, dt)
+        heun, _ = sint.heun_stratonovich_step(problem, z, dw)
         exact = sint.exact_rotation_step(problem.frame_coefficients, z, dw)
         errors.append(float(np.mean(np.linalg.norm(heun - exact, axis=1))))
     ratios = [errors[i] / errors[i + 1] for i in range(2)]
@@ -210,7 +210,7 @@ def test_criterion_09_flow_laws():
         sflow.RotationFlow.identity().apply(pts) - pts, axis=-1)))
     inverse = float(np.max(np.linalg.norm(
         whole.invert().apply(whole.apply(pts)) - pts, axis=-1)))
-    residuals, _ = scli.heun_refinement_residuals(
+    residuals, _ = sflow.heun_refinement_residuals(
         sint.brownian_problem(E[0]), pts[:8], seed=1090)
     decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
     ok = cocycle < 1e-12 and ident < 1e-12 and inverse < 1e-12 and decreasing
@@ -253,7 +253,7 @@ def test_criterion_11_exotic_structure():
     ref[:, 0] = np.cos(fixed.params)
     ref[:, 1] = np.sin(fixed.params)
     fixed_dev = float(np.max(np.linalg.norm(fixed.points - ref, axis=-1)))
-    gaps = scli._conjugation_gaps(h, seed=111)
+    gaps = sexo.conjugation_gaps(h, seed=111)
     gaps_decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
     samples = sgeo.random_cap_point(rng, E[0], 0.8, 30000)
     grid = sdens.GridSpec.uniform(3)

@@ -44,6 +44,15 @@ for problem in (integrators.brownian_problem(np.eye(8)[0]),
 calls = tracer.layer_metrics(1.0)["integrators.step.exact_rotation.calls"]
 if calls != 10:
     sys.exit(f"traced exact rotation steps: {calls}, expected 10 (5 per ensemble)")
+
+# the conjugation gaps step each of 2 noise paths through 63 + 125 + 250
+# coarsened steps, and every step must pass the traced module attribute
+from sevensphere import exotic
+
+exotic.conjugation_gaps(exotic.ExoticMap(exotic.Deformation(0.2)), 1, n_noise=2)
+calls = tracer.layer_metrics(1.0)["integrators.step.heun.calls"] - 5
+if calls != 2 * (63 + 125 + 250):
+    sys.exit(f"traced heun steps of conjugation_gaps: {calls}, expected 876")
 """
 
 

@@ -16,6 +16,7 @@ def test_print_schema(capsys):
     assert cli.main(["--print-schema"]) == 0
     out = capsys.readouterr().out
     assert "experiment" in out and "seed" in out
+    assert "read by exotic-compare, circles" in out
 
 
 def test_missing_config_is_config_error(capsys):
@@ -134,8 +135,12 @@ def test_summary_contains_config_echo_and_walltime(tmp_path):
     ("simulate", "heun", True), ("simulate", "ito_euler", True),
     ("simulate", "exact_rotation", False), ("fp-check", "exact_rotation", False)])
 def test_summary_counts_renorm_defect(tmp_path, experiment, scheme, positive):
-    cfg = write_config(tmp_path, f"experiment = {experiment}\nseed = 4\n"
-                                 f"n_paths = 40\nt_final = 0.05\nscheme = {scheme}\n")
+    # fp-check reads neither t_final nor scheme: its weak check always runs
+    # exact_rotation to t = 0.1
+    text = f"experiment = {experiment}\nseed = 4\nn_paths = 40\n"
+    if experiment == "simulate":
+        text += f"t_final = 0.05\nscheme = {scheme}\n"
+    cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     cli.main(["--config", cfg, "--output", str(out)])
     doc = json.loads((out / "summary.json").read_text())
@@ -151,12 +156,12 @@ def test_comments_and_blank_lines_ok(tmp_path):
 
 
 CONFIG_ERRORS = [  # (experiment, config lines that it must reject)
-    ("circles", "n_paths = 0"), ("circles", "dt = nan"), ("circles", "t_final = inf"),
+    ("simulate", "n_paths = 0"), ("simulate", "dt = nan"), ("simulate", "t_final = inf"),
     ("circles", "deformation_eps = nan"), ("circles", "deformation_eps = 0.5"),
-    ("circles", "field = frame:9"), ("circles", "field = frame:0"),
-    ("circles", "field = frame:-1"), ("circles", "field = combo:1,2"),
-    ("circles", "field = frame:x"), ("circles", "field = combo:1,0,0,0,0,0,nan"),
-    ("circles", "seed = -1"), ("circles", "plots = maybe"),
+    ("simulate", "field = frame:9"), ("simulate", "field = frame:0"),
+    ("simulate", "field = frame:-1"), ("simulate", "field = combo:1,2"),
+    ("simulate", "field = frame:x"), ("simulate", "field = combo:1,0,0,0,0,0,nan"),
+    ("circles", "seed = -1"), ("simulate", "plots = maybe"),
     # runs that would take 0 steps: round(0.4 / 1.0) and round(0.5 / 2.0)
     ("simulate", "dt = 1.0\nt_final = 0.4"), ("exotic-compare", "dt = 2.0"),
     # flow-check splits its path in two, so it needs 2 steps: 0 and 1 here
@@ -166,6 +171,9 @@ CONFIG_ERRORS = [  # (experiment, config lines that it must reject)
     ("simulate", "field = full\nn_paths = 1"), ("fp-check", "n_paths = 1"),
     # the pushforward of exotic-compare needs a C1 scaling function
     ("exotic-compare", "scaling = bump-kink"),
+    # keys the experiment never reads: fp-check's weak check has its own dt,
+    # entropy always runs exact_rotation, circles draws no chart
+    ("fp-check", "dt = 0.001"), ("entropy", "scheme = heun"), ("circles", "plots = true"),
 ]
 
 
@@ -180,6 +188,12 @@ def test_config_positive_values_enforced(tmp_path, capsys, experiment, lines):
     assert cli.main(["--config", cfg, "--output", str(tmp_path / "out")]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_unread_key_named(tmp_path, capsys):
+    cfg = write_config(tmp_path, "experiment = exotic-compare\nseed = 1\nt_final = 2\n")
+    assert cli.main(["--config", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "line 3: exotic-compare does not read key 't_final'" in capsys.readouterr().err
 
 
 def test_repeated_key_rejected(tmp_path, capsys):
@@ -206,7 +220,7 @@ def test_entropy_dt_must_divide_save_times(tmp_path, capsys):
 @pytest.mark.parametrize("value, parsed", [("true", True), ("Yes", True), ("1", True),
                                            ("false", False), ("NO", False), ("0", False)])
 def test_plots_accepts_boolean_spellings(value, parsed):
-    text = f"experiment = circles\nseed = 1\nplots = {value}\n"
+    text = f"experiment = simulate\nseed = 1\nplots = {value}\n"
     assert cli.ExperimentConfig.from_text(text).plots is parsed
 
 

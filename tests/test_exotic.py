@@ -6,16 +6,15 @@ from hypothesis import strategies as st
 from sevensphere.density import GridSpec, entropy, estimate_density
 from sevensphere.exotic import (BumpProfile, ConjugatedFlow, Deformation,
                                 ExoticMap, RegularityError, ScalingFunction,
-                                circle_images, entropy_on_surface, pullback_metric,
-                                pushforward_field, surface_patch_jacobian,
-                                write_circles_csv)
+                                circle_images, conjugation_gaps, entropy_on_surface,
+                                pullback_metric, pushforward_field,
+                                surface_patch_jacobian, write_circles_csv)
 from sevensphere.flows import RotationFlow
-from sevensphere.frames import frame_field
-from sevensphere.geometry import (gauss_legendre, geodesic_distance,
-                                  random_cap_point, random_sphere_point,
-                                  sphere_volume)
+from sevensphere.frames import frame_eval_all, frame_field
+from sevensphere.geometry import (central_difference, gauss_legendre,
+                                  geodesic_distance, random_cap_point,
+                                  random_sphere_point, sphere_volume)
 from sevensphere.integrators import NoisePath, sample_brownian
-from sevensphere.cli import _conjugation_gaps
 
 E = np.eye(8)
 
@@ -49,43 +48,17 @@ def test_smooth_transition_derivative_is_analytic():
     assert np.all(_smooth_transition_deriv(outside) == 0.0)
 
 
-def test_deformation_inverse_roundtrip(rng):
-    d = Deformation(0.25)
-    pts = random_sphere_point(rng, 500) * rng.uniform(0.5, 2.0, (500, 1))
-    np.testing.assert_allclose(d.inverse(d.forward(pts)), pts, atol=1e-9)
-
-
-def test_deformation_never_hits_origin(rng):
-    d = Deformation(0.29)
-    pts = random_sphere_point(rng, 200)
-    norms = np.linalg.norm(d.forward(pts), axis=-1)
-    assert np.all(norms > 0.5)
-
-
 def test_deformation_origin_rejected():
+    h = bump_map()
     with pytest.raises(ValueError):
-        Deformation(0.2).forward(np.zeros(8))
+        h.inverse(np.zeros(8))
+    with pytest.raises(ValueError):
+        pullback_metric(np.zeros((2, 8)))
 
 
 def test_deformation_strength_validated():
     with pytest.raises(ValueError):
         Deformation(0.5)
-
-
-def test_deformation_jacobian_matches_fd(rng):
-    d = Deformation(0.2)
-    for _ in range(10):
-        x = random_sphere_point(rng) * rng.uniform(0.8, 1.2)
-        jac = d.jacobian(x)
-        h = 1e-6
-        fd = np.empty((8, 8))
-        for j in range(8):
-            xp = x.copy()
-            xp[j] += h
-            xm = x.copy()
-            xm[j] -= h
-            fd[:, j] = (d.forward(xp) - d.forward(xm)) / (2 * h)
-        np.testing.assert_allclose(jac, fd, atol=1e-7)
 
 
 def test_identity_map_is_identity(rng):
@@ -130,15 +103,13 @@ def test_inverse_of_identity_deformation_normalizes(rng):
 
 
 def test_scaling_recovery_from_deformation(rng):
-    # the radius function evaluated at h^{-1}(gamma) equals |D(gamma)|
+    # the radius function evaluated at u = h^{-1}(gamma) equals |gamma| s(u)
     scaling = ScalingFunction(base=1.0, eps=0.1, profile=BumpProfile())
     h = ExoticMap(Deformation(0.2), scaling)
-    for _ in range(50):
-        z = random_sphere_point(rng)
-        gamma = h.forward(z)
-        beta_back = scaling(h.inverse(gamma))
-        assert beta_back == pytest.approx(
-            float(np.linalg.norm(h.deformation.forward(gamma))), abs=1e-10)
+    gamma = h.forward(random_sphere_point(rng, 50))
+    u = h.inverse(gamma)
+    np.testing.assert_allclose(scaling(u), np.linalg.norm(gamma, axis=-1) * h.deformation(u),
+                               rtol=0.0, atol=1e-10)
 
 
 def test_scaling_positive_enforced():
@@ -230,7 +201,7 @@ def test_conjugation_inverse_roundtrip(rng):
 
 def test_pushforward_sde_vs_conjugated_flow_refines():
     h = bump_map()
-    gaps = _conjugation_gaps(h, seed=909)
+    gaps = conjugation_gaps(h, seed=909)
     assert all(g > 0 for g in gaps)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
@@ -238,7 +209,7 @@ def test_pushforward_sde_vs_conjugated_flow_refines():
 def test_conjugation_gaps_regression_oracle():
     # exotic_summary.csv of exotic-compare at seed 1 (n_paths 10000,
     # grid_bins 3), written when each noise path was stepped point by point
-    gaps = _conjugation_gaps(bump_map(), seed=1)
+    gaps = conjugation_gaps(bump_map(), seed=1)
     np.testing.assert_allclose(
         gaps, [0.0042624451145609303, 0.0022413836993868128, 0.00065204606359104832],
         rtol=1e-12, atol=0.0)
@@ -251,7 +222,7 @@ def test_conjugation_gaps_regression_oracle():
 def test_pullback_identity_is_tangent_projector(rng):
     h = ExoticMap()
     z = random_sphere_point(rng)
-    g = pullback_metric(z, h)
+    g = pullback_metric(z)
     np.testing.assert_allclose(g, np.eye(8) - np.outer(z, z), atol=1e-12)
 
 
@@ -259,7 +230,7 @@ def test_pullback_symmetric_psd(rng):
     h = bump_map()
     for _ in range(1000):
         gamma = h.forward(random_sphere_point(rng))
-        g = pullback_metric(gamma, h)
+        g = pullback_metric(gamma)
         np.testing.assert_allclose(g, g.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(g)) >= -1e-10
 
@@ -267,7 +238,7 @@ def test_pullback_symmetric_psd(rng):
 def test_pullback_kills_ray_direction(rng):
     h = bump_map()
     gamma = h.forward(random_sphere_point(rng))
-    g = pullback_metric(gamma, h)
+    g = pullback_metric(gamma)
     np.testing.assert_allclose(g @ gamma, np.zeros(8), atol=1e-10)
 
 
@@ -282,7 +253,7 @@ def test_fixed_circle_length_is_two_pi():
         tangent = np.zeros(8)
         tangent[0] = -np.sin(theta)
         tangent[1] = np.cos(theta)
-        g = pullback_metric(gamma, h)
+        g = pullback_metric(gamma)
         total += weight * np.sqrt(tangent @ g @ tangent)
     assert total == pytest.approx(2.0 * np.pi, abs=1e-6)
 
@@ -297,7 +268,7 @@ def test_map_is_isometry_onto_pullback_metric(rng):
         a = frame_field(1)(z)
         b = frame_field(3)(z)
         jac = h.jacobian(z)
-        g = pullback_metric(h.forward(z), h)
+        g = pullback_metric(h.forward(z))
         va, vb = jac @ a, jac @ b
         assert va @ g @ vb == pytest.approx(a @ b, abs=1e-8)
         assert va @ g @ va == pytest.approx(a @ a, abs=1e-8)
@@ -316,7 +287,7 @@ def test_surface_patch_matches_pullback_reference(rng):
         from sevensphere.geometry import to_cartesian
 
         m = surface_patch_jacobian(h, phi)
-        g = pullback_metric(h.forward(to_cartesian(phi)), h)
+        g = pullback_metric(h.forward(to_cartesian(phi)))
         dens = np.sqrt(max(np.linalg.det(m.T @ g @ m), 0.0))
         assert dens == pytest.approx(volume_element(phi), rel=1e-5)
 
@@ -375,7 +346,7 @@ def test_surface_bin_volumes_match_per_bin_loop(rng, monkeypatch):
     for row, key in enumerate(keys):
         center = (key + 0.5) * widths
         m = surface_patch_jacobian(h, center)
-        g = pullback_metric(h.forward(to_cartesian(center)), h)
+        g = pullback_metric(h.forward(to_cartesian(center)))
         density = np.sqrt(max(np.linalg.det(m.T @ g @ m), 0.0))
         volumes[row] *= density / volume_element(center)
     np.testing.assert_array_equal(seen["counts"], counts)
@@ -413,10 +384,9 @@ def test_batched_jacobians_equal_rowwise(h, seed):
     gamma = h.forward(z)
     checks = [(h.deformation.profile.gradient, z),
               (h.scaling.gradient, z),
-              (h.deformation.jacobian, 1.3 * z),
-              (h.deformation.inverse_jacobian, gamma),
+              (h.deformation.gradient, z),
               (h.jacobian, z),
-              (lambda g: pullback_metric(g, h), gamma),
+              (pullback_metric, gamma),
               (pushforward_field(frame_field(1), h), gamma)]
     tol = 4 * np.finfo(float).eps
     for fn, pts in checks:
@@ -424,6 +394,18 @@ def test_batched_jacobians_equal_rowwise(h, seed):
         assert batch.shape[:2] == (2, 4) and np.all(np.isfinite(batch))
         for idx in np.ndindex(2, 4):
             np.testing.assert_allclose(batch[idx], fn(pts[idx]), rtol=tol, atol=tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(smooth_maps(), st.integers(0, 2 ** 32 - 1))
+def test_jacobian_matches_fd_along_frame(h, seed):
+    # the quotient-rule Jacobian r I + z grad(r)^T against central differences
+    # of h along the seven frame directions, which are tangent at z
+    z = batch_points(seed)
+    frames = frame_eval_all(z)                              # (2, 4, 7, 8)
+    fd = central_difference(h.forward, z, 1e-6, directions=np.moveaxis(frames, -2, 0))
+    jv = np.einsum("...ij,...mj->...im", h.jacobian(z), frames)
+    np.testing.assert_allclose(jv, fd, rtol=0.0, atol=1e-7)
 
 
 @settings(max_examples=40, deadline=None)

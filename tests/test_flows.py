@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from sevensphere.flows import (IntegratedFlow, RotationFlow, continuity_modulus,
-                               isometry_check)
+                               heun_refinement_residuals, isometry_check)
 from sevensphere.frames import CombinedField
 from sevensphere.geometry import random_sphere_point
 from sevensphere.integrators import (NoisePath, SdeProblem, sample_brownian,
                                      single_frame_problem)
-from sevensphere.cli import heun_refinement_residuals
 
 E = np.eye(8)
 

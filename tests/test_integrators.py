@@ -204,7 +204,7 @@ def test_rotation_matrix_batch_matches_rows(rng):
 def test_heun_zero_increment_fixed_point(rng):
     z = unit_vector(rng)
     problem = single_frame_problem(1, z)
-    out, defect = heun_stratonovich_step(problem, z, np.zeros(1), 0.01)
+    out, defect = heun_stratonovich_step(problem, z, np.zeros(1))
     np.testing.assert_allclose(out, z, atol=1e-15)
     assert defect <= 1e-15
 
@@ -212,7 +212,7 @@ def test_heun_zero_increment_fixed_point(rng):
 def test_heun_output_unit_norm(rng):
     z = unit_vector(rng)
     problem = brownian_problem(z)
-    out, _ = heun_stratonovich_step(problem, z, rng.normal(0, 0.1, 7), 0.01)
+    out, _ = heun_stratonovich_step(problem, z, rng.normal(0, 0.1, 7))
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-14
 
 
@@ -227,7 +227,7 @@ def test_heun_one_step_order_three_halves():
     for dt in (1e-2, 5e-3, 2.5e-3):
         dw = (np.sqrt(dt) * xi)[:, None]
         z = np.broadcast_to(z0, (64, 8))
-        heun, _ = heun_stratonovich_step(problem, z, dw, dt)
+        heun, _ = heun_stratonovich_step(problem, z, dw)
         exact = exact_rotation_step(problem.frame_coefficients, z, dw)
         errors.append(float(np.mean(np.linalg.norm(heun - exact, axis=1))))
     for a, b in zip(errors, errors[1:]):
@@ -271,7 +271,7 @@ def test_strong_error_decreases_with_refinement():
             z = z0.copy()
             zx = z0.copy()
             for dw in coarse.increments:
-                z, _ = heun_stratonovich_step(problem, z, dw, coarse.dt)
+                z, _ = heun_stratonovich_step(problem, z, dw)
                 zx = exact_rotation_step(problem.frame_coefficients, zx, dw)
             level_errors.append(np.linalg.norm(z - zx))
         errors.append(float(np.mean(level_errors)))
