@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrators as sint
-from .geometry import (ANGLE_UPPER as ANGLE_SPANS, N_ANGLES, central_difference,
-                       chart_jacobian, sin_power_integral, sphere_volume, to_cartesian,
-                       to_spherical, volume_element)
+from .geometry import (ANGLE_UPPER as ANGLE_SPANS, N_ANGLES, chart_jacobian,
+                       sin_power_integral, sphere_volume, to_cartesian, to_spherical,
+                       volume_element)
 
 SIN_POWERS = tuple(range(6, 0, -1)) + (0,)  # per 0-based angle axis
 
@@ -186,7 +186,8 @@ def _diffusion_fields(fields):
 
 
 def angular_fields(phi, fields) -> np.ndarray:
-    """Push ambient channel fields into chart coordinates: rows G^-1 J^T V.
+    """Push ambient channel fields into chart coordinates: rows G^-1 J^T V,
+    shape (..., n_ch, 7) at angle vectors phi (..., 7).
 
     The chart is orthogonal, so G is diagonal.  Where a diagonal entry
     vanishes (on the singular set) that coordinate is set to 0, the
@@ -194,90 +195,46 @@ def angular_fields(phi, fields) -> np.ndarray:
     """
     z = to_cartesian(phi)
     jac = chart_jacobian(phi)
-    g = np.sum(jac * jac, axis=0)
+    g = np.sum(jac * jac, axis=-2)[..., None, :]
     rhs = np.stack([np.asarray(fld(z), dtype=float)
-                    for fld in _diffusion_fields(fields)]) @ jac
+                    for fld in _diffusion_fields(fields)], axis=-2) @ jac
     return np.divide(rhs, g, out=np.zeros_like(rhs), where=g > 0.0)
 
 
-def angular_diffusion_matrix(phi, fields) -> np.ndarray:
-    """D(phi) = sum over channels of vtilde vtilde^T in chart coordinates."""
-    rows = angular_fields(phi, fields)
-    return rows.T @ rows
-
-
-def _wrap_last_angle(phi):
-    out = np.array(phi, dtype=float)
-    out[6] = out[6] % (2.0 * np.pi)
-    return out
-
-
-def _angular_drift(phi, fields, h_inner: float) -> np.ndarray:
-    """h^i = sum_{alpha, j} vtilde_alpha^j d vtilde_alpha^i / d phi_j."""
-    base = angular_fields(phi, fields)  # (n_ch, 7)
-    dv = central_difference(lambda q: angular_fields(_wrap_last_angle(q), fields),
-                            phi, h_inner)  # (n_ch, 7, 7), last axis j
-    return np.einsum("aj,aij->i", base, dv)
-
-
 def uniform_density():
-    """The stationary density 1/Vol as a function of angles."""
-    val = 1.0 / sphere_volume()
-
-    def p(phi):
-        return val
-
-    return p
+    """The stationary density 1/Vol as a function of angles (..., 7)."""
+    return lambda phi: np.full(np.shape(phi)[:-1], 1.0 / sphere_volume())
 
 
 def fokker_planck_residual(p_fn, fields, phi, dp_dt: float = 0.0,
-                           h_outer: float = 1e-3, h_inner: float = 1e-4) -> float:
-    """Imbalance of the forward equation at one interior chart point.
+                           h: float = 5e-4) -> float:
+    """Imbalance of the forward equation at one interior chart point, in the
+    Stratonovich divergence form
 
-    Evaluates  -1/2 sum_i d_i[h^i p m] + 1/2 sum_ij d^2_ij[D_ij p m] - m dp/dt
-    with m the angular volume factor, all coefficients obtained by pushing the
-    ambient fields through the chart, and all derivatives central differences.
+        1/2 sum_a d_i( vtilde_a^i d_j( vtilde_a^j p m ) ) - m dp/dt
+
+    with vtilde_a the channel fields pushed through the chart and m the
+    angular volume factor.  Both divergences are central differences of step
+    h: the inner one at the 14 x 14 points phi +- h e_i +- h e_j, the outer
+    one at the 14 points phi +- h e_i, each set in one ``angular_fields``
+    call.  ``p_fn`` maps angle arrays (..., 7) to densities.
     Coordinate-singular points (vanishing volume factor nearby) are rejected.
     """
     phi = np.asarray(phi, dtype=float)
-    if volume_element(phi) < 1e-6:
+    m = volume_element(phi)
+    if m < 1e-6:
         raise ValueError("point is too close to the coordinate-singular set")
-
-    def bracket_drift(q):
-        q = _wrap_last_angle(q)
-        return _angular_drift(q, fields, h_inner) * p_fn(q) * volume_element(q)
-
-    brackets = {}
-
-    def bracket_diff(*shifts):
-        """D p m at phi moved by h_outer along each (axis, sign); each of the
-        99 distinct stencil points is evaluated once, and (i, j) and (j, i)
-        share theirs."""
-        key = frozenset(shifts)
-        if key not in brackets:
-            q = np.array(phi)
-            for axis, sign in shifts:
-                q[axis] += sign * h_outer
-            if shifts:
-                q = _wrap_last_angle(q)
-            brackets[key] = angular_diffusion_matrix(q, fields) * p_fn(q) * volume_element(q)
-        return brackets[key]
-
-    res = -dp_dt * float(volume_element(phi))
-    res += -0.5 * np.trace(central_difference(bracket_drift, phi, h_outer))
-    for i in range(N_ANGLES):
-        for j in range(N_ANGLES):
-            if i == j:
-                d2 = (bracket_diff((i, +1.0))[i, i] - 2.0 * bracket_diff()[i, i]
-                      + bracket_diff((i, -1.0))[i, i]) / h_outer ** 2
-            else:
-                d2 = 0.0
-                for si in (+1.0, -1.0):
-                    for sj in (+1.0, -1.0):
-                        d2 += si * sj * bracket_diff((i, si), (j, sj))[i, j]
-                d2 /= 4.0 * h_outer ** 2
-            res += 0.5 * d2
-    return float(res)
+    steps = h * np.concatenate([np.eye(N_ANGLES), -np.eye(N_ANGLES)])  # +e_i, then -e_i
+    outer = phi + steps                                    # (14, 7)
+    inner = outer[:, None, :] + steps                      # (14, 14, 7)
+    outer[:, 6] %= 2.0 * np.pi
+    inner[..., 6] %= 2.0 * np.pi
+    flux = angular_fields(inner, fields) * (p_fn(inner) * volume_element(inner))[..., None, None]
+    # d_j(vtilde_a^j p m) at each outer point, from its +e_j and -e_j neighbours
+    div_in = np.einsum("ojaj->oa", flux[:, :N_ANGLES] - flux[:, N_ANGLES:]) / (2.0 * h)
+    flux = angular_fields(outer, fields) * div_in[..., None]
+    div_out = np.einsum("iai->", flux[:N_ANGLES] - flux[N_ANGLES:]) / (2.0 * h)
+    return float(0.5 * div_out - m * dp_dt)
 
 
 def _entropy_rate_parts(marginal: MarginalDensity, diffusion):
@@ -395,7 +352,7 @@ def generator_weak_check(problem: sint.SdeProblem, f, t: float, n_paths: int,
 __all__ = [
     "GridSpec", "DensityEstimate", "MarginalDensity", "EntropyReport",
     "WeakCheckReport", "estimate_density", "write_density_csv", "entropy",
-    "plugin_entropy", "max_entropy", "angular_fields", "angular_diffusion_matrix",
-    "uniform_density", "fokker_planck_residual", "entropy_rate_formula",
+    "plugin_entropy", "max_entropy", "angular_fields", "uniform_density",
+    "fokker_planck_residual", "entropy_rate_formula",
     "entropy_rate_fisher", "generator_weak_check",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .density import ANGLE_SPANS, EntropyReport, GridSpec, _histogram, plugin_entropy
 from .frames import DIM
-from .geometry import central_difference, to_cartesian, volume_element
+from .geometry import chart_jacobian, to_cartesian, volume_element
 from . import integrators
 
 
@@ -29,27 +29,24 @@ class RegularityError(ValueError):
     """Raised when an operation needs more smoothness than the map offers."""
 
 
+def _ramp_parts(t):
+    """t clipped into [1e-12, 1 - 1e-12], a = exp(-1/t) and b = exp(-1/(1-t)).
+    At either clip edge a or b underflows to 0, so the ramp is exactly 0 or 1
+    and its derivative exactly 0 outside (0, 1); NaN stays NaN."""
+    tm = np.clip(np.asarray(t, dtype=float), 1e-12, 1.0 - 1e-12)
+    return tm, np.exp(-1.0 / tm), np.exp(-1.0 / (1.0 - tm))
+
+
 def _smooth_transition(t):
-    """C-infinity ramp: 0 for t <= 0, 1 for t >= 1."""
-    t = np.asarray(t, dtype=float)
-    lo = np.zeros_like(t)
-    hi = np.ones_like(t)
-    mid = (t > 0.0) & (t < 1.0)
-    tm = np.clip(t, 1e-12, 1.0 - 1e-12)
-    a = np.exp(-1.0 / tm)
-    b = np.exp(-1.0 / (1.0 - tm))
-    return np.where(t <= 0.0, lo, np.where(t >= 1.0, hi, np.where(mid, a / (a + b), hi)))
+    """C-infinity ramp a / (a + b): 0 for t <= 0, 1 for t >= 1."""
+    _, a, b = _ramp_parts(t)
+    return a / (a + b)
 
 
 def _smooth_transition_deriv(t):
-    """Analytic ramp derivative a b (1/t^2 + 1/(1-t)^2) / (a + b)^2 on (0, 1),
-    with a = exp(-1/t) and b = exp(-1/(1-t)); 0 elsewhere."""
-    t = np.asarray(t, dtype=float)
-    tm = np.clip(t, 1e-12, 1.0 - 1e-12)
-    a = np.exp(-1.0 / tm)
-    b = np.exp(-1.0 / (1.0 - tm))
-    d = a * b * (1.0 / tm ** 2 + 1.0 / (1.0 - tm) ** 2) / (a + b) ** 2
-    return np.where((t > 0.0) & (t < 1.0), d, 0.0)
+    """Analytic ramp derivative a b (1/t^2 + 1/(1-t)^2) / (a + b)^2; 0 outside (0, 1)."""
+    tm, a, b = _ramp_parts(t)
+    return a * b * (1.0 / tm ** 2 + 1.0 / (1.0 - tm) ** 2) / (a + b) ** 2
 
 
 def _plane_distance(u):
@@ -107,8 +104,8 @@ class ScalingFunction:
 
     def __call__(self, z) -> np.ndarray:
         val = np.asarray(self.base + self.eps * self.profile.value(z))
-        if np.any(val <= 0.0):
-            raise ValueError("scaling function must stay positive")
+        if not np.all(val > 0.0):
+            raise ValueError("scaling function must stay positive (and not NaN)")
         return val
 
     def gradient(self, z) -> np.ndarray:
@@ -253,10 +250,11 @@ def pullback_metric(gamma) -> np.ndarray:
     return (np.eye(DIM) - u[..., :, None] * u[..., None, :]) / r[..., None] ** 2
 
 
-def surface_patch_jacobian(h: ExoticMap, phi, step: float = 1e-6) -> np.ndarray:
+def surface_patch_jacobian(h: ExoticMap, phi) -> np.ndarray:
     """Derivative (..., 8, 7) of the surface parameterization angles ->
-    h(chart(angles)) at angle vectors phi (..., 7)."""
-    return central_difference(lambda q: h.forward(to_cartesian(q)), phi, step)
+    h(chart(angles)) at angle vectors phi (..., 7), by the chain rule
+    J_h(z) J_chart(phi); it needs a C1 map, as ``ExoticMap.jacobian`` does."""
+    return h.jacobian(to_cartesian(phi)) @ chart_jacobian(phi)
 
 
 def entropy_on_surface(gammas, h: ExoticMap, grid: GridSpec,
@@ -268,7 +266,9 @@ def entropy_on_surface(gammas, h: ExoticMap, grid: GridSpec,
     sqrt(det M^T G' M), M being the surface patch derivative; the integral is
     evaluated against the chart's reference density, i.e. as the exact
     reference box integral times the density ratio at the box center.  A wrong
-    pullback metric therefore shifts the volumes and the entropy.
+    pullback metric therefore shifts the volumes and the entropy.  M is the
+    chain-rule derivative, so, as for ``pushforward_field``, the scaling
+    function must be C1: the kinked profile raises RegularityError.
     """
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
     keys, counts, volumes = _histogram(_unit(gammas)[0], grid)

@@ -95,25 +95,25 @@ def volume_element(phi) -> np.ndarray:
 
 
 def chart_jacobian(phi) -> np.ndarray:
-    """Analytic 8x7 Jacobian d z / d phi of to_cartesian at one angle vector.
+    """Analytic Jacobian d z / d phi of to_cartesian, shape (..., 8, 7), at
+    angle vectors phi (..., 7).
 
     Column l is to_cartesian with sin(phi_l) -> cos(phi_l) and
     cos(phi_l) -> -sin(phi_l), and zero above row l (those coordinates do not
     involve phi_l).  The columns are mutually orthogonal, so G is diagonal.
     """
-    phi = _check_ranges(np.asarray(phi, dtype=float))
-    if phi.ndim != 1:
-        raise ValueError("chart_jacobian expects a single angle vector")
-    s = np.sin(phi)
-    c = np.cos(phi)
+    phi = _check_ranges(phi)
+    s = np.sin(phi)[..., None, :]
+    c = np.cos(phi)[..., None, :]
     swap = np.eye(N_ANGLES, dtype=bool)
-    return np.tril(_embed(np.where(swap, c, s), np.where(swap, -s, c)).T)
+    return np.tril(np.swapaxes(_embed(np.where(swap, c, s), np.where(swap, -s, c)), -1, -2))
 
 
 def metric_tensor(phi) -> np.ndarray:
-    """G = J^T J for the chart Jacobian; singular rows are identically zero at poles."""
+    """G = J^T J (..., 7, 7) for the chart Jacobian; singular rows are
+    identically zero at poles."""
     jac = chart_jacobian(phi)
-    return jac.T @ jac
+    return np.swapaxes(jac, -1, -2) @ jac
 
 
 def central_difference(f, x, h: float, directions=None) -> np.ndarray:

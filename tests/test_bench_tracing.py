@@ -53,6 +53,17 @@ exotic.conjugation_gaps(exotic.ExoticMap(exotic.Deformation(0.2)), 1, n_noise=2)
 calls = tracer.layer_metrics(1.0)["integrators.step.heun.calls"] - 5
 if calls != 2 * (63 + 125 + 250):
     sys.exit(f"traced heun steps of conjugation_gaps: {calls}, expected 876")
+
+# one Fokker-Planck residual evaluates its two stencils in two batched calls,
+# each through the traced module attribute
+from sevensphere import density
+
+density.fokker_planck_residual(density.uniform_density(),
+                               integrators.brownian_problem(np.eye(8)[0]), np.full(7, 1.2))
+metrics = tracer.layer_metrics(1.0)
+got = (metrics["density.fp_residual.calls"], metrics["density.angular_fields.calls"])
+if got != (1, 2):
+    sys.exit(f"traced residual and angular_fields calls: {got}, expected (1, 2)")
 """
 
 

@@ -4,8 +4,8 @@ import pytest
 from sevensphere.density import (GridSpec, MarginalDensity, angular_fields, entropy,
                                  entropy_rate_fisher, entropy_rate_formula,
                                  estimate_density, fokker_planck_residual,
-                                 angular_diffusion_matrix, generator_weak_check,
-                                 max_entropy, uniform_density, write_density_csv)
+                                 generator_weak_check, max_entropy, uniform_density,
+                                 write_density_csv)
 from sevensphere.geometry import (chart_jacobian, metric_tensor, random_cap_point,
                                   random_sphere_point, sphere_volume, to_cartesian)
 from sevensphere.integrators import (brownian_problem, simulate_ensemble,
@@ -211,7 +211,8 @@ def test_full_frame_effective_polar_diffusion_is_one(rng):
     # channel fields reproduce the inverse metric, whose leading entry is 1
     problem = brownian_problem(E[0])
     for phi in interior_angles(rng, 5):
-        d = angular_diffusion_matrix(phi, problem)
+        rows = angular_fields(phi, problem)
+        d = rows.T @ rows
         ginv = np.linalg.inv(metric_tensor(phi))
         np.testing.assert_allclose(d, ginv, atol=1e-12)
         assert d[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -229,6 +230,20 @@ def test_angular_fields_on_singular_set_are_least_squares():
     rows = angular_fields(phi, problem)
     assert np.all(np.isfinite(rows))
     np.testing.assert_allclose(rows, expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("problem", [single_frame_problem(1, E[0]), brownian_problem(E[0])],
+                         ids=["frame1", "full"])
+def test_batched_chart_layer_equals_rowwise(rng, problem):
+    # a (3, 4) batch of interior points and one point on the singular set
+    phis = interior_angles(rng, 12).reshape(3, 4, 7)
+    phis[1, 2, 0] = 0.0
+    jac = chart_jacobian(phis)
+    rows = angular_fields(phis, problem)
+    assert jac.shape == (3, 4, 8, 7) and rows.shape == (3, 4, len(problem.diffusion_fields), 7)
+    for idx in np.ndindex(3, 4):
+        np.testing.assert_array_equal(jac[idx], chart_jacobian(phis[idx]))
+        np.testing.assert_array_equal(rows[idx], angular_fields(phis[idx], problem))
 
 
 def test_entropy_rate_two_axis_uniform(rng):
@@ -310,19 +325,29 @@ def test_zero_diffusion_zero_residual(rng):
     assert fokker_planck_residual(p, [null_field], phi) == pytest.approx(0.0, abs=1e-12)
 
 
-def reference_fp_residual(p_fn, fields, phi, h_outer=1e-3, h_inner=1e-4):
-    """The stencil entry by entry: a fresh D at every point of every (i, j)."""
-    from sevensphere.density import _angular_drift, _wrap_last_angle
+def reference_fp_residual(p_fn, fields, phi, dp_dt=0.0, h_outer=1e-3, h_inner=1e-4):
+    """The expanded form -1/2 d_i(h^i p m) + 1/2 d^2_ij(D_ij p m) - m dp/dt,
+    entry by entry, with the Ito-like drift h^i = sum_a vtilde_a^j d_j vtilde_a^i
+    taken by nested differences and D = sum_a vtilde_a vtilde_a^T."""
     from sevensphere.geometry import central_difference, volume_element
 
+    def wrap(q):
+        q = np.array(q, dtype=float)
+        q[6] %= 2.0 * np.pi
+        return q
+
     def bracket_drift(q):
-        q = _wrap_last_angle(q)
-        return _angular_drift(q, fields, h_inner) * p_fn(q) * volume_element(q)
+        q = wrap(q)
+        base = angular_fields(q, fields)  # (n_ch, 7)
+        dv = central_difference(lambda r: angular_fields(wrap(r), fields), q, h_inner)
+        return np.einsum("aj,aij->i", base, dv) * p_fn(q) * volume_element(q)
 
     def bracket_diff(q, i, j):
-        return angular_diffusion_matrix(q, fields)[i, j] * p_fn(q) * volume_element(q)
+        q = wrap(q)
+        rows = angular_fields(q, fields)
+        return (rows.T @ rows)[i, j] * p_fn(q) * volume_element(q)
 
-    res = -0.0 * float(volume_element(phi))
+    res = -dp_dt * float(volume_element(phi))
     res += -0.5 * np.trace(central_difference(bracket_drift, phi, h_outer))
     for i in range(7):
         for j in range(7):
@@ -330,8 +355,8 @@ def reference_fp_residual(p_fn, fields, phi, h_outer=1e-3, h_inner=1e-4):
                 pp, pm = np.array(phi), np.array(phi)
                 pp[i] += h_outer
                 pm[i] -= h_outer
-                d2 = (bracket_diff(_wrap_last_angle(pp), i, i) - 2.0 * bracket_diff(phi, i, i)
-                      + bracket_diff(_wrap_last_angle(pm), i, i)) / h_outer ** 2
+                d2 = (bracket_diff(pp, i, i) - 2.0 * bracket_diff(phi, i, i)
+                      + bracket_diff(pm, i, i)) / h_outer ** 2
             else:
                 d2 = 0.0
                 for si in (+1.0, -1.0):
@@ -339,30 +364,43 @@ def reference_fp_residual(p_fn, fields, phi, h_outer=1e-3, h_inner=1e-4):
                         q = np.array(phi)
                         q[i] += si * h_outer
                         q[j] += sj * h_outer
-                        d2 += si * sj * bracket_diff(_wrap_last_angle(q), i, j)
+                        d2 += si * sj * bracket_diff(q, i, j)
                 d2 /= 4.0 * h_outer ** 2
             res += 0.5 * d2
     return float(res)
 
 
-def test_fp_residual_evaluates_each_stencil_point_once(rng, monkeypatch):
+def nonstationary_density(phi):
+    """A positive density that varies with the polar and the last angle."""
+    return (1.0 + 0.5 * np.cos(phi[..., 0])
+            + 0.3 * np.sin(phi[..., 1]) * np.cos(phi[..., 6])) / sphere_volume()
+
+
+@pytest.mark.parametrize("problem", [single_frame_problem(1, E[0]), brownian_problem(E[0])],
+                         ids=["frame1", "full"])
+def test_fp_residual_matches_expanded_form(rng, problem):
+    # the divergence form equals the drift-plus-diffusion form; the second
+    # point's stencils wrap the last angle through 2 pi
+    phis = interior_angles(rng, 2)
+    phis[1, 6] = 2.0 * np.pi - 5e-4
+    for phi in phis:
+        expect = reference_fp_residual(nonstationary_density, problem, phi, dp_dt=0.01)
+        got = fokker_planck_residual(nonstationary_density, problem, phi, dp_dt=0.01)
+        assert got == pytest.approx(expect, abs=1e-6)
+
+
+def test_fp_residual_makes_two_angular_fields_calls(rng, monkeypatch):
     from sevensphere import density
 
-    p = uniform_density()
-    phis = interior_angles(rng, 2)
-    phis[1, 6] = 2.0 * np.pi - 5e-4  # the stencil wraps the last angle
-    problems = (single_frame_problem(1, E[0]), brownian_problem(E[0]))
-    expected = [reference_fp_residual(p, pr, phi) for pr in problems for phi in phis]
-    calls = []
+    shapes = []
 
     def counted(phi, fields):
-        calls.append(tuple(phi))
-        return angular_diffusion_matrix(phi, fields)
+        shapes.append(np.shape(phi))
+        return angular_fields(phi, fields)
 
-    monkeypatch.setattr(density, "angular_diffusion_matrix", counted)
-    got = [fokker_planck_residual(p, pr, phi) for pr in problems for phi in phis]
-    assert got == expected
-    assert len(calls) == 4 * 99 and len(set(calls[:99])) == 99
+    monkeypatch.setattr(density, "angular_fields", counted)
+    fokker_planck_residual(uniform_density(), brownian_problem(E[0]), interior_angles(rng, 1)[0])
+    assert sorted(shapes) == [(14, 7), (14, 14, 7)]
 
 
 def test_fp_residual_rejects_singular_point():
@@ -390,7 +428,7 @@ def test_fp_residual_nonstationary_linear_mode(rng):
     problem = brownian_problem(E[0])
 
     def p_fn(phi):
-        return (1.0 + c * np.cos(phi[0])) / vol
+        return (1.0 + c * np.cos(phi[..., 0])) / vol
 
     from sevensphere.geometry import volume_element
 

@@ -61,6 +61,18 @@ def test_deformation_strength_validated():
         Deformation(0.5)
 
 
+@pytest.mark.parametrize("scale", [ScalingFunction(1.0, 0.1), Deformation(0.2)],
+                         ids=["scaling", "deformation"])
+def test_scaling_rejects_nan_point(scale):
+    # the ramp carries NaN through, so the positivity check sees it
+    z = E[2].copy()
+    z[4] = np.nan
+    with pytest.raises(ValueError):
+        scale(z)
+    with pytest.raises(ValueError):
+        scale(np.stack([E[2], z]))
+
+
 def test_identity_map_is_identity(rng):
     h = ExoticMap()
     assert h.is_identity
@@ -164,6 +176,15 @@ def test_pushforward_refuses_kinked_scaling():
                                   profile=BumpProfile(kind="kink")))
     with pytest.raises(RegularityError):
         pushforward_field(frame_field(1), h)
+
+
+def test_surface_entropy_refuses_kinked_scaling(rng):
+    # the bin volumes take the chain-rule patch derivative, which needs C1
+    h = ExoticMap(Deformation(0.2),
+                  ScalingFunction(base=1.0, eps=0.1,
+                                  profile=BumpProfile(kind="kink")))
+    with pytest.raises(RegularityError):
+        entropy_on_surface(h.forward(random_sphere_point(rng, 100)), h, GridSpec.uniform(3))
 
 
 def test_conjugated_flow_identity_map(rng):
