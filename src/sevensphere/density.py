@@ -111,8 +111,9 @@ def _histogram(samples, grid: GridSpec):
     bins' round-sphere volumes."""
     if samples.shape[0] == 0:
         raise ValueError("density estimation needs at least one sample")
-    keys, counts = np.unique(grid.bin_indices(to_spherical(samples)), axis=0,
-                             return_counts=True)
+    flat = np.ravel_multi_index(grid.bin_indices(to_spherical(samples)).T, grid.bins)
+    flat, counts = np.unique(flat, return_counts=True)
+    keys = np.column_stack(np.unravel_index(flat, grid.bins))
     volumes = np.ones(len(keys))
     for a in range(N_ANGLES):
         volumes *= grid.axis_weights(a)[keys[:, a]]
@@ -218,12 +219,15 @@ def fokker_planck_residual(p_fn, fields, phi, dp_dt: float = 0.0,
     h: the inner one at the 14 x 14 points phi +- h e_i +- h e_j, the outer
     one at the 14 points phi +- h e_i, each set in one ``angular_fields``
     call.  ``p_fn`` maps angle arrays (..., 7) to densities.
-    Coordinate-singular points (vanishing volume factor nearby) are rejected.
+    Points whose stencil phi +- 2h leaves [0, pi] in one of the first six
+    angles, crossing the coordinate-singular set, or whose volume factor is
+    below 1e-6, are rejected.
     """
     phi = np.asarray(phi, dtype=float)
     m = volume_element(phi)
-    if m < 1e-6:
-        raise ValueError("point is too close to the coordinate-singular set")
+    if m < 1e-6 or np.any(phi[:6] < 2.0 * h) or np.any(phi[:6] > np.pi - 2.0 * h):
+        raise ValueError(f"phi = {phi} is too close to the coordinate-singular set (one "
+                         f"of the first six angles at 0 or pi) for the stencil phi +- {2 * h}")
     steps = h * np.concatenate([np.eye(N_ANGLES), -np.eye(N_ANGLES)])  # +e_i, then -e_i
     outer = phi + steps                                    # (14, 7)
     inner = outer[:, None, :] + steps                      # (14, 14, 7)

@@ -8,6 +8,7 @@ results are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from .frames import (DIM, FRAME_GENERATORS, N_FRAME_FIELDS, CombinedField,
 from .geometry import central_difference
 
 CHUNK = 1024  # fixed path block size; independent of the worker count
+NOISE_BLOCK = 256  # steps of noise drawn per block; bounds a chunk's noise buffer
 ROW_BLOCK = 1024  # CSV rows formatted per write; bounds the text held in memory
 
 
@@ -60,11 +62,64 @@ class NoisePath:
         return NoisePath(self.dt * level, head)
 
 
+# numpy's SeedSequence hash constants (after O'Neill's seed_seq_fe)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+@functools.lru_cache(maxsize=16)
+def _block_keys(seed: int, block: int) -> np.ndarray:
+    """Philox keys (CHUNK, 2), read-only, of paths block * CHUNK + [0, CHUNK).
+
+    SeedSequence(entropy=seed, spawn_key=(i,)) mixes the word i into
+    SeedSequence(seed)'s pool by 4 hashmix calls, after 16 calls for up to 4
+    seed words and 4 per further word.  That mixing runs here for every i of
+    the block in one uint32 array pass, followed by generate_state(2, uint64)."""
+    from numpy.random import SeedSequence
+
+    n_words = max(1, -(-seed.bit_length() // 32))
+    hc = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, n_words - 4), 1 << 32) & _MASK32
+    gen_hc, words = _INIT_B, []
+    w = (block * CHUNK + np.arange(CHUNK)).astype(np.uint32)
+    for p in SeedSequence(seed).pool:
+        h = (w ^ hc) * (hc := hc * _MULT_A & _MASK32)  # hashmix(i)
+        v = (_MIX_L * int(p) & _MASK32) - _MIX_R * (h ^ h >> 16)  # mix into p
+        v = (v ^ v >> 16 ^ gen_hc) * (gen_hc := gen_hc * _MULT_B & _MASK32)
+        words.append(v ^ v >> 16)
+    keys = np.stack(words, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+    keys.flags.writeable = False
+    return keys
+
+
+@functools.cache
+def _keyed_generator():
+    """Generator(Philox) from a precomputed key.  numpy.random is imported
+    on the first path drawn, not with the package."""
+    from numpy.random import Generator, Philox
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Key(ISeedSequence):
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key  # Philox asks for its 2 uint64 key words
+
+    return lambda key: Generator(Philox(Key(key)))
+
+
 def path_generator(master_seed: int, path_index: int = 0) -> np.random.Generator:
-    """Counter-based generator for one path, independent of draw order elsewhere."""
-    seq = np.random.SeedSequence(entropy=int(master_seed),
-                                 spawn_key=(int(path_index),))
-    return np.random.Generator(np.random.Philox(seq))
+    """Counter-based generator for one path, independent of draw order elsewhere.
+
+    Its stream is that of Philox(SeedSequence(entropy=master_seed,
+    spawn_key=(path_index,))); the key comes from the cached keys of the
+    path's CHUNK-aligned block.
+    """
+    path_index = int(path_index)
+    if not 0 <= path_index < 2 ** 32:
+        raise ValueError(f"path_index must lie in [0, 2**32), got {path_index}")
+    keys = _block_keys(int(master_seed), path_index // CHUNK)
+    return _keyed_generator()(keys[path_index % CHUNK])
 
 
 def sample_brownian(n_steps: int, dt: float, n_channels: int,
@@ -324,19 +379,19 @@ def _save_indices(n_steps, dt, save_times):
     return idx, idx * dt
 
 
-def _simulate_chunk(problem, scheme, path_lo, path_hi, n_steps, dt, seed, save_idx,
+def _simulate_chunk(problem, scheme, out, path_lo, n_steps, dt, seed, save_idx,
                     initial_points=None):
-    n = path_hi - path_lo
+    """Integrate paths path_lo + [0, len(out)) into ``out`` (n, n_saved, 8); return
+    the largest renormalization defect.  Per-path generators fill a (b, n, n_ch)
+    noise buffer NOISE_BLOCK steps at a time, kept while a later block needs them."""
+    n = len(out)
     n_ch = problem.n_channels
-    inc = np.empty((n, n_steps, n_ch))
-    for k in range(n):
-        rng = path_generator(seed, path_lo + k)
-        inc[k] = rng.normal(0.0, np.sqrt(dt), size=(n_steps, n_ch))
+    rngs = (path_generator(seed, i) for i in range(path_lo, path_lo + n))
+    noise = np.empty((min(n_steps, NOISE_BLOCK), n, n_ch))
     if initial_points is None:
         z = np.broadcast_to(problem.initial, (n, DIM)).copy()
     else:
-        z = np.array(initial_points[path_lo:path_hi], dtype=float)
-    out = np.empty((n, len(save_idx), DIM))
+        z = np.array(initial_points[path_lo:path_lo + n], dtype=float)
     defect = 0.0
     save_pos = {}  # step -> every output column saved at that step
     for j, s in enumerate(save_idx):
@@ -344,7 +399,13 @@ def _simulate_chunk(problem, scheme, path_lo, path_hi, n_steps, dt, seed, save_i
     if 0 in save_pos:
         out[:, save_pos[0], :] = z[:, None, :]
     for step in range(n_steps):
-        dw = inc[:, step, :]
+        if step % NOISE_BLOCK == 0:
+            block = noise[:n_steps - step]
+            if n_steps - step > NOISE_BLOCK:
+                rngs = list(rngs)
+            for k, rng in enumerate(rngs):
+                block[:, k] = rng.normal(0.0, np.sqrt(dt), size=(len(block), n_ch))
+        dw = block[step % NOISE_BLOCK]
         if scheme == "exact_rotation":
             z = exact_rotation_step(problem.frame_coefficients, z, dw)
         elif scheme == "heun":
@@ -355,7 +416,7 @@ def _simulate_chunk(problem, scheme, path_lo, path_hi, n_steps, dt, seed, save_i
             defect = max(defect, d)
         if step + 1 in save_pos:
             out[:, save_pos[step + 1], :] = z[:, None, :]
-    return out, defect
+    return defect
 
 
 def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float,
@@ -380,23 +441,18 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
             raise ValueError("initial_points must have shape (n_paths, 8)")
     save_idx, times = _save_indices(n_steps, dt, save_times)
     states = np.empty((n_paths, len(save_idx), DIM))
-    bounds = [(lo, min(lo + CHUNK, n_paths)) for lo in range(0, n_paths, CHUNK)]
 
-    def work(b):
-        lo, hi = b
-        return _simulate_chunk(problem, scheme, lo, hi, n_steps, dt, seed, save_idx,
-                               initial_points)
+    def work(lo):
+        return _simulate_chunk(problem, scheme, states[lo:lo + CHUNK], lo, n_steps, dt,
+                               seed, save_idx, initial_points)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, bounds))
+            defects = list(pool.map(work, range(0, n_paths, CHUNK)))
     else:
-        results = [work(b) for b in bounds]
-    defect = 0.0
-    for (lo, hi), (chunk_states, chunk_defect) in zip(bounds, results):
-        states[lo:hi] = chunk_states
-        defect = max(defect, chunk_defect)
-    return EnsembleResult(times, states, seed, scheme, dt, max_renorm_defect=defect)
+        defects = [work(lo) for lo in range(0, n_paths, CHUNK)]
+    return EnsembleResult(times, states, seed, scheme, dt,
+                          max_renorm_defect=max([0.0, *defects]))
 
 
 def write_trajectories_csv(result: EnsembleResult, fname) -> None:

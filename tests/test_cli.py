@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,17 @@ def write_config(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return str(path)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random is loaded by the first path drawn, not by the imports
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, sevensphere, sevensphere.cli; "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_print_schema(capsys):

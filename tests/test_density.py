@@ -7,7 +7,8 @@ from sevensphere.density import (GridSpec, MarginalDensity, angular_fields, entr
                                  generator_weak_check, max_entropy, uniform_density,
                                  write_density_csv)
 from sevensphere.geometry import (chart_jacobian, metric_tensor, random_cap_point,
-                                  random_sphere_point, sphere_volume, to_cartesian)
+                                  random_sphere_point, sphere_volume, to_cartesian,
+                                  to_spherical)
 from sevensphere.integrators import (brownian_problem, simulate_ensemble,
                                      single_frame_problem)
 
@@ -59,6 +60,17 @@ def test_uniform_samples_flat_density():
     occupied = est.counts >= 500
     rel = np.abs(est.densities[occupied] - flat) / flat
     assert np.max(rel) < 0.05
+
+
+def test_histogram_keys_equal_sorted_unique_rows(rng):
+    # flat bin keys give the rows, counts and order of a row-wise unique
+    grid = GridSpec((2, 3, 4, 5, 3, 2, 6))
+    samples = random_sphere_point(rng, 20000)
+    est = estimate_density(samples, grid)
+    rows, counts = np.unique(grid.bin_indices(to_spherical(samples)), axis=0,
+                             return_counts=True)
+    np.testing.assert_array_equal(est.indices, rows)
+    np.testing.assert_array_equal(est.counts, counts)
 
 
 def test_density_empty_rejected():
@@ -408,6 +420,14 @@ def test_fp_residual_rejects_singular_point():
     problem = single_frame_problem(1, E[0])
     with pytest.raises(ValueError):
         fokker_planck_residual(p, problem, np.array([1e-9, 1, 1, 1, 1, 1, 1]))
+
+
+@pytest.mark.parametrize("phi6", [np.pi - 5e-4, 5e-4])
+def test_fp_residual_rejects_stencil_past_singular_set(phi6):
+    # the volume factor here is 1.2e-4, but the stencil reaches phi6 +- 1e-3
+    phi = np.array([1.2, 1.2, 1.2, 1.2, 1.2, phi6, 1.0])
+    with pytest.raises(ValueError, match="coordinate-singular set"):
+        fokker_planck_residual(uniform_density(), brownian_problem(E[0]), phi)
 
 
 def test_fp_residual_nonzero_for_wrong_timescale(rng):

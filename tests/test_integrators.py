@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -6,9 +8,10 @@ from scipy.linalg import expm
 from sevensphere.frames import (FRAME_GENERATORS, CombinedField, frame_field,
                                 generator_matrix)
 from sevensphere.geometry import geodesic_distance, random_sphere_point
-from sevensphere.integrators import (NoisePath, SdeProblem, brownian_problem,
-                                     combination_problem, exact_rotation_step,
-                                     frame_rotation_apply, frame_rotation_matrix,
+from sevensphere.integrators import (NOISE_BLOCK, NoisePath, SdeProblem,
+                                     brownian_problem, combination_problem,
+                                     exact_rotation_step, frame_rotation_apply,
+                                     frame_rotation_matrix,
                                      heun_stratonovich_step, ito_correction_drift,
                                      ito_euler_step, load_noise_path,
                                      path_generator, sample_brownian,
@@ -416,6 +419,74 @@ def test_path_generator_reproducible():
     a = path_generator(99, 5).normal(size=4)
     b = path_generator(99, 5).normal(size=4)
     np.testing.assert_array_equal(a, b)
+
+
+def seed_sequence_generator(seed, path_index):
+    """The per-path generator spelled out with numpy's SeedSequence."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(path_index,))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
+@pytest.mark.parametrize("path_index", [0, 1, 1023, 1024, 2047, 40000, 2 ** 32 - 1])
+def test_path_generator_equals_seed_sequence_construction(seed, path_index):
+    ours, oracle = path_generator(seed, path_index), seed_sequence_generator(seed, path_index)
+    # the state dict holds small arrays, so its repr shows every value
+    assert repr(ours.bit_generator.state) == repr(oracle.bit_generator.state)
+    np.testing.assert_array_equal(ours.normal(size=(3, 7)), oracle.normal(size=(3, 7)))
+    np.testing.assert_array_equal(ours.normal(0.0, 0.1, size=50), oracle.normal(0.0, 0.1, size=50))
+
+
+def test_path_generators_are_independent_objects():
+    a, b = path_generator(3, 5), path_generator(3, 5)
+    first = a.normal(size=10)
+    np.testing.assert_array_equal(b.normal(size=10), first)
+    assert not np.array_equal(a.normal(size=10), first)
+
+
+@pytest.mark.parametrize("seed, path_index", [(1, -1), (1, 2 ** 32), (-1, 0)])
+def test_path_generator_rejects_out_of_range(seed, path_index):
+    with pytest.raises(ValueError):
+        path_generator(seed, path_index)
+
+
+ENSEMBLE_SEED, ENSEMBLE_PATHS, ENSEMBLE_DT = 21, 1500, 0.01  # two path chunks
+ENSEMBLE_STEPS = NOISE_BLOCK + 7  # two noise blocks
+ENSEMBLE_SAVE = (0, 1, NOISE_BLOCK, ENSEMBLE_STEPS)
+
+
+@functools.cache
+def per_path_reference(scheme):
+    """Saved states of every path: each path's whole increment stream drawn
+    at once from the SeedSequence construction, then all paths stepped as one
+    batch by the public step functions."""
+    problem = brownian_problem(E[0])
+    inc = np.stack([seed_sequence_generator(ENSEMBLE_SEED, i).normal(
+        0.0, np.sqrt(ENSEMBLE_DT), size=(ENSEMBLE_STEPS, problem.n_channels))
+        for i in range(ENSEMBLE_PATHS)])
+    z = np.broadcast_to(problem.initial, (ENSEMBLE_PATHS, 8)).copy()
+    saved = [z]
+    for step in range(ENSEMBLE_STEPS):
+        dw = inc[:, step]
+        if scheme == "exact_rotation":
+            z = exact_rotation_step(problem.frame_coefficients, z, dw)
+        elif scheme == "heun":
+            z = heun_stratonovich_step(problem, z, dw)[0]
+        else:
+            z = ito_euler_step(problem, z, dw, ENSEMBLE_DT)[0]
+        if step + 1 in ENSEMBLE_SAVE:
+            saved.append(z)
+    return np.stack(saved, axis=1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("scheme", ["heun", "exact_rotation", "ito_euler"])
+def test_ensemble_equals_per_path_reference(scheme, threads):
+    result = simulate_ensemble(brownian_problem(E[0]), ENSEMBLE_PATHS, ENSEMBLE_STEPS,
+                               ENSEMBLE_DT, seed=ENSEMBLE_SEED, scheme=scheme,
+                               save_times=np.array(ENSEMBLE_SAVE) * ENSEMBLE_DT,
+                               threads=threads)
+    np.testing.assert_array_equal(result.states, per_path_reference(scheme))
 
 
 def test_ito_correction_rejects_non_finite():
