@@ -15,7 +15,7 @@ from .integrators import (EnsembleResult, NoisePath, SdeProblem,
                           exact_rotation_step, heun_stratonovich_step,
                           ito_correction_drift, ito_euler_step, sample_brownian,
                           simulate_ensemble, single_frame_problem)
-from .flows import IntegratedFlow, RotationFlow, continuity_modulus, isometry_check
+from .flows import IntegratedFlow, RotationFlow, isometry_check
 from .density import (DensityEstimate, EntropyReport, GridSpec, entropy,
                       estimate_density, fokker_planck_residual,
                       generator_weak_check, max_entropy, uniform_density)

@@ -126,10 +126,12 @@ class ExperimentConfig:
             raise ConfigError(f"dt = {self.dt} is too large: {self.experiment} would "
                               f"take {self.n_steps} steps, it needs at least "
                               f"{min_steps[self.experiment]}")
-        if self.n_paths < 2 and (self.experiment == "fp-check" or
-                                 (self.experiment, self.field) == ("simulate", "full")):
+        if self.n_paths < 2 and (self.experiment in ("fp-check", "entropy", "exotic-compare")
+                                 or (self.experiment, self.field) == ("simulate", "full")):
             raise ConfigError(f"{self.experiment} needs n_paths >= 2: its statistical "
-                              f"check divides by a sample standard deviation")
+                              f"check rests on a sample standard deviation")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if not 0.0 <= self.deformation_eps < 0.3:
             raise ConfigError("deformation_eps must lie in [0, 0.3)")
         if self.grid_bins < 0 or self.grid_bins == 1:
@@ -553,12 +555,11 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             cfg = ExperimentConfig.from_text(fh.read())
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = dataclasses.replace(cfg, threads=args.threads,
+                                  seed=cfg.seed if args.seed is None else args.seed)
     except (OSError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    cfg.threads = max(1, args.threads)
     summary = run(cfg, args.output)
     for c in summary.checks:
         mark = "PASS" if c.passed else "FAIL"

@@ -1,68 +1,61 @@
-"""Stochastic flow maps: exact factored-rotation flows with composition and
-inversion, re-integrated Heun flows and their step-refinement defects, and
-the isometry/continuity diagnostics for n-point motions.
+"""Stochastic flow maps: exact rotation flows held as one SO(8) matrix, with
+composition and inversion, re-integrated Heun flows and their
+step-refinement defects, and the isometry check for n-point motions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import integrators as sint
-from .geometry import central_difference, geodesic_distance
+from .geometry import geodesic_distance
 from .integrators import NoisePath, SdeProblem, frame_rotation_matrix
-
-_TIME_TOL = 1e-9
-
-
-def _check_chain(left_t, right_s):
-    if abs(left_t - right_s) > _TIME_TOL:
-        raise ValueError(f"flow intervals do not chain: [..,{left_t}] then [{right_s},..]")
 
 
 class RotationFlow:
-    """Flow over [s, t] stored as an ordered product of exact rotation factors.
+    """Flow over [s, t] as its one 8x8 rotation matrix M: z -> M z.
 
-    Factors apply in order: the map is factors[-1] @ ... @ factors[0].
-    Composition concatenates, inversion reverses transposes; both are exact.
+    Composition multiplies the matrices and inversion transposes; both are
+    exact up to rounding.
     """
 
-    def __init__(self, s: float, t: float, factors):
+    def __init__(self, s: float, t: float, matrix):
         self.s = float(s)
         self.t = float(t)
-        self.factors = list(factors)
+        self.matrix = np.asarray(matrix, dtype=float)
 
     @classmethod
     def identity(cls, s: float = 0.0) -> "RotationFlow":
-        return cls(s, s, [])
+        return cls(s, s, np.eye(8))
 
     @classmethod
     def from_noise(cls, coefficients, noise: NoisePath, s: float = 0.0) -> "RotationFlow":
-        """Build the factored flow of a frame-coefficient problem from increments."""
+        """The flow of a frame-coefficient problem driven by the increments:
+        the product of the steps' exact rotations, later steps on the left,
+        reduced pairwise in log depth (odd levels padded with I)."""
         coefficients = np.atleast_2d(np.asarray(coefficients, dtype=float))
-        factors = frame_rotation_matrix(noise.increments @ coefficients)
-        return cls(s, s + noise.n_steps * noise.dt, factors)
+        m = frame_rotation_matrix(noise.increments @ coefficients)
+        m = m if len(m) else np.eye(8)[None]
+        while len(m) > 1:
+            if len(m) % 2:
+                m = np.concatenate([m, np.eye(8)[None]])
+            m = m[1::2] @ m[0::2]
+        return cls(s, s + noise.n_steps * noise.dt, m[0])
 
     def apply(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        for m in self.factors:
-            z = z @ m.T
-        return z
+        return np.asarray(z, dtype=float) @ self.matrix.T
 
     def as_matrix(self) -> np.ndarray:
-        out = np.eye(8)
-        for m in self.factors:
-            out = m @ out
-        return out
+        return self.matrix
 
     def compose(self, later: "RotationFlow") -> "RotationFlow":
         """The chained flow: self over [s, t], then ``later`` over [t, u]."""
-        _check_chain(self.t, later.s)
-        return RotationFlow(self.s, later.t, self.factors + later.factors)
+        if abs(self.t - later.s) > 1e-9:
+            raise ValueError(f"flow intervals do not chain: [..,{self.t}] then [{later.s},..]")
+        return RotationFlow(self.s, later.t, later.matrix @ self.matrix)
 
     def invert(self) -> "RotationFlow":
-        return RotationFlow(self.t, self.s, [m.T for m in reversed(self.factors)])
+        return RotationFlow(self.t, self.s, self.matrix.T)
 
 
 class IntegratedFlow:
@@ -141,50 +134,6 @@ def _pairwise(pts):
     return geodesic_distance(pts[iu[0]], pts[iu[1]])
 
 
-@dataclass
-class ContinuityReport:
-    max_ratio: float
-    min_ratio: float
-    n_pairs: int
-
-
-def continuity_modulus(flow, points, max_separation: float = np.pi) -> ContinuityReport:
-    """Empirical Lipschitz ratios d(gx, gy)/d(x, y) over mesh pairs.
-
-    Numerical evidence toward the homeomorphism property, not a proof.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    before = _pairwise(pts)
-    keep = (before > 1e-12) & (before <= max_separation)
-    after = _pairwise(flow.apply(pts))
-    ratios = after[keep] / before[keep]
-    if ratios.size == 0:
-        raise ValueError("no usable pairs below the separation cutoff")
-    return ContinuityReport(float(ratios.max()), float(ratios.min()), int(ratios.size))
-
-
-def flow_jacobian_conditioning(flow, z, h: float = 1e-6):
-    """Singular values of the finite-difference flow Jacobian restricted to the
-    tangent plane at z.
-
-    Smoothness evidence only: a well-conditioned tangent Jacobian (all seven
-    singular values of order one) is what differentiability of the flow map
-    looks like numerically; for isometric flows they all equal one.
-    """
-    z = np.asarray(z, dtype=float)
-    jac = central_difference(lambda y: flow.apply(y / np.linalg.norm(y)), z, h,
-                             directions=_tangent_basis(z))  # 8 x 7
-    return np.linalg.svd(jac, compute_uv=False)
-
-
-def _tangent_basis(z):
-    proj = np.eye(8) - np.outer(z, z)
-    u, s, _ = np.linalg.svd(proj)
-    return [u[:, k] for k in range(8) if s[k] > 0.5]
-
-
 __all__ = [
-    "RotationFlow", "IntegratedFlow",
-    "ContinuityReport", "heun_refinement_residuals",
-    "isometry_check", "continuity_modulus", "flow_jacobian_conditioning",
+    "RotationFlow", "IntegratedFlow", "heun_refinement_residuals", "isometry_check",
 ]

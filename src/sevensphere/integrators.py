@@ -336,14 +336,6 @@ def exact_rotation_step(coefficients, z, dw):
 
 
 @dataclass
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # (n_saved, 8)
-    path_id: int
-    seed_lineage: tuple
-
-
-@dataclass
 class EnsembleResult:
     times: np.ndarray
     states: np.ndarray  # (n_paths, n_saved, 8)
@@ -359,9 +351,6 @@ class EnsembleResult:
     @property
     def final_states(self) -> np.ndarray:
         return self.states[:, -1, :]
-
-    def trajectory(self, i: int) -> Trajectory:
-        return Trajectory(self.times, self.states[i], i, (self.seed, i))
 
 
 SCHEMES = ("heun", "exact_rotation", "ito_euler")
@@ -472,7 +461,7 @@ def write_trajectories_csv(result: EnsembleResult, fname) -> None:
 
 
 __all__ = [
-    "NoisePath", "SdeProblem", "Trajectory", "EnsembleResult", "SCHEMES",
+    "NoisePath", "SdeProblem", "EnsembleResult", "SCHEMES",
     "path_generator", "sample_brownian", "save_noise_path", "load_noise_path",
     "brownian_problem", "single_frame_problem", "combination_problem",
     "ito_correction_drift", "heun_stratonovich_step", "ito_euler_step",

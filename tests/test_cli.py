@@ -184,6 +184,8 @@ CONFIG_ERRORS = [  # (experiment, config lines that it must reject)
     ("flow-check", "t_final = 0.4\ndt = 1.0"), ("flow-check", "t_final = 0.4\ndt = 0.3"),
     # one path has no sample standard deviation for the statistical check
     ("simulate", "field = full\nn_paths = 1"), ("fp-check", "n_paths = 1"),
+    # (the default dt added in either order keeps the case ids unique)
+    ("exotic-compare", "n_paths = 1\ndt = 0.01"), ("entropy", "dt = 0.01\nn_paths = 1"),
     # the pushforward of exotic-compare needs a C1 scaling function
     ("exotic-compare", "scaling = bump-kink"),
     # keys the experiment never reads: fp-check's weak check has its own dt,
@@ -223,6 +225,16 @@ def test_negative_seed_override_rejected(tmp_path, capsys):
     assert cli.main(["--config", cfg, "--output", str(tmp_path / "out"),
                      "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_rejected(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, "experiment = circles\nseed = 1\n")
+    assert cli.main(["--config", cfg, "--output", str(tmp_path / "out"),
+                     "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "threads" in err
     assert not (tmp_path / "out").exists()
 
 

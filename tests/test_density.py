@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from sevensphere.density import (GridSpec, MarginalDensity, angular_fields, entropy,
-                                 entropy_rate_fisher, entropy_rate_formula,
-                                 estimate_density, fokker_planck_residual,
+                                 entropy_rate_fisher, estimate_density, fokker_planck_residual,
                                  generator_weak_check, max_entropy, uniform_density,
                                  write_density_csv)
 from sevensphere.geometry import (chart_jacobian, metric_tensor, random_cap_point,
@@ -76,6 +75,15 @@ def test_histogram_keys_equal_sorted_unique_rows(rng):
 def test_density_empty_rejected():
     with pytest.raises(ValueError):
         estimate_density(np.empty((0, 8)), GridSpec.uniform(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_nonfinite_sample_rejected(rng, bad):
+    # a non-finite row would otherwise fall into bin (0, ..., 0)
+    samples = random_sphere_point(rng, 3)
+    samples[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        estimate_density(samples, GridSpec.uniform(2))
 
 
 def test_density_csv(tmp_path):
@@ -161,7 +169,6 @@ def flat_marginal(value=None, bins=48):
 
 def test_entropy_rate_uniform_is_zero():
     m = flat_marginal()
-    assert abs(entropy_rate_formula(m, np.array([[1.0]]))) < 1e-3
     assert abs(entropy_rate_fisher(m, np.array([[1.0]]))) < 1e-3
 
 
@@ -188,7 +195,6 @@ def marginal_entropy(m):
 def test_entropy_rate_positive_from_concentration():
     (m, *_), _ = cap_marginals(n=30000, ts=(0.30,))
     with np.errstate(all="ignore"):
-        assert entropy_rate_formula(m, np.array([[1.0]])) > 0.0
         assert entropy_rate_fisher(m, np.array([[1.0]])) > 0.0
 
 
@@ -202,20 +208,6 @@ def test_entropy_rate_matches_entropy_differences():
     se_fd = np.hypot(se0, se2) / (ts[2] - ts[0])
     fisher = entropy_rate_fisher(m1, np.array([[1.0]]))
     assert abs(fisher - fd) <= 0.15 * abs(fd) + 3.0 * se_fd
-
-
-def test_entropy_rate_decomposition_identity():
-    # bracket form = production form - transport through the volume factor
-    (m0, m1, m2), _ = cap_marginals()
-    printed = entropy_rate_formula(m1, np.array([[1.0]]))
-    fisher = entropy_rate_fisher(m1, np.array([[1.0]]))
-    centers = m1.centers(0)
-    dphi = centers[1] - centers[0]
-    grad = np.gradient(m1.densities, dphi)
-    rest = np.prod([m1.grid.axis_total(a) for a in range(1, 7)])
-    mprime = 6.0 * np.sin(centers) ** 5 * np.cos(centers)
-    transport = 0.5 * np.sum(grad[1:-1] * mprime[1:-1]) * dphi * rest
-    assert printed - transport == pytest.approx(fisher, rel=0.05)
 
 
 def test_full_frame_effective_polar_diffusion_is_one(rng):
@@ -268,27 +260,23 @@ def test_entropy_rate_two_axis_uniform(rng):
     counts = value * vol * 10 ** 6
     m = MarginalDensity((0, 1), grid, counts, vol,
                         np.full((12, 12), value), 10 ** 6)
-    assert abs(entropy_rate_formula(m, np.eye(2))) < 1e-3
     assert abs(entropy_rate_fisher(m, np.eye(2))) < 1e-3
 
 
-def entropy_rate_parts_by_cell(m, d):
-    """Reference: the rate integrals accumulated one interior cell at a time."""
+def entropy_rate_by_cell(m, d):
+    """Reference: the rate integral accumulated one interior cell at a time."""
     k = len(m.axes)
     spacings = [m.centers(i)[1] - m.centers(i)[0] for i in range(k)]
     grads = np.reshape(np.gradient(m.densities, *spacings), (k,) + m.densities.shape)
-    hess = [np.reshape(np.gradient(g, *spacings), (k,) + g.shape) for g in grads]
-    quad_total = curv_total = 0.0
+    total = 0.0
     for cell in np.ndindex(*m.densities.shape):
         p = m.densities[cell]
         if any(not 1 <= c < n - 1 for c, n in zip(cell, m.densities.shape)) or p <= 0:
             continue
         quad = sum(d[i, j] * grads[i][cell] * grads[j][cell]
                    for i in range(k) for j in range(k))
-        curv = sum(d[i, j] * hess[i][j][cell] for i in range(k) for j in range(k))
-        quad_total += 0.5 * quad / p * m.volumes[cell]
-        curv_total += 0.5 * curv * m.volumes[cell]
-    return quad_total, curv_total
+        total += 0.5 * quad / p * m.volumes[cell]
+    return total
 
 
 @pytest.mark.filterwarnings("ignore:entropy rate skipped")
@@ -298,15 +286,13 @@ def test_entropy_rate_matches_cell_loop(rng, axes, d):
     # the cap leaves interior cells of the polar angle empty, so cells are skipped
     samples = random_cap_point(rng, E[0], 0.8, 20000)
     m = estimate_density(samples, GridSpec.uniform(8)).marginal(axes)
-    quad, curv = entropy_rate_parts_by_cell(m, d)
-    assert entropy_rate_fisher(m, d) == pytest.approx(quad, rel=1e-13)
-    assert entropy_rate_formula(m, d) == pytest.approx(quad - curv, rel=1e-13)
+    assert entropy_rate_fisher(m, d) == pytest.approx(entropy_rate_by_cell(m, d), rel=1e-13)
 
 
 def test_entropy_rate_rejects_high_dimension(rng):
     est = estimate_density(random_sphere_point(rng, 1000), GridSpec.uniform(3))
     with pytest.raises(ValueError):
-        entropy_rate_formula(est.marginal((0, 1, 2)), np.eye(3))
+        entropy_rate_fisher(est.marginal((0, 1, 2)), np.eye(3))
 
 
 # --------------------------------------------------------------------------
@@ -470,7 +456,7 @@ def test_weak_check_linear_function():
     problem = brownian_problem(z0)
     rep = generator_weak_check(problem, lambda z: np.asarray(z)[..., 0],
                                t=0.1, n_paths=4000, dt=1e-3, seed=17)
-    assert rep.passed
+    assert abs(rep.martingale_mean) <= 3.0 * rep.stderr
     # linear functions decay at rate 7/2
     assert rep.lhs == pytest.approx((np.exp(-0.35) - 1.0) * z0[0], abs=4 * rep.stderr + 1e-3)
 
@@ -481,7 +467,7 @@ def test_weak_check_all_coordinates_decay():
     for i in range(8):
         rep = generator_weak_check(problem, lambda z, i=i: np.asarray(z)[..., i],
                                    t=0.1, n_paths=2000, dt=1e-3, seed=29 + i)
-        assert rep.passed
+        assert abs(rep.martingale_mean) <= 3.0 * rep.stderr
 
 
 def test_weak_check_constant_function():
@@ -501,7 +487,7 @@ def test_weak_check_quadratic_single_field_vs_gaussian_oracle():
     t = 0.25
     rep = generator_weak_check(problem, lambda z: np.asarray(z)[..., 0] ** 2,
                                t=t, n_paths=20000, dt=2.5e-3, seed=31)
-    assert rep.passed
+    assert abs(rep.martingale_mean) <= 3.0 * rep.stderr
     from sevensphere.integrators import frame_rotation_apply
     nodes, weights = np.polynomial.hermite_e.hermegauss(61)
     w = nodes * np.sqrt(t)

@@ -187,6 +187,15 @@ def test_surface_entropy_refuses_kinked_scaling(rng):
         entropy_on_surface(h.forward(random_sphere_point(rng, 100)), h, GridSpec.uniform(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_surface_entropy_nonfinite_sample_rejected(rng, bad):
+    h = bump_map()
+    gammas = h.forward(random_sphere_point(rng, 3))
+    gammas[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        entropy_on_surface(gammas, h, GridSpec.uniform(3))
+
+
 def test_conjugated_flow_identity_map(rng):
     h = ExoticMap()
     noise = sample_brownian(30, 0.01, 7, seed=3)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from sevensphere.flows import (IntegratedFlow, RotationFlow, continuity_modulus,
-                               heun_refinement_residuals, isometry_check)
+from sevensphere.flows import (IntegratedFlow, RotationFlow, heun_refinement_residuals,
+                               isometry_check)
 from sevensphere.frames import CombinedField
 from sevensphere.geometry import random_sphere_point
-from sevensphere.integrators import (NoisePath, SdeProblem, sample_brownian,
-                                     single_frame_problem)
+from sevensphere.integrators import (NoisePath, SdeProblem, frame_rotation_matrix,
+                                     sample_brownian, single_frame_problem)
 
 E = np.eye(8)
 
@@ -76,7 +76,7 @@ def test_compose_endpoint_mismatch_rejected():
 
 def test_factors_orthogonal_unit_determinant():
     g1, g2 = exact_triple()
-    for m in (g1.factors + g2.factors):
+    for m in (g1.as_matrix(), g2.as_matrix(), g1.compose(g2).as_matrix()):
         np.testing.assert_allclose(m.T @ m, np.eye(8), atol=1e-12)
         assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
 
@@ -105,25 +105,23 @@ def test_non_killing_flow_distorts(rng):
     assert isometry_check(flow, random_sphere_point(rng, 10)) > 1e-3
 
 
-def test_continuity_modulus_identity(rng):
-    report = continuity_modulus(RotationFlow.identity(), random_sphere_point(rng, 40))
-    assert report.max_ratio == pytest.approx(1.0, abs=1e-13)
-    assert report.min_ratio == pytest.approx(1.0, abs=1e-13)
-    assert report.n_pairs > 0
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 1000])
+def test_from_noise_equals_sequential_product(n_steps):
+    # the pairwise reduction against the step-by-step product of its factors
+    noise = sample_brownian(n_steps, 1e-3, 7, seed=n_steps)
+    coeffs = np.random.default_rng(n_steps).standard_normal((7, 7))
+    expect = np.eye(8)
+    for m in frame_rotation_matrix(noise.increments @ coeffs):
+        expect = m @ expect
+    flow = RotationFlow.from_noise(coeffs, noise, s=0.5)
+    assert (flow.s, flow.t) == (0.5, pytest.approx(0.5 + n_steps * 1e-3))
+    np.testing.assert_allclose(flow.as_matrix(), expect, rtol=0, atol=1e-13)
 
 
-def test_continuity_modulus_exact_rotation(rng):
-    g1, g2 = exact_triple()
-    report = continuity_modulus(g1.compose(g2), random_sphere_point(rng, 40))
-    assert abs(report.max_ratio - 1.0) < 1e-10
-
-
-def test_continuity_modulus_heun_near_one(rng):
-    problem = single_frame_problem(3, E[0])
-    noise = sample_brownian(50, 0.005, 1, seed=29)
-    report = continuity_modulus(IntegratedFlow(problem, noise),
-                                random_sphere_point(rng, 30))
-    assert abs(report.max_ratio - 1.0) < 1e-2
+def test_from_noise_without_steps_is_identity():
+    flow = RotationFlow.from_noise(np.eye(7), NoisePath(0.01, np.zeros((0, 7))))
+    np.testing.assert_array_equal(flow.as_matrix(), np.eye(8))
+    assert flow.s == flow.t == 0.0
 
 
 def test_heun_cocycle_residual_refines(rng):
@@ -155,24 +153,6 @@ def test_heun_frame_roundtrip_is_exact(rng):
     flow = IntegratedFlow(brownian_problem(E[0]), noise)
     back = flow.invert().apply(flow.apply(pts))
     assert np.max(np.linalg.norm(back - pts, axis=-1)) < 1e-12
-
-
-def test_flow_jacobian_conditioning(rng):
-    from sevensphere.flows import flow_jacobian_conditioning
-
-    g1, g2 = exact_triple()
-    whole = g1.compose(g2)
-    z = random_sphere_point(rng)
-    sv = flow_jacobian_conditioning(whole, z)
-    assert len(sv) == 7
-    np.testing.assert_allclose(sv, np.ones(7), atol=1e-6)
-    # a heun flow of a smooth non-isometric field stays well conditioned
-    field = CombinedField(lambda z: np.stack(
-        [z[..., 0]] + [np.zeros_like(z[..., 0])] * 6, axis=-1))
-    problem = SdeProblem((field,), E[0])
-    flow = IntegratedFlow(problem, sample_brownian(40, 0.01, 1, seed=77))
-    sv = flow_jacobian_conditioning(flow, z)
-    assert sv[0] / sv[-1] < 3.0
 
 
 def test_flow_from_file_loaded_increments(tmp_path):
