@@ -297,7 +297,7 @@ def _run_simulate(cfg, outdir, summary):
                                     cfg.seed, scheme=cfg.scheme, save_times=save,
                                     threads=cfg.threads)
     summary.counters["max_renorm_defect"] = result.max_renorm_defect
-    norms = np.linalg.norm(result.states, axis=-1)
+    norms = sgeo.row_norms(result.states)
     summary.add("state_norm_dev", float(np.max(np.abs(norms - 1.0))), 1e-12)
     if cfg.field == "full":
         t = float(result.times[-1])
@@ -329,16 +329,14 @@ def _run_flow_check(cfg, outdir, summary):
                                        s=cut * cfg.dt)
     whole = g1.compose(g2)
     dense = whole.as_matrix()
-    cocycle = float(np.max(np.linalg.norm(
-        g2.apply(g1.apply(pts)) - pts @ dense.T, axis=-1)))
+    cocycle = float(np.max(sgeo.row_norms(g2.apply(g1.apply(pts)) - pts @ dense.T)))
     summary.add("cocycle_residual", cocycle, 1e-12)
     ident = sflow.RotationFlow.identity()
     summary.add("identity_residual",
-                float(np.max(np.linalg.norm(ident.apply(pts) - pts, axis=-1))), 1e-12)
+                float(np.max(sgeo.row_norms(ident.apply(pts) - pts))), 1e-12)
     inv = whole.invert()
     summary.add("inverse_residual",
-                float(np.max(np.linalg.norm(inv.apply(whole.apply(pts)) - pts,
-                                            axis=-1))), 1e-12)
+                float(np.max(sgeo.row_norms(inv.apply(whole.apply(pts)) - pts))), 1e-12)
     summary.add("isometry_distortion", sflow.isometry_check(whole, pts[:16]), 1e-12)
     # Frame-generated steps invert exactly under negated reversed increments
     # (the quadratic term is scalar and renormalizes away), so the round-trip
@@ -347,8 +345,13 @@ def _run_flow_check(cfg, outdir, summary):
         sint.brownian_problem(pts[0]), pts[:8], cfg.seed)
     dec = max(residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1))
     summary.add("heun_compose_refinement_ratio", dec, 1.0)
-    bent = sfr.CombinedField(lambda z: np.stack(
-        [z[..., 0]] + [np.zeros_like(z[..., 0])] * 6, axis=-1))
+
+    def bent_coefficients(z):  # z1 times the first frame field
+        a = np.zeros(z.shape[:-1] + (7,))
+        a[..., 0] = z[..., 0]
+        return a
+
+    bent = sfr.CombinedField(bent_coefficients)
     state_dep = sint.SdeProblem((bent,), pts[0])
     _, roundtrips = sflow.heun_refinement_residuals(state_dep, pts[:8], cfg.seed)
     dec_rt = max(roundtrips[i + 1] / roundtrips[i] for i in range(len(roundtrips) - 1))
@@ -459,11 +462,11 @@ def _run_exotic_compare(cfg, outdir, summary):
     h = _exotic_map(cfg)
     pts = sgeo.random_sphere_point(rng, cfg.n_points)
     summary.add("roundtrip_dev",
-                float(np.max(np.linalg.norm(h.inverse(h.forward(pts)) - pts, axis=-1))),
+                float(np.max(sgeo.row_norms(h.inverse(h.forward(pts)) - pts))),
                 1e-9)
     circle = _circle12(np.linspace(0.0, 2.0 * np.pi, 181))
     summary.add("fixed_circle_dev",
-                float(np.max(np.linalg.norm(h.forward(circle) - circle, axis=-1))),
+                float(np.max(sgeo.row_norms(h.forward(circle) - circle))),
                 1e-12)
     # paired entropy: same transported ensemble measured on both sides
     center = _e1()
@@ -496,8 +499,8 @@ def _run_circles(cfg, outdir, summary):
     summary.add("circle_closure_dev", max(im.closure_error for im in images), 1e-9)
     fixed = [im for im in images if (im.i, im.j) == (1, 2)][0]
     summary.add("fixed_circle_dev",
-                float(np.max(np.linalg.norm(fixed.points - _circle12(fixed.params),
-                                            axis=-1))), 1e-12)
+                float(np.max(sgeo.row_norms(fixed.points - _circle12(fixed.params)))),
+                1e-12)
     deformed = max(im.max_radial_deviation for im in images)
     if cfg.deformation_eps > 0:
         summary.add("max_radial_deviation", deformed, 1e-6, larger_ok=True)

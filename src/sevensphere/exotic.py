@@ -21,7 +21,7 @@ import numpy as np
 
 from .density import ANGLE_SPANS, EntropyReport, GridSpec, _histogram, plugin_entropy
 from .frames import DIM
-from .geometry import chart_jacobian, to_cartesian, volume_element
+from .geometry import chart_jacobian, row_norms, to_cartesian, volume_element
 from . import integrators
 
 
@@ -129,8 +129,10 @@ class Deformation(ScalingFunction):
 def _unit(x):
     """x / |x| and |x| (shaped (..., 1)) for points x (..., 8)."""
     x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
-    if np.any(r < 1e-300):
+    r = row_norms(x)
+    if not np.isfinite(r).all():
+        raise ValueError("the model surface needs finite points of finite norm")
+    if (r < 1e-300).any():
         raise ValueError("the model surface has no point on the ray of the origin")
     return x / r, r
 
@@ -237,8 +239,7 @@ def conjugation_gaps(h: ExoticMap, seed, t=0.5, base_dt=0.002, levels=(4, 2, 1),
             pred = h.surface_point(gamma + dw * v1)
             v2 = push(pred)
             gamma = h.surface_point(gamma + 0.5 * dw * (v1 + v2))
-        gaps.append(float(np.mean(np.linalg.norm(h.forward(np.array(ends)) - gamma,
-                                                 axis=-1))))
+        gaps.append(float(np.mean(row_norms(h.forward(np.array(ends)) - gamma))))
     return gaps
 
 
@@ -307,7 +308,7 @@ def circle_images(h: ExoticMap, n_points: int = 257) -> list:
             circle[:, j - 1] = np.sin(thetas)
             image = h.forward(circle)
             closure = float(np.linalg.norm(image[0] - image[-1]))
-            radii = np.linalg.norm(image, axis=-1)
+            radii = row_norms(image)
             out.append(CircleImage(i, j, thetas, image, closure,
                                    float(np.max(np.abs(radii - 1.0)))))
     return out

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import integrators as sint
-from .geometry import geodesic_distance
+from .geometry import geodesic_distance, row_norms
 from .integrators import NoisePath, SdeProblem, frame_rotation_matrix
 
 
@@ -110,10 +110,10 @@ def heun_refinement_residuals(problem, points, seed, n_fine=256, dt_fine=0.5 / 2
             f1 = IntegratedFlow(problem, left)
             f2 = IntegratedFlow(problem, right, s=f1.t)
             direct = IntegratedFlow(problem, fine.coarsened(level))
-            residuals[li] += float(np.mean(np.linalg.norm(
-                f2.apply(f1.apply(points)) - direct.apply(points), axis=-1)))
-            roundtrips[li] += float(np.mean(np.linalg.norm(
-                direct.invert().apply(direct.apply(points)) - points, axis=-1)))
+            residuals[li] += float(np.mean(row_norms(
+                f2.apply(f1.apply(points)) - direct.apply(points))))
+            roundtrips[li] += float(np.mean(row_norms(
+                direct.invert().apply(direct.apply(points)) - points)))
     return list(residuals / n_noise), list(roundtrips / n_noise)
 
 

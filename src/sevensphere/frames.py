@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import central_difference
+from .geometry import central_difference, row_norms
 
 # (i, j, sign) terms, 1-based plane indices: each term contributes
 # sign * (z^i d/dz^j - z^j d/dz^i).
@@ -115,14 +115,13 @@ class CombinedField:
         a = np.asarray(self.coeffs(z), dtype=float)
         if a.shape != z.shape[:-1] + (N_FRAME_FIELDS,):
             raise ValueError(f"coefficient function returned shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise FloatingPointError("coefficient function returned non-finite values")
         return a
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        norms = np.linalg.norm(z, axis=-1, keepdims=True)
-        a = self.coefficients_at(z / norms)
+        a = self.coefficients_at(z / row_norms(z))
         u = frame_eval_all(z)
         return np.einsum("...m,...mi->...i", a, u)
 

@@ -132,6 +132,13 @@ def central_difference(f, x, h: float, directions=None) -> np.ndarray:
                      for d in directions], axis=-1)
 
 
+def row_norms(x) -> np.ndarray:
+    """Euclidean norms of the rows of x (..., n), shaped (..., 1): the
+    arithmetic of np.linalg.norm(x, axis=-1, keepdims=True) for real x,
+    bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+
+
 def geodesic_distance(x, y) -> np.ndarray:
     """Great-circle distance; inner product clamped into [-1, 1] before arccos."""
     x = np.asarray(x, dtype=float)
@@ -172,7 +179,7 @@ def random_sphere_point(rng: np.random.Generator, size=None) -> np.ndarray:
         v = rng.standard_normal(DIM)
         return v / np.linalg.norm(v)
     v = rng.standard_normal((size, DIM))
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return v / row_norms(v)
 
 
 def random_cap_point(rng: np.random.Generator, center, radius: float, size=None) -> np.ndarray:
@@ -182,7 +189,7 @@ def random_cap_point(rng: np.random.Generator, center, radius: float, size=None)
     n = 1 if size is None else size
     v = rng.standard_normal((n, DIM))
     v -= np.outer(v @ center, center)
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    v /= row_norms(v)
     r = radius * rng.random(n) ** (1.0 / 7.0)  # volume-weighted in 7 dimensions
     pts = np.cos(r)[:, None] * center + np.sin(r)[:, None] * v
     return pts[0] if size is None else pts
@@ -192,7 +199,7 @@ __all__ = [
     "N_ANGLES", "DIM", "ChartSingularityError",
     "to_cartesian", "to_spherical", "volume_element",
     "chart_jacobian", "metric_tensor", "central_difference", "geodesic_distance",
-    "sphere_volume", "sphere_volume_quadrature",
+    "row_norms", "sphere_volume", "sphere_volume_quadrature",
     "gauss_legendre", "sin_power_integral",
     "random_sphere_point", "random_cap_point",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .frames import (DIM, FRAME_GENERATORS, N_FRAME_FIELDS, CombinedField,
                      frame_eval_all, frame_field)
-from .geometry import central_difference
+from .geometry import central_difference, row_norms
 
 CHUNK = 1024  # fixed path block size; independent of the worker count
 NOISE_BLOCK = 256  # steps of noise drawn per block; bounds a chunk's noise buffer
@@ -209,6 +209,8 @@ class SdeProblem:
         if self.generators is not None:
             flat = z @ self.generators.reshape(-1, DIM).T
             return flat.reshape(z.shape[:-1] + self.generators.shape[:-1])
+        if len(self.diffusion_fields) == 1:
+            return np.asarray(self.diffusion_fields[0](z), dtype=float)[..., None, :]
         return np.stack([np.asarray(f(z), dtype=float)
                          for f in self.diffusion_fields], axis=-2)
 
@@ -267,8 +269,8 @@ def _increment(problem: SdeProblem, z, dw):
 
 def _renormalize(z):
     """z projected back onto the sphere, and the largest norm defect absorbed."""
-    norms = np.linalg.norm(z, axis=-1, keepdims=True)
-    return z / norms, float(np.max(np.abs(norms - 1.0)))
+    norms = row_norms(z)
+    return z / norms, float(abs(norms - 1.0).max())
 
 
 def heun_stratonovich_step(problem: SdeProblem, z, dw):
@@ -303,7 +305,7 @@ def frame_rotation_apply(a, z) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     z = np.asarray(z, dtype=float)
     kz = np.einsum("...m,...mi->...i", a, frame_eval_all(z))
-    w = np.linalg.norm(a, axis=-1)[..., None]
+    w = row_norms(a)
     return np.cos(w) * z + np.sinc(w / np.pi) * kz
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import row_norms
+
 MEMBERSHIP_TOL = 1e-10
 UNIT_TOL = 1e-9
 
@@ -36,7 +38,7 @@ def qconj(q):
 def random_unit_quaternion(rng: np.random.Generator, size=None) -> np.ndarray:
     """Uniform draws (*size, 4) on the unit quaternions: normalized 4D Gaussians."""
     v = rng.standard_normal(_shape(size, 4))
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return v / row_norms(v)
 
 
 def membership_residuals(Q):
@@ -56,7 +58,7 @@ def is_member(Q, tol: float = MEMBERSHIP_TOL):
 
 def _require_unit(q):
     q = np.asarray(q, dtype=float)
-    dev = np.abs(np.linalg.norm(q, axis=-1) - 1.0)
+    dev = np.abs(row_norms(q) - 1.0)
     if not np.all(dev <= UNIT_TOL):  # written so that NaN fails too
         raise ValueError(f"actions require unit quaternions, got ||q| - 1| = {np.max(dev)!r}")
     return q

@@ -187,6 +187,7 @@ def test_surface_entropy_refuses_kinked_scaling(rng):
         entropy_on_surface(h.forward(random_sphere_point(rng, 100)), h, GridSpec.uniform(3))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_surface_entropy_nonfinite_sample_rejected(rng, bad):
     h = bump_map()
@@ -194,6 +195,19 @@ def test_surface_entropy_nonfinite_sample_rejected(rng, bad):
     gammas[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         entropy_on_surface(gammas, h, GridSpec.uniform(3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("route", ["inverse", "surface_point"])
+def test_map_rejects_nonfinite_point(rng, route, bad):
+    h = bump_map()
+    gammas = h.forward(random_sphere_point(rng, 3))
+    gammas[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        getattr(h, route)(gammas)
+    with pytest.raises(ValueError, match="finite"):
+        getattr(h, route)(gammas[1])
 
 
 def test_conjugated_flow_identity_map(rng):

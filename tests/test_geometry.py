@@ -3,7 +3,7 @@ import pytest
 
 from sevensphere.geometry import (ChartSingularityError, central_difference,
                                   chart_jacobian, geodesic_distance, metric_tensor,
-                                  random_sphere_point, sin_power_integral,
+                                  random_sphere_point, row_norms, sin_power_integral,
                                   sphere_volume, sphere_volume_quadrature,
                                   to_cartesian, to_spherical, volume_element)
 
@@ -162,3 +162,11 @@ def test_geodesic_distance_clamps_roundoff():
     x = np.zeros(8)
     x[0] = 1.0 + 1e-16
     assert geodesic_distance(x, x) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(8,), (8, 8), (1024, 8)])
+def test_row_norms_equal_linalg_norm_bitwise(rng, shape):
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape[:-1] + (1,))
+    got = row_norms(x)
+    assert got.shape == shape[:-1] + (1,)
+    np.testing.assert_array_equal(got, np.linalg.norm(x, axis=-1, keepdims=True))

@@ -572,3 +572,96 @@ def test_field_without_coefficients_has_no_exact_scheme():
         assert problem.frame_coefficients is None
         with pytest.raises(ValueError, match="coefficients"):
             simulate_ensemble(problem, 2, 2, 0.01, seed=1, scheme="exact_rotation")
+
+
+# --------------------------------------------------------------------------
+# step layer pinned bit for bit to its plain numpy formulas
+# --------------------------------------------------------------------------
+
+def reference_diffusion_matrix(problem, z):
+    """Generator product with the reshaped-transposed table, else np.stack."""
+    if problem.generators is not None:
+        flat = z @ problem.generators.reshape(-1, 8).T
+        return flat.reshape(z.shape[:-1] + problem.generators.shape[:-1])
+    return np.stack([np.asarray(f(z), dtype=float) for f in problem.diffusion_fields],
+                    axis=-2)
+
+
+def reference_increment(problem, z, dw):
+    return np.einsum("...ci,...c->...i", reference_diffusion_matrix(problem, z), dw)
+
+
+def reference_renormalize(z):
+    norms = np.linalg.norm(z, axis=-1, keepdims=True)
+    return z / norms, float(np.max(np.abs(norms - 1.0)))
+
+
+def reference_heun(problem, z, dw):
+    incr = reference_increment(problem, z, dw)
+    incr2 = reference_increment(problem, z + incr, dw)
+    return reference_renormalize(z + 0.5 * (incr + incr2))
+
+
+def reference_ito_euler(problem, z, dw, dt):
+    h = ito_correction_drift(problem.diffusion_fields, z)
+    return reference_renormalize(z + 0.5 * dt * h + reference_increment(problem, z, dw))
+
+
+def reference_combined(coeffs):
+    """CombinedField's value with np.linalg.norm and the frame table product."""
+    def field(z):
+        z = np.asarray(z, dtype=float)
+        a = coeffs(z / np.linalg.norm(z, axis=-1, keepdims=True))
+        u = (z @ FRAME_GENERATORS.reshape(56, 8).T).reshape(z.shape[:-1] + (7, 8))
+        return np.einsum("...m,...mi->...i", a, u)
+    return field
+
+
+def bent_stacked(z):  # z1 times the first frame field, stacked column by column
+    return np.stack([z[..., 0]] + [np.zeros_like(z[..., 0])] * 6, axis=-1)
+
+
+def bent_assigned(z):  # the same coefficients written into zeros
+    a = np.zeros(z.shape[:-1] + (7,))
+    a[..., 0] = z[..., 0]
+    return a
+
+
+def swirl(z):  # a second state-dependent coefficient field
+    return np.stack([z[..., 1] * z[..., 2], np.zeros_like(z[..., 0]), z[..., 3],
+                     np.zeros_like(z[..., 0]), -z[..., 0], z[..., 5] ** 2,
+                     np.ones_like(z[..., 0])], axis=-1)
+
+
+STEP_CASES = {
+    "brownian": lambda rng, z0: (brownian_problem(z0),) * 2,
+    "frame3": lambda rng, z0: (single_frame_problem(3, z0),) * 2,
+    "combo": lambda rng, z0: (combination_problem(rng.standard_normal(7), z0),) * 2,
+    "bent": lambda rng, z0: (SdeProblem((CombinedField(bent_assigned),), z0),
+                             SdeProblem((reference_combined(bent_stacked),), z0)),
+    "two-field": lambda rng, z0: (
+        SdeProblem((CombinedField(bent_assigned), CombinedField(swirl)), z0),
+        SdeProblem((reference_combined(bent_stacked), reference_combined(swirl)), z0)),
+}
+
+
+@pytest.mark.parametrize("n_points", [1, 8, 1024])
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+@pytest.mark.parametrize("scheme", ["heun", "ito_euler"])
+def test_steps_equal_reference_formulas_bitwise(rng, scheme, case, n_points):
+    problem, reference = STEP_CASES[case](rng, unit_vector(rng))
+    dt = 0.01
+    z = random_sphere_point(rng, n_points)
+    if n_points == 1:
+        z = z[0]
+    zr = z
+    for _ in range(3):
+        dw = rng.normal(0.0, np.sqrt(dt), z.shape[:-1] + (problem.n_channels,))
+        if scheme == "heun":
+            (z, defect), (zr, defect_r) = (heun_stratonovich_step(problem, z, dw),
+                                           reference_heun(reference, zr, dw))
+        else:
+            (z, defect), (zr, defect_r) = (ito_euler_step(problem, z, dw, dt),
+                                           reference_ito_euler(reference, zr, dw, dt))
+        np.testing.assert_array_equal(z, zr)
+        assert defect == defect_r
