@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .geometry import central_difference, row_norms
 
 CHUNK = 1024  # fixed path block size; independent of the worker count
 NOISE_BLOCK = 256  # steps of noise drawn per block; bounds a chunk's noise buffer
+GEN_GROUP = 256  # per-path generators built together, just before their draws
 ROW_BLOCK = 1024  # CSV rows formatted per write; bounds the text held in memory
 
 
@@ -373,16 +375,21 @@ def _save_indices(n_steps, dt, save_times):
 def _simulate_chunk(problem, scheme, out, path_lo, n_steps, dt, seed, save_idx,
                     initial_points=None):
     """Integrate paths path_lo + [0, len(out)) into ``out`` (n, n_saved, 8); return
-    the largest renormalization defect.  Per-path generators fill a (b, n, n_ch)
-    noise buffer NOISE_BLOCK steps at a time, kept while a later block needs them."""
+    the largest renormalization defect.  Per-path generators, built GEN_GROUP at a
+    time, fill a path-major (paths, steps, channels) noise buffer NOISE_BLOCK
+    steps at a time, and are kept only while a later block needs them."""
     n = len(out)
     n_ch = problem.n_channels
-    rngs = (path_generator(seed, i) for i in range(path_lo, path_lo + n))
-    noise = np.empty((min(n_steps, NOISE_BLOCK), n, n_ch))
+    sd = np.sqrt(dt)
+    path_hi = path_lo + n
+    rngs = itertools.chain.from_iterable(
+        [path_generator(seed, i) for i in range(g, min(g + GEN_GROUP, path_hi))]
+        for g in range(path_lo, path_hi, GEN_GROUP))
+    noise = np.empty((n, min(n_steps, NOISE_BLOCK), n_ch))
     if initial_points is None:
         z = np.broadcast_to(problem.initial, (n, DIM)).copy()
     else:
-        z = np.array(initial_points[path_lo:path_lo + n], dtype=float)
+        z = np.array(initial_points[path_lo:path_hi], dtype=float)
     defect = 0.0
     save_pos = {}  # step -> every output column saved at that step
     for j, s in enumerate(save_idx):
@@ -391,12 +398,14 @@ def _simulate_chunk(problem, scheme, out, path_lo, n_steps, dt, seed, save_idx,
         out[:, save_pos[0], :] = z[:, None, :]
     for step in range(n_steps):
         if step % NOISE_BLOCK == 0:
-            block = noise[:n_steps - step]
-            if n_steps - step > NOISE_BLOCK:
-                rngs = list(rngs)
+            block = noise[:, :n_steps - step]
+            kept = [] if n_steps - step > NOISE_BLOCK else None
             for k, rng in enumerate(rngs):
-                block[:, k] = rng.normal(0.0, np.sqrt(dt), size=(len(block), n_ch))
-        dw = block[step % NOISE_BLOCK]
+                block[k] = rng.normal(0.0, sd, size=block.shape[1:])
+                if kept is not None:
+                    kept.append(rng)
+            rngs = kept
+        dw = block[:, step % NOISE_BLOCK]
         if scheme == "exact_rotation":
             z = exact_rotation_step(problem.frame_coefficients, z, dw)
         elif scheme == "heun":
@@ -420,6 +429,12 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
     point.  The exact rotation scheme requires every field to carry constant
     frame ``coefficients`` and rejects state-dependent problems.
     """
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")
     if scheme == "exact_rotation" and problem.frame_coefficients is None:

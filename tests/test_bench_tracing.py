@@ -45,6 +45,21 @@ calls = tracer.layer_metrics(1.0)["integrators.step.exact_rotation.calls"]
 if calls != 10:
     sys.exit(f"traced exact rotation steps: {calls}, expected 10 (5 per ensemble)")
 
+# two workers over a full chunk and a partial generator group, past one noise
+# block: one traced generator per path, every draw counted, one step call per
+# chunk and step
+before = tracer.layer_metrics(1.0)
+steps = integrators.NOISE_BLOCK + 3
+integrators.simulate_ensemble(integrators.brownian_problem(np.eye(8)[0]), 1100, steps,
+                              0.01, seed=2, scheme="exact_rotation", threads=2)
+after = tracer.layer_metrics(1.0)
+got = tuple(after[k] - before[k] for k in (
+    "integrators.noise.paths", "integrators.noise.draws",
+    "integrators.step.exact_rotation.calls"))
+if got != (1100, 1100 * steps * 7, 2 * steps):
+    sys.exit(f"traced noise paths, draws and exact rotation calls: {got}, "
+             f"expected {(1100, 1100 * steps * 7, 2 * steps)}")
+
 # the conjugation gaps step each of 2 noise paths through 63 + 125 + 250
 # coarsened steps, and every step must pass the traced module attribute
 from sevensphere import exotic

@@ -5,10 +5,11 @@ import pytest
 from scipy import integrate, special
 from scipy.linalg import expm
 
+from sevensphere import integrators
 from sevensphere.frames import (FRAME_GENERATORS, CombinedField, frame_field,
                                 generator_matrix)
 from sevensphere.geometry import geodesic_distance, random_sphere_point
-from sevensphere.integrators import (NOISE_BLOCK, NoisePath, SdeProblem,
+from sevensphere.integrators import (CHUNK, NOISE_BLOCK, NoisePath, SdeProblem,
                                      brownian_problem, combination_problem,
                                      exact_rotation_step, frame_rotation_apply,
                                      frame_rotation_matrix,
@@ -401,6 +402,15 @@ def test_save_times_validated():
         simulate_ensemble(problem, 1, 10, 0.01, seed=1, save_times=[0.005])
 
 
+@pytest.mark.parametrize("bad", [
+    {"dt": -0.01}, {"dt": float("nan")}, {"dt": float("inf")}, {"dt": 0.0},
+    {"n_steps": -3}, {"threads": 0}], ids=lambda bad: "%s=%s" % next(iter(bad.items())))
+def test_ensemble_rejects_bad_sizes_before_any_work(bad):
+    sizes = dict(n_paths=4, n_steps=5, dt=0.01, threads=1) | bad
+    with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
+        simulate_ensemble(single_frame_problem(1, E[0]), seed=1, **sizes)
+
+
 def test_shared_channel_combination_matches_single_generator(rng):
     c = np.array([0.6, 0, 0, 0.8, 0, 0, 0])
     z0 = unit_vector(rng)
@@ -484,6 +494,27 @@ def test_ensemble_equals_per_path_reference(scheme, threads):
                                save_times=np.array(ENSEMBLE_SAVE) * ENSEMBLE_DT,
                                threads=threads)
     np.testing.assert_array_equal(result.states, per_path_reference(scheme))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_path_generator_built_once_in_chunk_order(monkeypatch, threads):
+    """A full chunk and a partial generator group over two noise blocks: every
+    path's generator is created once, within its chunk in index order, and
+    the second block draws from the kept generators."""
+    made, real = [], integrators.path_generator
+
+    def recording(seed, index):
+        made.append((seed, index))
+        return real(seed, index)
+
+    monkeypatch.setattr(integrators, "path_generator", recording)
+    n_paths = CHUNK + 76
+    simulate_ensemble(brownian_problem(E[0]), n_paths, NOISE_BLOCK + 3, 0.01, seed=9,
+                      scheme="exact_rotation", threads=threads)
+    assert sorted(made) == [(9, i) for i in range(n_paths)]
+    for lo in range(0, n_paths, CHUNK):
+        hi = min(lo + CHUNK, n_paths)
+        assert [i for _, i in made if lo <= i < hi] == list(range(lo, hi))
 
 
 def test_ito_correction_rejects_non_finite():

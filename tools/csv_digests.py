@@ -15,7 +15,9 @@ every verdict and every checked number:
 - every experiment with its default keys at seed 7; exotic-compare at seed
   3 with 10k paths and grid 3, and at seed 5 with bump-smooth and eps 0.25;
   circles at seed 3 with bump-kink; simulate with each scheme at seed 5 and
-  1500 paths, and with heun at dt 0.002 (500 steps, past one noise block);
+  1500 paths, with heun at dt 0.002 (500 steps, past one noise block), and
+  with exact_rotation at dt 0.002 on 2 threads (kept generators, a partial
+  generator group and two workers);
   simulate with heun and ito_euler on the single frame field ``frame:3``
   and on the constant combination ``COMBO`` at seed 5, 1500 paths;
 - every bench-size experiment of ``sevenbench/workloads.WORKLOADS``, with
@@ -57,6 +59,8 @@ def runs():
             for scheme in ("heun", "ito_euler", "exact_rotation")]
     out.append(("simulate-heun-500steps-s5", Experiment("simulate", {
         "n_paths": 1500, "dt": 0.002, "scheme": "heun"}), 5))
+    out.append(("simulate-exact_rotation-500steps-2threads-s5", Experiment("simulate", {
+        "n_paths": 1500, "dt": 0.002, "scheme": "exact_rotation"}, threads=2), 5))
     out += [(f"simulate-{tag}-{scheme}-s5", Experiment("simulate", {
         "n_paths": 1500, "field": field, "scheme": scheme}), 5)
             for tag, field in (("frame3", "frame:3"), ("combo", COMBO))
