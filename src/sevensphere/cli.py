@@ -231,7 +231,7 @@ def write_series_csv(path, header, columns):
     """One row per index of the equal-length numeric ``columns``, %.17g each."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        sint._write_rows(fh, sint._float_row(len(columns)), np.column_stack(columns))
+        sint._write_rows(fh, np.column_stack(columns))
 
 
 def write_series_svg(path, xs, ys, title):

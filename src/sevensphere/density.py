@@ -133,8 +133,8 @@ def estimate_density(samples, grid: GridSpec) -> DensityEstimate:
 def write_density_csv(d: DensityEstimate, fname) -> None:
     with open(fname, "w") as fh:
         fh.write(",".join(f"i{k}" for k in range(1, 8)) + ",volume,density\n")
-        sint._write_rows(fh, sint._float_row(2, lead="%d," * N_ANGLES),
-                         np.column_stack([d.indices, d.volumes, d.densities]))
+        sint._write_rows(fh, np.column_stack([d.indices, d.volumes, d.densities]),
+                         n_int=N_ANGLES)
 
 
 @dataclass

@@ -318,8 +318,8 @@ def write_circles_csv(images, fname) -> None:
     with open(fname, "w") as fh:
         fh.write("i,j,theta," + ",".join(f"g{k}" for k in range(1, DIM + 1)) + "\n")
         for im in images:
-            row = integrators._float_row(DIM + 1, lead=f"{im.i},{im.j},")
-            integrators._write_rows(fh, row, np.column_stack([im.params, im.points]))
+            ij = np.broadcast_to([im.i, im.j], (len(im.params), 2))
+            integrators._write_rows(fh, np.column_stack([ij, im.params, im.points]), n_int=2)
 
 
 __all__ = [

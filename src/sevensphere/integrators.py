@@ -134,29 +134,118 @@ def sample_brownian(n_steps: int, dt: float, n_channels: int,
     return NoisePath(dt, inc)
 
 
-def _write_rows(fh, row_format: str, rows) -> None:
-    """Write each row of the (n, k) array ``rows`` through ``row_format``.
+@functools.cache
+def _csv_tables():
+    """Lookup tables of the CSV formatter, built on the first write.
+    ``trail``/``lead``: index g < 10**4 gives the ASCII text of the 4-digit
+    group g (first digit in the low byte) with its trailing/leading zeros as
+    NUL, index g + 10**4 its full text.  ``head[20 e + 10 z + d]``: first word
+    of %.17g at exponent -e, first digit d, z = 1 for a zero fraction.
+    ``tail[e]``: exponent text.  ``scale[e]``: 10**(16 + e) and its halves."""
+    g = np.arange(10_000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    text = (digits + 48).astype(np.uint64) << np.arange(0, 32, 8, dtype=np.uint64)
 
-    Every block of ROW_BLOCK rows is converted by one ``%`` over the format
-    repeated per row; the conversion of each value is the one the format
-    names, so the bytes equal those of a row-by-row loop.
+    def table(nul):
+        return np.concatenate([np.where(nul, 0, text).sum(1), text.sum(1)])
+
+    scale = 10.0 ** np.arange(16, 23)
+    scale_hi = scale * 134217729.0 - (scale * 134217729.0 - scale)
+    return dict(
+        trail=table(np.flip(np.cumprod(np.flip(digits == 0, 1), 1), 1)),
+        lead=table(np.cumprod(digits == 0, 1)),
+        head=np.array([[[int.from_bytes(("\0" + h.replace("d", str(d)).rstrip("." * z))
+                                        .encode(), "little") for d in range(10)] for z in (0, 1)]
+                       for h in ["d.", "0.d", "0.0d", "0.00d", "0.000d", "d.", "d."]],
+                      dtype=np.uint64).reshape(-1),
+        tail=np.frombuffer(bytes(40) + b"e-05\0\0\0\0e-06\0\0\0\0", dtype="<u8"),
+        scale=scale, scale_hi=scale_hi, scale_lo=scale - scale_hi)
+
+
+def _group_words(n, table, order):
+    """Words 1 and 2 of the text of integers 0 <= n < 10**16: four 4-digit
+    groups, each from the zero-stripped half of ``table`` until a nonzero
+    group has passed in ``order`` and from the full half after it."""
+    q = [n // 10 ** 12, n // 10 ** 8, n // 10_000, n]
+    groups = q[:1] + [q[j] - q[j - 1] * 10_000 for j in (1, 2, 3)]
+    text, seen = [None] * 4, False
+    for j in order:
+        text[j] = table[groups[j] + 10_000 * seen]
+        seen = seen | (groups[j] != 0)
+    return text[0] | text[1] << np.uint64(32), text[2] | text[3] << np.uint64(32)
+
+
+def _int_words(v, out):
+    """'%d' text of ``v`` into ``out``; False where |v| >= 1e16 or not finite."""
+    t = np.trunc(v)
+    fast = np.abs(t) < 1e16
+    n = np.where(fast, np.abs(t), 0).astype(np.int64)
+    out[..., 0] = (t < 0) * np.uint64(45)
+    out[..., 1], out[..., 2] = _group_words(n, _csv_tables()["lead"], range(4))
+    out[..., 2] |= (n == 0) * np.uint64(48 << 56)
+    return fast
+
+
+def _float_words(x, out):
+    """'%.17g' text of ``x`` into ``out``; False outside 0 and [1e-6, 10).
+
+    The digits are |x| * 10**(16 + e) rounded half-even: the double product p
+    is an even integer (p >= 2**53) and Dekker's product gives its exact
+    remainder.  Taken only when the exact product lies in [1e16, 1e17)."""
+    tab = _csv_tables()
+    ax = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor(np.log10(ax))
+    fast = (k >= -6) & (k <= 0)
+    e = np.where(fast, -k, 0).astype(np.intp)
+    a = np.where(fast, ax, 1.0)
+    p = a * tab["scale"][e]
+    a_hi = a * 134217729.0 - (a * 134217729.0 - a)
+    hi, lo = tab["scale_hi"][e], tab["scale_lo"][e]
+    err = ((a_hi * hi - p) + a_hi * lo + (a - a_hi) * hi) + (a - a_hi) * lo
+    n = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    fast &= ((p > 1e16) | ((p == 1e16) & (err >= 0))) & (n < 10 ** 17)
+    n = np.where(fast, n, 0)
+    d0 = n // 10 ** 16
+    n -= d0 * 10 ** 16
+    out[..., 0] = (np.signbit(x) * np.uint64(45)
+                   | tab["head"].take(20 * e + 10 * (n == 0) + d0))
+    out[..., 1], out[..., 2] = _group_words(n, tab["trail"], range(3, -1, -1))
+    out[..., 3] = tab["tail"][e]
+    return fast | (ax == 0)
+
+
+def _write_rows(fh, rows, n_int: int = 0) -> None:
+    """Write the (n, k) array ``rows`` as CSV lines, the first ``n_int``
+    columns by '%d' and the others by '%.17g', byte for byte as Python's
+    ``%``: per ROW_BLOCK rows, one ``bytes.translate`` drops the NULs of the
+    texts packed in ``_int_words`` and ``_float_words``; the values they
+    reject are formatted one at a time by ``%``.
     """
     rows = np.asarray(rows, dtype=float)
+    seps = [","] * (rows.shape[1] - 1) + ["\n"]
+    sep_words = np.array([ord(s) << 32 for s in seps], dtype=np.uint64)
     for lo in range(0, len(rows), ROW_BLOCK):
         block = rows[lo:lo + ROW_BLOCK]
-        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
-
-
-def _float_row(k: int, lead: str = "") -> str:
-    """Row format: ``lead`` then k comma-separated %.17g values."""
-    return lead + ",".join(["%.17g"] * k) + "\n"
+        words = np.zeros(block.shape + (4,), dtype="<u8")  # text bytes low first
+        fast = np.concatenate([_int_words(block[:, :n_int], words[:, :n_int]),
+                               _float_words(block[:, n_int:], words[:, n_int:])], axis=1)
+        words[..., 3] |= sep_words
+        raw, parts, start = words.tobytes(), [], 0
+        for i in np.flatnonzero(~fast).tolist():
+            col = i % block.shape[1]
+            text = ("%d" if col < n_int else "%.17g") % block.flat[i] + seps[col]
+            parts += [raw[start:32 * i], text.encode()]
+            start = 32 * (i + 1)
+        parts.append(raw[start:])
+        fh.write(b"".join(parts).translate(None, b"\0").decode())
 
 
 def save_noise_path(path: NoisePath, fname) -> None:
     with open(fname, "w") as fh:
         fh.write("dt,n_steps,n_channels\n")
-        fh.write(f"{'%.17g' % path.dt},{path.n_steps},{path.n_channels}\n")
-        _write_rows(fh, _float_row(path.n_channels), path.increments)
+        _write_rows(fh, [[path.dt, path.n_steps, path.n_channels]])
+        _write_rows(fh, path.increments)
 
 
 def load_noise_path(fname) -> NoisePath:
@@ -165,8 +254,10 @@ def load_noise_path(fname) -> NoisePath:
         if header != "dt,n_steps,n_channels":
             raise ValueError(f"unexpected noise file header: {header!r}")
         dt_s, n_steps_s, n_channels_s = fh.readline().strip().split(",")
-        inc = np.loadtxt(io.StringIO(fh.read()), delimiter=",", ndmin=2)
+        body = fh.read()
     n_steps, n_channels = int(n_steps_s), int(n_channels_s)
+    inc = (np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2) if body.strip()
+           else np.zeros((0, n_channels)))
     if inc.shape != (n_steps, n_channels):
         raise ValueError(f"noise file body {inc.shape} does not match header")
     return NoisePath(float(dt_s), inc)
@@ -464,7 +555,6 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
 def write_trajectories_csv(result: EnsembleResult, fname) -> None:
     """CSV rows path_id,t,z1..z8 in path order; %.17g keeps byte determinism."""
     n_t = len(result.times)
-    row_format = _float_row(DIM + 1, lead="%d,")
     paths_per_block = max(1, ROW_BLOCK // max(n_t, 1))
     with open(fname, "w") as fh:
         fh.write("path_id,t," + ",".join(f"z{i}" for i in range(1, DIM + 1)) + "\n")
@@ -474,7 +564,7 @@ def write_trajectories_csv(result: EnsembleResult, fname) -> None:
             rows[:, 0] = np.repeat(np.arange(lo, hi), n_t)
             rows[:, 1] = np.tile(result.times, hi - lo)
             rows[:, 2:] = result.states[lo:hi].reshape(-1, DIM)
-            _write_rows(fh, row_format, rows)
+            _write_rows(fh, rows, n_int=1)
 
 
 __all__ = [

@@ -4,6 +4,8 @@
 ROW_BLOCK is shrunk so that every file spans several blocks, and the row
 count is not a multiple of the block."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,40 @@ def test_density_csv(tmp_path, rng):
     expected = "i1,i2,i3,i4,i5,i6,i7,volume,density\n" + "".join(
         ref_row([*key, v, d]) for key, v, d in zip(keys, vols, dens))
     assert fname.read_text() == expected
+
+
+@pytest.mark.parametrize("value, text", [
+    (1e-6, "9.9999999999999995e-07"),
+    (9.9999999999999995e-05, "9.9999999999999991e-05"),
+], ids=["1e-6", "just-below-1e-4"])
+def test_scaled_value_just_below_1e16(tmp_path, value, text):
+    # |x| * 10**(16 - k) rounds up to the double 1e16 while the exact
+    # product lies below it: the exponent is one lower than the estimate
+    fname = tmp_path / "s.csv"
+    cli.write_series_csv(fname, ["x"], [[value, -value]])
+    assert fname.read_text() == f"x\n{text}\n-{text}\n"
+
+
+def edge_values(rng):
+    """Doubles at the formatter's boundaries, ties, specials and raw bits."""
+    ulps = np.arange(-64, 65)
+    near = np.concatenate([(np.float64(10.0 ** k).view(np.int64) + ulps).view(np.float64)
+                           for k in range(-9, 19)])
+    odd = rng.integers(1, 2 ** 21, 600) | 1  # m * 2**-j: ties at the 17th digit
+    ties = (odd[:, None] * 2.0 ** -np.arange(61)).ravel()
+    special = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1e300, np.nan, np.inf]
+    bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64)
+    signed = np.concatenate([near, special])
+    return np.concatenate([signed, -signed, ties, bits])
+
+
+def test_edge_values_and_integer_columns(monkeypatch, rng):
+    monkeypatch.setattr(integrators, "ROW_BLOCK", 1000)
+    floats = edge_values(rng)
+    floats = np.resize(floats, (-(-floats.size // 8), 8))
+    ints = np.resize([0, 9, 10, 99999999, 10 ** 8, 2 ** 53 - 1, -12345], len(floats))
+    out = io.StringIO()
+    integrators._write_rows(out, np.column_stack([ints, floats]), n_int=1)
+    expected = "".join(ref_row([int(i), *row]) for i, row in zip(ints, floats))
+    assert out.getvalue() == expected

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,19 @@ def test_noise_save_load_roundtrip(tmp_path):
     save_noise_path(path, fname)
     back = load_noise_path(fname)
     assert back.dt == path.dt
+    np.testing.assert_array_equal(back.increments, path.increments)
+
+
+@pytest.mark.parametrize("n_steps, n_channels", [(0, 3), (1, 3), (0, 1), (1, 1), (5, 1)])
+def test_noise_save_load_roundtrip_short(tmp_path, n_steps, n_channels):
+    path = NoisePath(0.1, np.arange(n_steps * n_channels).reshape(n_steps, n_channels) - 2.5)
+    fname = tmp_path / "noise.csv"
+    save_noise_path(path, fname)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = load_noise_path(fname)
+    assert back.dt == path.dt
+    assert back.increments.shape == (n_steps, n_channels)
     np.testing.assert_array_equal(back.increments, path.increments)
 
 
