@@ -103,7 +103,10 @@ class ScalingFunction:
         return "c0"
 
     def __call__(self, z) -> np.ndarray:
-        val = np.asarray(self.base + self.eps * self.profile.value(z))
+        if self.eps == 0.0:  # base + 0 * bump without the bump; NaN at non-finite z
+            val = np.where(np.isfinite(z).all(axis=-1), float(self.base), np.nan)
+        else:
+            val = np.asarray(self.base + self.eps * self.profile.value(z))
         if not np.all(val > 0.0):
             raise ValueError("scaling function must stay positive (and not NaN)")
         return val

@@ -48,6 +48,8 @@ def _build_generators():
 
 
 FRAME_GENERATORS = _build_generators()
+# (8, 7*8) and F-contiguous: frame_eval_all's one product
+_FRAME_TABLE = FRAME_GENERATORS.reshape(N_FRAME_FIELDS * DIM, DIM).T
 
 
 def generator_matrix(mu: int) -> np.ndarray:
@@ -65,8 +67,9 @@ def frame_eval(mu: int, z) -> np.ndarray:
 def frame_eval_all(z) -> np.ndarray:
     """All seven field values at z; shape (..., 7, 8)."""
     z = np.asarray(z, dtype=float)
-    # (..., 8) @ (8, 7*8) laid out as one product, then split
-    flat = z @ FRAME_GENERATORS.reshape(N_FRAME_FIELDS * DIM, DIM).T
+    # one product, then split; order "A" writes it points-last for a
+    # points-last z (the table is F-contiguous) and in C order otherwise
+    flat = np.matmul(z, _FRAME_TABLE, order="A")
     return flat.reshape(z.shape[:-1] + (N_FRAME_FIELDS, DIM))
 
 

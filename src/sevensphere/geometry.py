@@ -134,9 +134,20 @@ def central_difference(f, x, h: float, directions=None) -> np.ndarray:
 
 def row_norms(x) -> np.ndarray:
     """Euclidean norms of the rows of x (..., n), shaped (..., 1): the
-    arithmetic of np.linalg.norm(x, axis=-1, keepdims=True) for real x,
-    bit for bit, without its dispatch."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+    arithmetic of np.linalg.norm(x, axis=-1, keepdims=True) on a C-order copy
+    of real x, bit for bit, without its dispatch.
+
+    add.reduce sums a contiguous row of 8 as the tree
+    ((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7)) but a strided row one term at a time,
+    so rows of 8 that are not contiguous (a points-last batch) take that tree
+    explicitly.  Shorter rows are summed one term at a time in either layout."""
+    sq = x * x
+    if sq.strides[-1] == sq.itemsize or sq.shape[-1] != 8:
+        return np.sqrt(np.add.reduce(sq, axis=-1, keepdims=True))
+    t = sq.T  # the 8 terms first: pairs, pairs of pairs, then the two halves
+    t = t[0::2] + t[1::2]
+    t = t[0::2] + t[1::2]
+    return np.sqrt(t[0] + t[1]).T[..., None]
 
 
 def geodesic_distance(x, y) -> np.ndarray:

@@ -107,7 +107,9 @@ def _keyed_generator():
         def generate_state(self, n_words, dtype=np.uint32):
             return self.key  # Philox asks for its 2 uint64 key words
 
-    return lambda key: Generator(Philox(Key(key)))
+    counter = np.zeros(4, np.uint64)  # spares Philox converting its default 0
+    counter.flags.writeable = False
+    return lambda key: Generator(Philox(Key(key), counter=counter))
 
 
 def path_generator(master_seed: int, path_index: int = 0) -> np.random.Generator:
@@ -286,6 +288,8 @@ class SdeProblem:
         if abs(np.linalg.norm(self.initial) - 1.0) > 1e-10:
             raise ValueError("initial point must lie on the unit sphere")
         self.generators = _stack(self.diffusion_fields, "generator")
+        # (8, n_fields * 8), F-contiguous: order "A" keeps a points-last z points-last
+        self._table = None if self.generators is None else self.generators.reshape(-1, DIM).T
         self.frame_coefficients = _stack(self.diffusion_fields, "coefficients")
 
     @property
@@ -296,11 +300,11 @@ class SdeProblem:
         """Per-channel field values at z; shape (..., n_channels, 8).
 
         Linear fields are evaluated together as one product with the
-        stacked generators, the others one call each.
+        stacked generators, in the point layout of z, the others one call each.
         """
         z = np.asarray(z, dtype=float)
-        if self.generators is not None:
-            flat = z @ self.generators.reshape(-1, DIM).T
+        if self._table is not None:
+            flat = np.matmul(z, self._table, order="A")
             return flat.reshape(z.shape[:-1] + self.generators.shape[:-1])
         if len(self.diffusion_fields) == 1:
             return np.asarray(self.diffusion_fields[0](z), dtype=float)[..., None, :]
@@ -345,7 +349,7 @@ def ito_correction_drift(fields, z) -> np.ndarray:
         fields = (fields,)
     gens = _stack(fields, "generator")
     if gens is not None:
-        return z @ np.sum(gens @ gens, axis=0).T
+        return np.matmul(z, np.sum(gens @ gens, axis=0).T, order="A")  # in z's layout
     total = np.zeros_like(z)
     for fld in fields:
         jac = central_difference(fld, z, 1e-6)  # (..., 8, 8)
@@ -426,7 +430,7 @@ def exact_rotation_step(coefficients, z, dw):
     """
     coefficients = np.atleast_2d(np.asarray(coefficients, dtype=float))
     dw = np.asarray(dw, dtype=float)
-    a = dw @ coefficients  # (..., 7)
+    a = np.matmul(dw, coefficients, order="F" if dw.flags.f_contiguous else "C")  # (..., 7)
     return frame_rotation_apply(a, z)
 
 
@@ -468,7 +472,9 @@ def _simulate_chunk(problem, scheme, out, path_lo, n_steps, dt, seed, save_idx,
     """Integrate paths path_lo + [0, len(out)) into ``out`` (n, n_saved, 8); return
     the largest renormalization defect.  Per-path generators, built GEN_GROUP at a
     time, fill a path-major (paths, steps, channels) noise buffer NOISE_BLOCK
-    steps at a time, and are kept only while a later block needs them."""
+    steps at a time, and are kept only while a later block needs them.  State and
+    step noise are points-last, the (n, k) transposed views of (k, n) arrays, so
+    the steps' products and sums run along contiguous points."""
     n = len(out)
     n_ch = problem.n_channels
     sd = np.sqrt(dt)
@@ -477,10 +483,9 @@ def _simulate_chunk(problem, scheme, out, path_lo, n_steps, dt, seed, save_idx,
         [path_generator(seed, i) for i in range(g, min(g + GEN_GROUP, path_hi))]
         for g in range(path_lo, path_hi, GEN_GROUP))
     noise = np.empty((n, min(n_steps, NOISE_BLOCK), n_ch))
-    if initial_points is None:
-        z = np.broadcast_to(problem.initial, (n, DIM)).copy()
-    else:
-        z = np.array(initial_points[path_lo:path_hi], dtype=float)
+    dw = np.empty((n_ch, n)).T
+    z = np.empty((DIM, n)).T
+    z[...] = problem.initial if initial_points is None else initial_points[path_lo:path_hi]
     defect = 0.0
     save_pos = {}  # step -> every output column saved at that step
     for j, s in enumerate(save_idx):
@@ -496,7 +501,7 @@ def _simulate_chunk(problem, scheme, out, path_lo, n_steps, dt, seed, save_idx,
                 if kept is not None:
                     kept.append(rng)
             rngs = kept
-        dw = block[:, step % NOISE_BLOCK]
+        dw[...] = block[:, step % NOISE_BLOCK]
         if scheme == "exact_rotation":
             z = exact_rotation_step(problem.frame_coefficients, z, dw)
         elif scheme == "heun":

@@ -61,16 +61,30 @@ def test_deformation_strength_validated():
         Deformation(0.5)
 
 
-@pytest.mark.parametrize("scale", [ScalingFunction(1.0, 0.1), Deformation(0.2)],
-                         ids=["scaling", "deformation"])
+@pytest.mark.parametrize("scale", [ScalingFunction(1.0, 0.1), Deformation(0.2),
+                                   ScalingFunction()],
+                         ids=["scaling", "deformation", "constant"])
 def test_scaling_rejects_nan_point(scale):
-    # the ramp carries NaN through, so the positivity check sees it
+    # the ramp carries NaN through, so the positivity check sees it; the
+    # constant scaling (eps = 0) marks non-finite points NaN itself
     z = E[2].copy()
     z[4] = np.nan
     with pytest.raises(ValueError):
         scale(z)
     with pytest.raises(ValueError):
         scale(np.stack([E[2], z]))
+
+
+@pytest.mark.parametrize("kind", ["smooth", "kink"])
+def test_constant_scaling_equals_base_plus_zero_bump(rng, kind):
+    scale = ScalingFunction(1.3, 0.0, BumpProfile(kind=kind))
+    for z in (random_sphere_point(rng, 50), random_sphere_point(rng)):
+        want = np.asarray(1.3 + 0.0 * BumpProfile(kind=kind).value(z))
+        got = scale(z)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    with pytest.raises(ValueError):
+        scale(np.stack([E[2], np.full(8, np.inf)]))
 
 
 def test_identity_map_is_identity(rng):

@@ -170,3 +170,17 @@ def test_row_norms_equal_linalg_norm_bitwise(rng, shape):
     got = row_norms(x)
     assert got.shape == shape[:-1] + (1,)
     np.testing.assert_array_equal(got, np.linalg.norm(x, axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("layout", ["1-D", "C", "points-last", "3-D C", "3-D points-last"])
+@pytest.mark.parametrize("width", [4, 7, 8])
+def test_row_norms_equal_linalg_norm_of_c_copy_bitwise(rng, width, layout):
+    shape = {"1-D": (width,), "C": (1024, width), "points-last": (1024, width),
+             "3-D C": (16, 64, width), "3-D points-last": (16, 64, width)}[layout]
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape[:-1] + (1,))
+    want = np.linalg.norm(x, axis=-1, keepdims=True)
+    if layout.endswith("points-last"):
+        x = np.ascontiguousarray(x.T).T  # the transposed view of a C-order array
+    got = row_norms(x)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -690,11 +690,30 @@ STEP_CASES = {
 }
 
 
-@pytest.mark.parametrize("n_points", [1, 8, 1024])
+def points_last(x):
+    """x as the transposed view of a C-order array: the points axis innermost,
+    the layout of the ensemble's state and noise."""
+    return np.ascontiguousarray(x.T).T
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
+
+
+# the layout in the id only where it is not C order, so the C-order ids stay
+LAYOUTS = pytest.mark.parametrize("n_points, layout", [
+    (1, "C"), (8, "C"), (1024, "C"), (8, "points-last"), (1024, "points-last")],
+    ids=["1", "8", "1024", "8-points-last", "1024-points-last"])
+
+
+@LAYOUTS
 @pytest.mark.parametrize("case", sorted(STEP_CASES))
 @pytest.mark.parametrize("scheme", ["heun", "ito_euler"])
-def test_steps_equal_reference_formulas_bitwise(rng, scheme, case, n_points):
+def test_steps_equal_reference_formulas_bitwise(rng, scheme, case, n_points, layout):
     problem, reference = STEP_CASES[case](rng, unit_vector(rng))
+    layout = points_last if layout == "points-last" else np.asarray
     dt = 0.01
     z = random_sphere_point(rng, n_points)
     if n_points == 1:
@@ -702,11 +721,43 @@ def test_steps_equal_reference_formulas_bitwise(rng, scheme, case, n_points):
     zr = z
     for _ in range(3):
         dw = rng.normal(0.0, np.sqrt(dt), z.shape[:-1] + (problem.n_channels,))
+        z = layout(z)
         if scheme == "heun":
-            (z, defect), (zr, defect_r) = (heun_stratonovich_step(problem, z, dw),
+            (z, defect), (zr, defect_r) = (heun_stratonovich_step(problem, z, layout(dw)),
                                            reference_heun(reference, zr, dw))
         else:
-            (z, defect), (zr, defect_r) = (ito_euler_step(problem, z, dw, dt),
+            (z, defect), (zr, defect_r) = (ito_euler_step(problem, z, layout(dw), dt),
                                            reference_ito_euler(reference, zr, dw, dt))
-        np.testing.assert_array_equal(z, zr)
+        assert_same_bits(z, zr)
         assert defect == defect_r
+        if layout is points_last and n_points > 1 and problem.generators is not None:
+            assert z.flags.f_contiguous  # linear fields keep an ensemble chunk points-last
+
+
+def reference_rotation_apply(a, z):
+    """frame_rotation_apply's formula: the C-order frame table product, einsum
+    over the fields, np.linalg.norm, np.cos and np.sinc."""
+    u = (z @ FRAME_GENERATORS.reshape(56, 8).T).reshape(z.shape[:-1] + (7, 8))
+    kz = np.einsum("...m,...mi->...i", a, u)
+    w = np.linalg.norm(a, axis=-1, keepdims=True)
+    return np.cos(w) * z + np.sinc(w / np.pi) * kz
+
+
+@LAYOUTS
+@pytest.mark.parametrize("coefficients", ["eye", "combination", "random-3x7"])
+def test_rotation_steps_equal_reference_formula_bitwise(rng, coefficients, n_points, layout):
+    c = {"eye": np.eye(7), "combination": rng.standard_normal((1, 7)),
+         "random-3x7": rng.standard_normal((3, 7))}[coefficients]
+    layout = points_last if layout == "points-last" else np.asarray
+    z = random_sphere_point(rng, n_points)
+    if n_points == 1:
+        z = z[0]
+    for _ in range(3):
+        dw = rng.normal(0.0, 0.1, z.shape[:-1] + (len(c),))
+        want = reference_rotation_apply(dw @ c, z)
+        assert_same_bits(frame_rotation_apply(layout(dw @ c), layout(z)), want)
+        got = exact_rotation_step(c, layout(z), layout(dw))
+        assert_same_bits(got, want)
+        if layout is points_last and n_points > 1:
+            assert got.flags.f_contiguous  # an ensemble chunk stays points-last
+        z = want

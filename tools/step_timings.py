@@ -1,0 +1,110 @@
+"""Print the per-call time of each ensemble step function of one checkout of
+this repository, in microseconds, the best of several timeit rounds.
+
+    python3 tools/step_timings.py /path/to/checkout [--repeat 31]
+
+The checkout's ``src/`` is imported into this process, so run the tool once
+per checkout and compare the outputs; on a shared host run it a few times in
+alternation.  Each line gives the step, the number of points, their layout
+and the best time per call:
+
+- ``heun_stratonovich_step`` and ``ito_euler_step`` on the seven-field
+  Brownian problem, ``exact_rotation_step`` with the identity coefficients;
+- at 1 point (an 8-vector), and at 8 and 1024 points both in C order and
+  points-last (the (n, 8) transposed view of an (8, n) array, with the
+  noise likewise, as an ensemble chunk holds them);
+- ``heun_stratonovich_step`` on the bent ``CombinedField`` (z1 times the
+  first frame field, the state-dependent field of flow-check) at 8 points,
+  in C order.
+
+At 1024 points glibc may return a step's half-megabyte temporaries to the
+system between calls, and back-to-back calls then pay page faults that an
+ensemble run does not: on a 2-core Xeon the Heun step read 700-1000 us
+here against 250-420 us with ``MALLOC_TRIM_THRESHOLD_=100000000
+MALLOC_MMAP_THRESHOLD_=100000000`` in the environment.  Set both to time
+the arithmetic.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import timeit
+from pathlib import Path
+
+import numpy as np
+
+DT = 0.01
+
+
+def layouts(n_points):
+    """(name, function laying out an (n, k) array) for a batch of n points."""
+    if n_points == 1:
+        return [("-", lambda x: x[0])]
+    return [("C", np.ascontiguousarray), ("points-last", lambda x: np.ascontiguousarray(x.T).T)]
+
+
+def cases(sint, sfr):
+    """(step name, points, layout, zero-argument call) for every line."""
+    rng = np.random.default_rng(0)
+    brownian = sint.brownian_problem(np.eye(8)[0])
+    coefficients = np.eye(7)
+
+    def bent_coefficients(z):
+        a = np.zeros(z.shape[:-1] + (7,))
+        a[..., 0] = z[..., 0]
+        return a
+
+    bent = sint.SdeProblem((sfr.CombinedField(bent_coefficients),), np.eye(8)[0])
+    out = []
+    for n_points in (1, 8, 1024):
+        z = rng.standard_normal((n_points, 8))
+        z /= np.linalg.norm(z, axis=-1, keepdims=True)
+        dw = rng.normal(0.0, np.sqrt(DT), (n_points, 7))
+        for layout, lay in layouts(n_points):
+            zl, dwl = lay(z), lay(dw)
+            out += [
+                ("heun_stratonovich_step", n_points, layout,
+                 lambda zl=zl, dwl=dwl: sint.heun_stratonovich_step(brownian, zl, dwl)),
+                ("ito_euler_step", n_points, layout,
+                 lambda zl=zl, dwl=dwl: sint.ito_euler_step(brownian, zl, dwl, DT)),
+                ("exact_rotation_step", n_points, layout,
+                 lambda zl=zl, dwl=dwl: sint.exact_rotation_step(coefficients, zl, dwl)),
+            ]
+        if n_points == 8:
+            out.append(("heun_stratonovich_step bent", n_points, "C",
+                        lambda z=z, dw=dw[:, :1]: sint.heun_stratonovich_step(bent, z, dw)))
+    return out
+
+
+def best_us(call, repeat):
+    """Best time per call over ``repeat`` rounds of about 0.01 s each; short
+    rounds let the best of them miss the host's busy spells."""
+    number, _ = timeit.Timer(call).autorange()  # a round of at least 0.2 s
+    number = max(1, number // 20)
+    return min(timeit.repeat(call, number=number, repeat=repeat)) / number * 1e6
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", type=Path, help="repository checkout to time")
+    parser.add_argument("--repeat", type=int, default=31, help="timeit rounds per line")
+    args = parser.parse_args(argv)
+    src = args.checkout.resolve() / "src"
+    if not (src / "sevensphere").is_dir():
+        parser.error(f"{args.checkout} has no src/sevensphere")
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
+    sys.path.insert(0, str(src))
+    from sevensphere import frames as sfr
+    from sevensphere import integrators as sint
+
+    print(f"{'step':<28} {'points':>6}  {'layout':<11} {'best_us':>9}")
+    for name, n_points, layout, call in cases(sint, sfr):
+        print(f"{name:<28} {n_points:>6}  {layout:<11} {best_us(call, args.repeat):9.1f}",
+              flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
