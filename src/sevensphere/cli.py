@@ -25,25 +25,21 @@ from . import integrators as sint
 
 EXPERIMENTS = ("frame-verify", "simulate", "flow-check", "entropy",
                "fp-check", "exotic-compare", "circles")
-BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _key(doc: str, default=dataclasses.MISSING, echo: bool = True,
-         read_by: tuple = EXPERIMENTS):
+def _key(doc: str, default=dataclasses.MISSING, read_by: tuple = EXPERIMENTS):
     """A config key: its ``--print-schema`` doc, which names the default as a
     config value would spell it, its default and the experiments that read
-    it; the parser rejects it for any other.  ``echo`` False keeps it out of
-    the summary's config echo."""
+    it; the parser rejects it for any other."""
     if default is not dataclasses.MISSING:
         doc += f" (default {str(default).lower()})"
     doc += "; read by " + ("every experiment" if read_by == EXPERIMENTS
                            else ", ".join(read_by))
-    return field(default=default, metadata={"doc": doc, "echo": echo,
-                                            "read_by": read_by})
+    return field(default=default, metadata={"doc": doc, "read_by": read_by})
 
 
 @dataclass
@@ -71,8 +67,6 @@ class ExperimentConfig:
                                   read_by=("exotic-compare", "circles"))
     scaling: str = _key("constant | bump-smooth | bump-kink", "constant",
                         read_by=("exotic-compare", "circles"))
-    plots: bool = _key("true | false: emit an SVG line chart per CSV series", False,
-                       echo=False, read_by=("simulate", "entropy"))
     threads: int = 1
 
     @classmethod
@@ -101,7 +95,8 @@ class ExperimentConfig:
                 raise ConfigError(f"line {linenos[key]}: {experiment} does not read "
                                   f"key {key!r}")
         try:
-            values = {key: _parse_value(keys[key].type, value) for key, value in raw.items()}
+            values = {key: {"int": int, "float": float, "str": str}[keys[key].type](value)
+                      for key, value in raw.items()}
         except ValueError as exc:
             raise ConfigError(f"bad value: {exc}") from exc
         return cls(**values)
@@ -150,15 +145,6 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"entropy needs a dt that divides its save times "
                                   f"{ENTROPY_TIMES}: {exc}") from exc
-
-
-def _parse_value(kind: str, text: str):
-    """A config value as the field's annotated type: int, float, bool or str."""
-    if kind == "bool":
-        if text.lower() not in BOOLEANS:
-            raise ValueError(f"expected one of {'/'.join(BOOLEANS)}, got {text!r}")
-        return BOOLEANS[text.lower()]
-    return {"int": int, "float": float, "str": str}[kind](text)
 
 
 @dataclass
@@ -234,29 +220,6 @@ def write_series_csv(path, header, columns):
         sint._write_rows(fh, np.column_stack(columns))
 
 
-def write_series_svg(path, xs, ys, title):
-    """Minimal self-contained polyline chart."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    w, hgt, pad = 640.0, 400.0, 40.0
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
-    xr = (x1 - x0) or 1.0
-    yr = (y1 - y0) or 1.0
-    pts = " ".join(
-        f"{pad + (x - x0) / xr * (w - 2 * pad):.2f},"
-        f"{hgt - pad - (y - y0) / yr * (hgt - 2 * pad):.2f}"
-        for x, y in zip(xs, ys))
-    with open(path, "w") as fh:
-        fh.write(
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" '
-            f'height="{hgt:.0f}" viewBox="0 0 {w:.0f} {hgt:.0f}">'
-            f'<rect width="100%" height="100%" fill="white"/>'
-            f'<text x="{w / 2:.0f}" y="20" text-anchor="middle" '
-            f'font-family="monospace">{title}</text>'
-            f'<polyline points="{pts}" fill="none" stroke="black"/></svg>\n')
-
-
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -310,11 +273,6 @@ def _run_simulate(cfg, outdir, summary):
     path = f"{outdir}/trajectories.csv"
     sint.write_trajectories_csv(result, path)
     summary.artifacts.append(path)
-    if cfg.plots:
-        svg = f"{outdir}/mean_z1.svg"
-        write_series_svg(svg, result.times, result.states[..., 0].mean(axis=0),
-                         "mean z1 over time")
-        summary.artifacts.append(svg)
 
 
 def _run_flow_check(cfg, outdir, summary):
@@ -404,11 +362,6 @@ def _run_entropy(cfg, outdir, summary):
                      [list(ENTROPY_TIMES), [r.S for r in reports],
                       [r.S_corrected for r in reports], [r.stderr for r in reports]])
     summary.artifacts.append(path)
-    if cfg.plots:
-        svg = f"{outdir}/entropy.svg"
-        write_series_svg(svg, list(ENTROPY_TIMES), [r.S_corrected for r in reports],
-                         "entropy over time")
-        summary.artifacts.append(svg)
 
 
 def _run_fp_check(cfg, outdir, summary):
@@ -526,9 +479,7 @@ def run(cfg: ExperimentConfig, outdir: str) -> RunSummary:
     import os
 
     os.makedirs(outdir, exist_ok=True)
-    summary = RunSummary(cfg.experiment, {f.name: getattr(cfg, f.name)
-                                          for f in dataclasses.fields(cfg)
-                                          if f.metadata.get("echo", True)})
+    summary = RunSummary(cfg.experiment, asdict(cfg))
     start = time.perf_counter()
     RUNNERS[cfg.experiment](cfg, outdir, summary)
     summary.wall_time_s = time.perf_counter() - start

@@ -1,5 +1,5 @@
-"""Monte Carlo density estimation on the sphere, entropy and entropy-rate
-evaluation, pointwise Fokker-Planck residuals and weak-form generator checks.
+"""Monte Carlo density estimation on the sphere, entropy evaluation,
+pointwise Fokker-Planck residuals and weak-form generator checks.
 
 Densities are taken with respect to the Riemannian (area) measure; bin
 volumes come from per-angle integrals of the sin-power weights, so the
@@ -8,7 +8,6 @@ volumes of all bins sum to the exact total area.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +37,6 @@ class GridSpec:
     def edges(self, axis: int) -> np.ndarray:
         return np.linspace(0.0, ANGLE_SPANS[axis], self.bins[axis] + 1)
 
-    def centers(self, axis: int) -> np.ndarray:
-        e = self.edges(axis)
-        return 0.5 * (e[:-1] + e[1:])
-
     def axis_weights(self, axis: int) -> np.ndarray:
         """Integral of sin^power over each bin of the axis."""
         e = self.edges(axis)
@@ -49,9 +44,6 @@ class GridSpec:
         if power == 0:
             return np.diff(e)
         return np.array([sin_power_integral(power, lo, hi) for lo, hi in zip(e, e[1:])])
-
-    def axis_total(self, axis: int) -> float:
-        return float(np.sum(self.axis_weights(axis)))
 
     def bin_indices(self, phi: np.ndarray) -> np.ndarray:
         widths = ANGLE_SPANS / np.asarray(self.bins, dtype=float)
@@ -69,41 +61,6 @@ class DensityEstimate:
     counts: np.ndarray    # (K,)
     volumes: np.ndarray   # (K,) Riemannian bin volumes
     densities: np.ndarray  # (K,) counts / (n * volume)
-
-    def integral(self) -> float:
-        return float(np.sum(self.densities * self.volumes))
-
-    def marginal(self, axes) -> "MarginalDensity":
-        axes = tuple(axes)
-        shape = tuple(self.grid.bins[a] for a in axes)
-        counts = np.zeros(shape)
-        np.add.at(counts, tuple(self.indices[:, a] for a in axes), self.counts)
-        vol = np.ones(shape)
-        for pos, a in enumerate(axes):
-            w = self.grid.axis_weights(a)
-            expand = [None] * len(axes)
-            expand[pos] = slice(None)
-            vol = vol * w[tuple(expand)]
-        rest = 1.0
-        for a in range(N_ANGLES):
-            if a not in axes:
-                rest *= self.grid.axis_total(a)
-        vol = vol * rest
-        dens = counts / (self.n_samples * vol)
-        return MarginalDensity(axes, self.grid, counts, vol, dens, self.n_samples)
-
-
-@dataclass
-class MarginalDensity:
-    axes: tuple
-    grid: GridSpec
-    counts: np.ndarray
-    volumes: np.ndarray
-    densities: np.ndarray
-    n_samples: int
-
-    def centers(self, pos: int = 0) -> np.ndarray:
-        return self.grid.centers(self.axes[pos])
 
 
 def _histogram(samples, grid: GridSpec):
@@ -128,13 +85,6 @@ def estimate_density(samples, grid: GridSpec) -> DensityEstimate:
     keys, counts, volumes = _histogram(samples, grid)
     densities = counts / (samples.shape[0] * volumes)
     return DensityEstimate(grid, samples.shape[0], keys, counts, volumes, densities)
-
-
-def write_density_csv(d: DensityEstimate, fname) -> None:
-    with open(fname, "w") as fh:
-        fh.write(",".join(f"i{k}" for k in range(1, 8)) + ",volume,density\n")
-        sint._write_rows(fh, np.column_stack([d.indices, d.volumes, d.densities]),
-                         n_int=N_ANGLES)
 
 
 @dataclass
@@ -243,35 +193,6 @@ def fokker_planck_residual(p_fn, fields, phi, dp_dt: float = 0.0,
     return float(0.5 * div_out - m * dp_dt)
 
 
-def entropy_rate_fisher(marginal: MarginalDensity, diffusion) -> float:
-    """Production (Fisher) form of the entropy rate on a marginal grid, as a
-    quadrature: 1/2 integral of (1/p) sum D_ij d_i p d_j p against the area
-    measure, over the tracked angles with the untracked ones integrated out.
-
-    ``diffusion`` is the constant (k, k) effective diffusion on the k = 1 or 2
-    tracked angles.  Grid derivatives are central differences; the sum runs
-    over the interior cells (one cell in from every edge of the grid), and
-    zero-density cells among them are skipped with a warning.
-    """
-    k = len(marginal.axes)
-    if k not in (1, 2):
-        raise ValueError("entropy rate supports marginals over 1 or 2 angles")
-    spacings = [np.diff(marginal.centers(i)[:2])[0] for i in range(k)]
-    inner = (slice(1, -1),) * k
-    # np.gradient returns a bare array for one axis
-    g = np.reshape(np.gradient(marginal.densities, *spacings),
-                   (k,) + marginal.densities.shape)[(slice(None),) + inner]
-    d = np.atleast_2d(np.asarray(diffusion, dtype=float))
-    p = marginal.densities[inner]
-    quad = np.einsum("ij,i...,j...->...", d, g, g)
-    w = 0.5 * marginal.volumes[inner]
-    occupied = p > 0.0
-    if not occupied.all():
-        warnings.warn(f"entropy rate skipped {np.count_nonzero(~occupied)} "
-                      f"zero-density interior cells")
-    return float(np.sum(quad[occupied] / p[occupied] * w[occupied]))
-
-
 # ---------------------------------------------------------------------------
 # weak-form generator verification
 # ---------------------------------------------------------------------------
@@ -327,8 +248,8 @@ def generator_weak_check(problem: sint.SdeProblem, f, t: float, n_paths: int,
 
 
 __all__ = [
-    "GridSpec", "DensityEstimate", "MarginalDensity", "EntropyReport",
-    "WeakCheckReport", "estimate_density", "write_density_csv", "entropy",
-    "plugin_entropy", "max_entropy", "angular_fields", "uniform_density",
-    "fokker_planck_residual", "entropy_rate_fisher", "generator_weak_check",
+    "GridSpec", "DensityEstimate", "EntropyReport", "WeakCheckReport",
+    "estimate_density", "entropy", "plugin_entropy", "max_entropy",
+    "angular_fields", "uniform_density", "fokker_planck_residual",
+    "generator_weak_check",
 ]

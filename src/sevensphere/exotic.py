@@ -149,11 +149,6 @@ class ExoticMap:
         self.deformation = deformation or Deformation(0.0)
         self.scaling = scaling or ScalingFunction()
 
-    @property
-    def is_identity(self) -> bool:
-        return self.deformation.eps == 0.0 and self.scaling.base == 1.0 \
-            and self.scaling.eps == 0.0
-
     def forward(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         zeta = z * self.scaling(z)[..., None]
@@ -193,27 +188,6 @@ def pushforward_field(V, h: ExoticMap):
         return np.einsum("...ij,...j->...i", h.jacobian(z), np.asarray(V(z), dtype=float))
 
     return field
-
-
-class ConjugatedFlow:
-    """h compose g compose h^{-1}: the flow transported to the model surface."""
-
-    def __init__(self, flow, h: ExoticMap):
-        self.flow = flow
-        self.h = h
-        self.s = flow.s
-        self.t = flow.t
-
-    def apply(self, gamma):
-        return self.h.forward(self.flow.apply(self.h.inverse(gamma)))
-
-    def compose(self, later: "ConjugatedFlow") -> "ConjugatedFlow":
-        if later.h is not self.h:
-            raise ValueError("cannot chain flows conjugated by different maps")
-        return ConjugatedFlow(self.flow.compose(later.flow), self.h)
-
-    def invert(self) -> "ConjugatedFlow":
-        return ConjugatedFlow(self.flow.invert(), self.h)
 
 
 def conjugation_gaps(h: ExoticMap, seed, t=0.5, base_dt=0.002, levels=(4, 2, 1),
@@ -327,7 +301,7 @@ def write_circles_csv(images, fname) -> None:
 
 __all__ = [
     "RegularityError", "BumpProfile", "Deformation", "ScalingFunction",
-    "ExoticMap", "ConjugatedFlow", "CircleImage",
+    "ExoticMap", "CircleImage",
     "pushforward_field", "conjugation_gaps", "pullback_metric",
     "surface_patch_jacobian", "entropy_on_surface",
     "circle_images", "write_circles_csv",

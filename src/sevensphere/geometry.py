@@ -1,5 +1,5 @@
 """Hyperspherical coordinates on the unit sphere in R^8, volume element,
-metric tensor, geodesic distance and the quadrature helpers used for
+chart Jacobian, geodesic distance and the quadrature helpers used for
 densities and entropies.
 
 Chart convention (nested):
@@ -17,14 +17,6 @@ N_ANGLES = 7
 DIM = 8
 
 ANGLE_UPPER = np.array([np.pi] * 6 + [2.0 * np.pi])
-
-
-class ChartSingularityError(ValueError):
-    """Raised when a point sits on the coordinate-singular set of the chart."""
-
-    def __init__(self, message, suggestion=None):
-        super().__init__(message)
-        self.suggestion = suggestion
 
 
 def _check_ranges(phi):
@@ -53,15 +45,11 @@ def _embed(s, c) -> np.ndarray:
     return out
 
 
-def to_spherical(z, strict: bool = False) -> np.ndarray:
-    """Invert the chart on (..., 8) unit vectors.
-
-    With strict=True, points on the singular set (where some trailing block of
-    coordinates vanishes and an angle is unidentifiable) raise
-    ChartSingularityError carrying a nearby interior point as a suggestion.
-    Without strict the atan2 conventions pick a representative, which is what
-    histogram binning wants.
-    """
+def to_spherical(z) -> np.ndarray:
+    """Invert the chart on (..., 8) unit vectors.  On the singular set (where
+    some trailing block of coordinates vanishes and an angle is
+    unidentifiable) the atan2 conventions pick a representative, which is
+    what histogram binning wants."""
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != DIM:
         raise ValueError(f"expected 8-vectors, got shape {z.shape}")
@@ -73,16 +61,6 @@ def to_spherical(z, strict: bool = False) -> np.ndarray:
         phi[..., k] = np.arctan2(tail[..., k + 1], z[..., k])
     last = np.arctan2(z[..., 7], z[..., 6])
     phi[..., 6] = np.where(last < 0.0, last + 2.0 * np.pi, last)
-    if strict:
-        singular = tail[..., 1:7].min(axis=-1) < 1e-12
-        if np.any(singular):
-            znudge = np.atleast_2d(z)[np.atleast_1d(singular)][0] + 1e-8
-            znudge = znudge / np.linalg.norm(znudge)
-            raise ChartSingularityError(
-                "point lies on the coordinate-singular set; "
-                f"a nearby interior point is {znudge.tolist()}",
-                suggestion=znudge,
-            )
     return phi
 
 
@@ -107,13 +85,6 @@ def chart_jacobian(phi) -> np.ndarray:
     c = np.cos(phi)[..., None, :]
     swap = np.eye(N_ANGLES, dtype=bool)
     return np.tril(np.swapaxes(_embed(np.where(swap, c, s), np.where(swap, -s, c)), -1, -2))
-
-
-def metric_tensor(phi) -> np.ndarray:
-    """G = J^T J (..., 7, 7) for the chart Jacobian; singular rows are
-    identically zero at poles."""
-    jac = chart_jacobian(phi)
-    return np.swapaxes(jac, -1, -2) @ jac
 
 
 def central_difference(f, x, h: float, directions=None) -> np.ndarray:
@@ -176,14 +147,6 @@ def sin_power_integral(power: int, a: float, b: float, n_nodes: int = 24) -> flo
     return float(np.sum(w * np.sin(x) ** power))
 
 
-def sphere_volume_quadrature(n_nodes: int = 24) -> float:
-    """Total volume as the product of the seven one-axis integrals."""
-    total = 2.0 * np.pi  # the last angle enters with weight 1
-    for p in range(1, 7):
-        total *= sin_power_integral(7 - p, 0.0, np.pi, n_nodes)
-    return total
-
-
 def random_sphere_point(rng: np.random.Generator, size=None) -> np.ndarray:
     """Uniform points: normalized 8D standard Gaussians; shape (..., 8)."""
     if size is None:
@@ -207,10 +170,9 @@ def random_cap_point(rng: np.random.Generator, center, radius: float, size=None)
 
 
 __all__ = [
-    "N_ANGLES", "DIM", "ChartSingularityError",
-    "to_cartesian", "to_spherical", "volume_element",
-    "chart_jacobian", "metric_tensor", "central_difference", "geodesic_distance",
-    "row_norms", "sphere_volume", "sphere_volume_quadrature",
+    "N_ANGLES", "DIM", "to_cartesian", "to_spherical", "volume_element",
+    "chart_jacobian", "central_difference", "geodesic_distance",
+    "row_norms", "sphere_volume",
     "gauss_legendre", "sin_power_integral",
     "random_sphere_point", "random_cap_point",
 ]

@@ -9,7 +9,6 @@ results are bit-identical for any worker count.
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 
 from .frames import (DIM, FRAME_GENERATORS, N_FRAME_FIELDS, CombinedField,
                      frame_eval_all, frame_field)
-from .geometry import central_difference, row_norms
+from .geometry import row_norms
 
 CHUNK = 1024  # fixed path block size; independent of the worker count
 NOISE_BLOCK = 256  # steps of noise drawn per block; bounds a chunk's noise buffer
@@ -243,28 +242,6 @@ def _write_rows(fh, rows, n_int: int = 0) -> None:
         fh.write(b"".join(parts).translate(None, b"\0").decode())
 
 
-def save_noise_path(path: NoisePath, fname) -> None:
-    with open(fname, "w") as fh:
-        fh.write("dt,n_steps,n_channels\n")
-        _write_rows(fh, [[path.dt, path.n_steps, path.n_channels]])
-        _write_rows(fh, path.increments)
-
-
-def load_noise_path(fname) -> NoisePath:
-    with open(fname) as fh:
-        header = fh.readline().strip()
-        if header != "dt,n_steps,n_channels":
-            raise ValueError(f"unexpected noise file header: {header!r}")
-        dt_s, n_steps_s, n_channels_s = fh.readline().strip().split(",")
-        body = fh.read()
-    n_steps, n_channels = int(n_steps_s), int(n_channels_s)
-    inc = (np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2) if body.strip()
-           else np.zeros((0, n_channels)))
-    if inc.shape != (n_steps, n_channels):
-        raise ValueError(f"noise file body {inc.shape} does not match header")
-    return NoisePath(float(dt_s), inc)
-
-
 @dataclass
 class SdeProblem:
     """Diffusion fields, one Wiener channel each, and an initial point on
@@ -272,7 +249,10 @@ class SdeProblem:
 
     Both stacks below are read off the fields and are None unless every
     field carries the attribute.  ``generators`` (n_fields, 8, 8) stacks the
-    matrices J of linear fields V(z) = J z.  ``frame_coefficients``
+    matrices J of linear fields V(z) = J z and enables the Ito-Euler scheme.
+    Its drift h(z) = sum_c (dV_c/dz) V_c(z), the Stratonovich-to-Ito
+    correction, is then z @ ``ito_drift`` with ``ito_drift`` = (sum_c J_c J_c)^T;
+    a single frame field gives h = -z exactly.  ``frame_coefficients``
     (n_fields, 7) stacks the constant frame coefficients of fixed frame
     combinations and enables the exact rotation scheme.
     """
@@ -287,9 +267,10 @@ class SdeProblem:
             raise ValueError("initial point must be an 8-vector")
         if abs(np.linalg.norm(self.initial) - 1.0) > 1e-10:
             raise ValueError("initial point must lie on the unit sphere")
-        self.generators = _stack(self.diffusion_fields, "generator")
+        self.generators = gens = _stack(self.diffusion_fields, "generator")
         # (8, n_fields * 8), F-contiguous: order "A" keeps a points-last z points-last
-        self._table = None if self.generators is None else self.generators.reshape(-1, DIM).T
+        self._table = None if gens is None else gens.reshape(-1, DIM).T
+        self.ito_drift = None if gens is None else np.sum(gens @ gens, axis=0).T
         self.frame_coefficients = _stack(self.diffusion_fields, "coefficients")
 
     @property
@@ -336,29 +317,6 @@ def _stack(fields, attr):
     return np.array(vals, dtype=float)
 
 
-def ito_correction_drift(fields, z) -> np.ndarray:
-    """h(z) = sum over channels of (dV/dz) V, the Stratonovich-to-Ito drift,
-    at points z (..., 8).
-
-    The time-discretized drift enters as h/2.  For linear fields V = J z the
-    sum is (sum J J) z; a single frame field therefore yields exactly -z.
-    Other fields take a central-difference Jacobian each.
-    """
-    z = np.asarray(z, dtype=float)
-    if callable(fields):
-        fields = (fields,)
-    gens = _stack(fields, "generator")
-    if gens is not None:
-        return np.matmul(z, np.sum(gens @ gens, axis=0).T, order="A")  # in z's layout
-    total = np.zeros_like(z)
-    for fld in fields:
-        jac = central_difference(fld, z, 1e-6)  # (..., 8, 8)
-        if not np.all(np.isfinite(jac)):
-            raise FloatingPointError("field Jacobian is not finite")
-        total = total + np.einsum("...ij,...j->...i", jac, np.asarray(fld(z), dtype=float))
-    return total
-
-
 def _increment(problem: SdeProblem, z, dw):
     """sum_c V_c(z) dw_c."""
     return np.einsum("...ci,...c->...i", problem.diffusion_matrix(z), dw)
@@ -384,11 +342,17 @@ def heun_stratonovich_step(problem: SdeProblem, z, dw):
     return _renormalize(z + 0.5 * (incr + incr2))
 
 
+_LINEAR_ONLY = "the Ito-Euler scheme needs every field to be linear, V(z) = J z"
+
+
 def ito_euler_step(problem: SdeProblem, z, dw, dt: float):
-    """Euler-Maruyama step of the Ito form, drift h/2, then renormalization."""
+    """Euler-Maruyama step of the Ito form, drift h/2, then renormalization;
+    linear fields only (see ``SdeProblem.ito_drift``)."""
+    if problem.ito_drift is None:
+        raise ValueError(_LINEAR_ONLY)
     z = np.asarray(z, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    h = ito_correction_drift(problem.diffusion_fields, z)
+    h = np.matmul(z, problem.ito_drift, order="A")  # in z's layout
     return _renormalize(z + 0.5 * dt * h + _increment(problem, z, dw))
 
 
@@ -523,7 +487,8 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
 
     ``initial_points`` (n_paths, 8) overrides the problem's single initial
     point.  The exact rotation scheme requires every field to carry constant
-    frame ``coefficients`` and rejects state-dependent problems.
+    frame ``coefficients`` and the Ito-Euler scheme a ``generator``; both
+    reject state-dependent problems.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -537,6 +502,8 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
         raise ValueError("exact rotation scheme needs every field to carry "
                          "constant frame coefficients; state-dependent "
                          "coefficient fields are not supported")
+    if scheme == "ito_euler" and problem.ito_drift is None:
+        raise ValueError(_LINEAR_ONLY)
     if initial_points is not None:
         initial_points = np.asarray(initial_points, dtype=float)
         if initial_points.shape != (n_paths, DIM):
@@ -574,9 +541,9 @@ def write_trajectories_csv(result: EnsembleResult, fname) -> None:
 
 __all__ = [
     "NoisePath", "SdeProblem", "EnsembleResult", "SCHEMES",
-    "path_generator", "sample_brownian", "save_noise_path", "load_noise_path",
+    "path_generator", "sample_brownian",
     "brownian_problem", "single_frame_problem", "combination_problem",
-    "ito_correction_drift", "heun_stratonovich_step", "ito_euler_step",
+    "heun_stratonovich_step", "ito_euler_step",
     "exact_rotation_step", "frame_rotation_apply", "frame_rotation_matrix",
     "simulate_ensemble", "write_trajectories_csv",
 ]

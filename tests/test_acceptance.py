@@ -128,7 +128,7 @@ def test_criterion_06_ito_stratonovich_correction():
     for mu in range(1, 8):
         for _ in range(10):
             z = sgeo.random_sphere_point(rng)
-            h = sint.ito_correction_drift(sfr.frame_field(mu), z)
+            h = z @ sint.single_frame_problem(mu, z).ito_drift
             exact_ok = exact_ok and np.array_equal(h, -z)
     n = 20000
     t = 0.1

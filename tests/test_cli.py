@@ -83,16 +83,6 @@ def test_circles_run_and_artifacts_in_output_dir(tmp_path):
         assert artifact.startswith(str(out))
 
 
-def test_simulate_run_with_plots(tmp_path):
-    cfg = write_config(tmp_path, "\n".join([
-        "experiment = simulate", "seed = 11", "n_paths = 400",
-        "t_final = 0.1", "dt = 0.005", "plots = true", ""]))
-    out = tmp_path / "out"
-    assert cli.main(["--config", cfg, "--output", str(out)]) == 0
-    assert (out / "trajectories.csv").exists()
-    assert (out / "mean_z1.svg").read_text().startswith("<svg")
-
-
 def test_seed_override(tmp_path):
     cfg = write_config(tmp_path, "experiment = simulate\nseed = 1\n"
                                  "n_paths = 50\nt_final = 0.05\ndt = 0.01\n")
@@ -176,7 +166,7 @@ CONFIG_ERRORS = [  # (experiment, config lines that it must reject)
     ("simulate", "field = frame:9"), ("simulate", "field = frame:0"),
     ("simulate", "field = frame:-1"), ("simulate", "field = combo:1,2"),
     ("simulate", "field = frame:x"), ("simulate", "field = combo:1,0,0,0,0,0,nan"),
-    ("circles", "seed = -1"), ("simulate", "plots = maybe"),
+    ("circles", "seed = -1"), ("simulate", "plots = true"),
     # runs that would take 0 steps: round(0.4 / 1.0) and round(0.5 / 2.0)
     ("simulate", "dt = 1.0\nt_final = 0.4"), ("exotic-compare", "dt = 2.0"),
     # flow-check splits its path in two, so it needs 2 steps: 0 and 1 here
@@ -189,8 +179,8 @@ CONFIG_ERRORS = [  # (experiment, config lines that it must reject)
     # the pushforward of exotic-compare needs a C1 scaling function
     ("exotic-compare", "scaling = bump-kink"),
     # keys the experiment never reads: fp-check's weak check has its own dt,
-    # entropy always runs exact_rotation, circles draws no chart
-    ("fp-check", "dt = 0.001"), ("entropy", "scheme = heun"), ("circles", "plots = true"),
+    # entropy always runs exact_rotation
+    ("fp-check", "dt = 0.001"), ("entropy", "scheme = heun"),
 ]
 
 
@@ -242,13 +232,6 @@ def test_entropy_dt_must_divide_save_times(tmp_path, capsys):
     cfg = write_config(tmp_path, "experiment = entropy\nseed = 1\ndt = 0.03\n")
     assert cli.main(["--config", cfg, "--output", str(tmp_path / "out")]) == 2
     assert "multiples of dt" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value, parsed", [("true", True), ("Yes", True), ("1", True),
-                                           ("false", False), ("NO", False), ("0", False)])
-def test_plots_accepts_boolean_spellings(value, parsed):
-    text = f"experiment = simulate\nseed = 1\nplots = {value}\n"
-    assert cli.ExperimentConfig.from_text(text).plots is parsed
 
 
 def test_grid_bins_validation(tmp_path):

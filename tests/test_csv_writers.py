@@ -9,10 +9,9 @@ import io
 import numpy as np
 import pytest
 
-from sevensphere import cli, density, exotic, integrators
-from sevensphere.density import DensityEstimate, GridSpec
+from sevensphere import cli, exotic, integrators
 from sevensphere.exotic import CircleImage
-from sevensphere.integrators import EnsembleResult, NoisePath
+from sevensphere.integrators import EnsembleResult
 
 # -0.0, the smallest subnormal, a huge value and values that need 17 digits
 SPECIAL = np.array([-0.0, 5e-324, 1e300, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0,
@@ -52,15 +51,6 @@ def test_trajectories_csv(tmp_path, rng):
     assert fname.read_text() == expected
 
 
-def test_noise_path_csv(tmp_path, rng):
-    path = NoisePath(0.1 + 0.2, values(rng, (17, 3)))
-    fname = tmp_path / "n.csv"
-    integrators.save_noise_path(path, fname)
-    expected = ("dt,n_steps,n_channels\n" + ref_row([path.dt, 17, 3])
-                + "".join(ref_row(row) for row in path.increments))
-    assert fname.read_text() == expected
-
-
 def test_series_csv(tmp_path, rng):
     ints = np.arange(1, 16)
     floats = values(rng, 15)
@@ -80,17 +70,6 @@ def test_circles_csv(tmp_path, rng):
     expected = "i,j,theta,g1,g2,g3,g4,g5,g6,g7,g8\n" + "".join(
         ref_row([im.i, im.j, theta, *pt]) for im in images
         for theta, pt in zip(im.params, im.points))
-    assert fname.read_text() == expected
-
-
-def test_density_csv(tmp_path, rng):
-    keys = rng.integers(0, 4, (11, 7))
-    vols, dens = values(rng, 11), values(rng, 11)
-    est = DensityEstimate(GridSpec.uniform(4), 100, keys, np.ones(11), vols, dens)
-    fname = tmp_path / "d.csv"
-    density.write_density_csv(est, fname)
-    expected = "i1,i2,i3,i4,i5,i6,i7,volume,density\n" + "".join(
-        ref_row([*key, v, d]) for key, v, d in zip(keys, vols, dens))
     assert fname.read_text() == expected
 
 

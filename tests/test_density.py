@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from sevensphere.density import (GridSpec, MarginalDensity, angular_fields, entropy,
-                                 entropy_rate_fisher, estimate_density, fokker_planck_residual,
-                                 generator_weak_check, max_entropy, uniform_density,
-                                 write_density_csv)
-from sevensphere.geometry import (chart_jacobian, metric_tensor, random_cap_point,
-                                  random_sphere_point, sphere_volume, to_cartesian,
-                                  to_spherical)
+from sevensphere.density import (GridSpec, angular_fields, entropy, estimate_density,
+                                 fokker_planck_residual, generator_weak_check, max_entropy,
+                                 uniform_density)
+from sevensphere.geometry import (chart_jacobian, random_cap_point, random_sphere_point,
+                                  sphere_volume, to_cartesian, to_spherical)
 from sevensphere.integrators import (brownian_problem, simulate_ensemble,
                                      single_frame_problem)
 
@@ -29,7 +27,7 @@ def test_grid_volumes_sum_to_sphere_volume():
     grid = GridSpec.uniform(3)
     total = 1.0
     for a in range(7):
-        total *= grid.axis_total(a)
+        total *= np.sum(grid.axis_weights(a))
     assert total == pytest.approx(sphere_volume(), rel=1e-10)
 
 
@@ -43,12 +41,12 @@ def test_point_mass_density():
     samples = np.tile(E[3], (50, 1))
     est = estimate_density(samples, grid)
     assert len(est.counts) == 1
-    assert est.integral() == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(est.densities * est.volumes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_density_normalized(rng):
     est = estimate_density(random_sphere_point(rng, 5000), GridSpec.uniform(3))
-    assert est.integral() == pytest.approx(1.0, abs=1e-9)
+    assert np.sum(est.densities * est.volumes) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_uniform_samples_flat_density():
@@ -84,23 +82,6 @@ def test_density_nonfinite_sample_rejected(rng, bad):
     samples[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         estimate_density(samples, GridSpec.uniform(2))
-
-
-def test_density_csv(tmp_path):
-    rng = np.random.default_rng(3)
-    est = estimate_density(random_sphere_point(rng, 100), GridSpec.uniform(2))
-    fname = tmp_path / "density.csv"
-    write_density_csv(est, fname)
-    lines = fname.read_text().splitlines()
-    assert lines[0].startswith("i1,") and lines[0].endswith("volume,density")
-    assert len(lines) == 1 + len(est.counts)
-
-
-def test_marginal_consistency(rng):
-    est = estimate_density(random_sphere_point(rng, 20000), GridSpec.uniform(3))
-    m = est.marginal((0,))
-    assert m.counts.sum() == est.n_samples
-    assert np.sum(m.densities * m.volumes) == pytest.approx(1.0, abs=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -153,71 +134,15 @@ def test_entropy_monotone_from_cap():
     assert abs(reports[-1].S_corrected - max_entropy()) < 0.1
 
 
-# --------------------------------------------------------------------------
-# entropy rate
-# --------------------------------------------------------------------------
-
-def flat_marginal(value=None, bins=48):
-    grid = GridSpec((bins,) + (2,) * 6)
-    w = grid.axis_weights(0)
-    rest = np.prod([grid.axis_total(a) for a in range(1, 7)])
-    value = value if value is not None else 1.0 / sphere_volume()
-    counts = value * w * rest * 10 ** 6
-    return MarginalDensity((0,), grid, counts, w * rest,
-                           np.full(bins, value), 10 ** 6)
-
-
-def test_entropy_rate_uniform_is_zero():
-    m = flat_marginal()
-    assert abs(entropy_rate_fisher(m, np.array([[1.0]]))) < 1e-3
-
-
-def cap_marginals(n=100000, ts=(0.30, 0.35, 0.40), seed=99):
-    rng = np.random.default_rng(42)
-    starts = random_cap_point(rng, E[0], 0.1, n)
-    result = simulate_ensemble(brownian_problem(E[0]), n, 80, 0.005, seed=seed,
-                               scheme="exact_rotation", save_times=np.array(ts),
-                               initial_points=starts)
-    grid = GridSpec((48,) + (2,) * 6)
-    return [estimate_density(result.states[:, j, :], grid).marginal((0,))
-            for j in range(len(ts))], ts
-
-
-def marginal_entropy(m):
-    mask = m.counts > 0
-    w = m.counts[mask] / m.n_samples
-    logp = np.log(m.densities[mask])
-    s = float(-np.sum(w * logp))
-    var = float(np.sum(w * logp ** 2) - s ** 2)
-    return s, np.sqrt(max(var, 0.0) / m.n_samples)
-
-
-def test_entropy_rate_positive_from_concentration():
-    (m, *_), _ = cap_marginals(n=30000, ts=(0.30,))
-    with np.errstate(all="ignore"):
-        assert entropy_rate_fisher(m, np.array([[1.0]])) > 0.0
-
-
-def test_entropy_rate_matches_entropy_differences():
-    # axially symmetric full-frame diffusion: effective diffusion on the polar
-    # angle is exactly 1; the production form tracks the measured slope
-    (m0, m1, m2), ts = cap_marginals()
-    s0, se0 = marginal_entropy(m0)
-    s2, se2 = marginal_entropy(m2)
-    fd = (s2 - s0) / (ts[2] - ts[0])
-    se_fd = np.hypot(se0, se2) / (ts[2] - ts[0])
-    fisher = entropy_rate_fisher(m1, np.array([[1.0]]))
-    assert abs(fisher - fd) <= 0.15 * abs(fd) + 3.0 * se_fd
-
-
 def test_full_frame_effective_polar_diffusion_is_one(rng):
-    # generic verification of the [[1.0]] used above: the pushed-forward
-    # channel fields reproduce the inverse metric, whose leading entry is 1
+    # the pushed-forward channel fields reproduce the inverse metric
+    # (J^T J)^-1, whose leading entry is 1
     problem = brownian_problem(E[0])
     for phi in interior_angles(rng, 5):
         rows = angular_fields(phi, problem)
         d = rows.T @ rows
-        ginv = np.linalg.inv(metric_tensor(phi))
+        jac = chart_jacobian(phi)
+        ginv = np.linalg.inv(jac.T @ jac)
         np.testing.assert_allclose(d, ginv, atol=1e-12)
         assert d[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -248,51 +173,6 @@ def test_batched_chart_layer_equals_rowwise(rng, problem):
     for idx in np.ndindex(3, 4):
         np.testing.assert_array_equal(jac[idx], chart_jacobian(phis[idx]))
         np.testing.assert_array_equal(rows[idx], angular_fields(phis[idx], problem))
-
-
-def test_entropy_rate_two_axis_uniform(rng):
-    grid = GridSpec((12, 12) + (2,) * 5)
-    rest = np.prod([grid.axis_total(a) for a in range(2, 7)])
-    w0 = grid.axis_weights(0)
-    w1 = grid.axis_weights(1)
-    vol = np.outer(w0, w1) * rest
-    value = 1.0 / sphere_volume()
-    counts = value * vol * 10 ** 6
-    m = MarginalDensity((0, 1), grid, counts, vol,
-                        np.full((12, 12), value), 10 ** 6)
-    assert abs(entropy_rate_fisher(m, np.eye(2))) < 1e-3
-
-
-def entropy_rate_by_cell(m, d):
-    """Reference: the rate integral accumulated one interior cell at a time."""
-    k = len(m.axes)
-    spacings = [m.centers(i)[1] - m.centers(i)[0] for i in range(k)]
-    grads = np.reshape(np.gradient(m.densities, *spacings), (k,) + m.densities.shape)
-    total = 0.0
-    for cell in np.ndindex(*m.densities.shape):
-        p = m.densities[cell]
-        if any(not 1 <= c < n - 1 for c, n in zip(cell, m.densities.shape)) or p <= 0:
-            continue
-        quad = sum(d[i, j] * grads[i][cell] * grads[j][cell]
-                   for i in range(k) for j in range(k))
-        total += 0.5 * quad / p * m.volumes[cell]
-    return total
-
-
-@pytest.mark.filterwarnings("ignore:entropy rate skipped")
-@pytest.mark.parametrize("axes, d", [((0,), np.array([[0.8]])), ((6,), np.array([[1.3]])),
-                                     ((0, 1), np.array([[1.0, 0.3], [0.3, 0.6]]))])
-def test_entropy_rate_matches_cell_loop(rng, axes, d):
-    # the cap leaves interior cells of the polar angle empty, so cells are skipped
-    samples = random_cap_point(rng, E[0], 0.8, 20000)
-    m = estimate_density(samples, GridSpec.uniform(8)).marginal(axes)
-    assert entropy_rate_fisher(m, d) == pytest.approx(entropy_rate_by_cell(m, d), rel=1e-13)
-
-
-def test_entropy_rate_rejects_high_dimension(rng):
-    est = estimate_density(random_sphere_point(rng, 1000), GridSpec.uniform(3))
-    with pytest.raises(ValueError):
-        entropy_rate_fisher(est.marginal((0, 1, 2)), np.eye(3))
 
 
 # --------------------------------------------------------------------------

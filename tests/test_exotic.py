@@ -4,17 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevensphere.density import GridSpec, entropy, estimate_density
-from sevensphere.exotic import (BumpProfile, ConjugatedFlow, Deformation,
-                                ExoticMap, RegularityError, ScalingFunction,
+from sevensphere.exotic import (BumpProfile, Deformation, ExoticMap, RegularityError, ScalingFunction,
                                 circle_images, conjugation_gaps, entropy_on_surface,
                                 pullback_metric, pushforward_field,
                                 surface_patch_jacobian, write_circles_csv)
-from sevensphere.flows import RotationFlow
 from sevensphere.frames import frame_eval_all, frame_field
 from sevensphere.geometry import (central_difference, gauss_legendre,
                                   geodesic_distance, random_cap_point,
                                   random_sphere_point, sphere_volume)
-from sevensphere.integrators import NoisePath, sample_brownian
 
 E = np.eye(8)
 
@@ -89,7 +86,6 @@ def test_constant_scaling_equals_base_plus_zero_bump(rng, kind):
 
 def test_identity_map_is_identity(rng):
     h = ExoticMap()
-    assert h.is_identity
     pts = random_sphere_point(rng, 100)
     np.testing.assert_allclose(h.forward(pts), pts, atol=1e-15)
     np.testing.assert_allclose(h.inverse(pts), pts, atol=1e-15)
@@ -222,39 +218,6 @@ def test_map_rejects_nonfinite_point(rng, route, bad):
         getattr(h, route)(gammas)
     with pytest.raises(ValueError, match="finite"):
         getattr(h, route)(gammas[1])
-
-
-def test_conjugated_flow_identity_map(rng):
-    h = ExoticMap()
-    noise = sample_brownian(30, 0.01, 7, seed=3)
-    flow = RotationFlow.from_noise(np.eye(7), noise)
-    conj = ConjugatedFlow(flow, h)
-    pts = random_sphere_point(rng, 10)
-    np.testing.assert_allclose(conj.apply(pts), flow.apply(pts), atol=1e-12)
-
-
-def test_conjugation_preserves_cocycle(rng):
-    h = bump_map()
-    noise = sample_brownian(40, 0.01, 7, seed=5)
-    cut = 17
-    g1 = RotationFlow.from_noise(np.eye(7), NoisePath(0.01, noise.increments[:cut]))
-    g2 = RotationFlow.from_noise(np.eye(7), NoisePath(0.01, noise.increments[cut:]),
-                                 s=g1.t)
-    c1 = ConjugatedFlow(g1, h)
-    c2 = ConjugatedFlow(g2, h)
-    whole = c1.compose(c2)
-    pts = h.forward(random_sphere_point(rng, 50))
-    gap = np.max(np.linalg.norm(c2.apply(c1.apply(pts)) - whole.apply(pts), axis=-1))
-    assert gap < 1e-9
-
-
-def test_conjugation_inverse_roundtrip(rng):
-    h = bump_map()
-    noise = sample_brownian(25, 0.01, 7, seed=6)
-    conj = ConjugatedFlow(RotationFlow.from_noise(np.eye(7), noise), h)
-    pts = h.forward(random_sphere_point(rng, 30))
-    back = conj.invert().apply(conj.apply(pts))
-    assert np.max(np.linalg.norm(back - pts, axis=-1)) < 1e-9
 
 
 def test_pushforward_sde_vs_conjugated_flow_refines():

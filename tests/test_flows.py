@@ -155,20 +155,6 @@ def test_heun_frame_roundtrip_is_exact(rng):
     assert np.max(np.linalg.norm(back - pts, axis=-1)) < 1e-12
 
 
-def test_flow_from_file_loaded_increments(tmp_path):
-    # user-supplied increment streams drive flows exactly like sampled ones
-    from sevensphere.integrators import load_noise_path, save_noise_path
-
-    noise = sample_brownian(30, 0.01, 1, seed=41)
-    fname = tmp_path / "increments.csv"
-    save_noise_path(noise, fname)
-    problem = single_frame_problem(5, E[0])
-    direct = IntegratedFlow(problem, noise)
-    loaded = IntegratedFlow(problem, load_noise_path(fname))
-    pts = random_sphere_point(np.random.default_rng(1), 10)
-    np.testing.assert_array_equal(direct.apply(pts), loaded.apply(pts))
-
-
 def test_one_point_motion_matches_ensemble_mean():
     # the flow's one-point motion is the process itself: mean contraction
     n = 4000

@@ -1,5 +1,4 @@
 import functools
-import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +8,13 @@ from scipy.linalg import expm
 from sevensphere import integrators
 from sevensphere.frames import (FRAME_GENERATORS, CombinedField, frame_field,
                                 generator_matrix)
-from sevensphere.geometry import geodesic_distance, random_sphere_point
+from sevensphere.geometry import central_difference, geodesic_distance, random_sphere_point
 from sevensphere.integrators import (CHUNK, NOISE_BLOCK, NoisePath, SdeProblem,
                                      brownian_problem, combination_problem,
                                      exact_rotation_step, frame_rotation_apply,
                                      frame_rotation_matrix,
-                                     heun_stratonovich_step, ito_correction_drift,
-                                     ito_euler_step, load_noise_path,
-                                     path_generator, sample_brownian,
-                                     save_noise_path, simulate_ensemble,
+                                     heun_stratonovich_step, ito_euler_step,
+                                     path_generator, sample_brownian, simulate_ensemble,
                                      single_frame_problem, write_trajectories_csv)
 from conftest import unit_vector
 
@@ -64,28 +61,6 @@ def test_noise_path_validation():
         sample_brownian(0, 0.1, 1, seed=3)
 
 
-def test_noise_save_load_roundtrip(tmp_path):
-    path = sample_brownian(50, 0.02, 3, seed=9)
-    fname = tmp_path / "noise.csv"
-    save_noise_path(path, fname)
-    back = load_noise_path(fname)
-    assert back.dt == path.dt
-    np.testing.assert_array_equal(back.increments, path.increments)
-
-
-@pytest.mark.parametrize("n_steps, n_channels", [(0, 3), (1, 3), (0, 1), (1, 1), (5, 1)])
-def test_noise_save_load_roundtrip_short(tmp_path, n_steps, n_channels):
-    path = NoisePath(0.1, np.arange(n_steps * n_channels).reshape(n_steps, n_channels) - 2.5)
-    fname = tmp_path / "noise.csv"
-    save_noise_path(path, fname)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        back = load_noise_path(fname)
-    assert back.dt == path.dt
-    assert back.increments.shape == (n_steps, n_channels)
-    np.testing.assert_array_equal(back.increments, path.increments)
-
-
 def test_noise_coarsening_conserves_sum():
     path = sample_brownian(103, 0.01, 2, seed=11)
     coarse = path.coarsened(4)
@@ -101,19 +76,18 @@ def test_noise_coarsening_conserves_sum():
 def test_correction_single_frame_exact(rng):
     z = unit_vector(rng)
     for mu in range(1, 8):
-        np.testing.assert_array_equal(ito_correction_drift(frame_field(mu), z), -z)
+        np.testing.assert_array_equal(z @ single_frame_problem(mu, z).ito_drift, -z)
 
 
 def test_correction_zero_field(rng):
     z = unit_vector(rng)
-    zero = CombinedField.constant(np.zeros(7))
-    np.testing.assert_allclose(ito_correction_drift(zero, z), np.zeros(8), atol=0)
+    zero = SdeProblem((CombinedField.constant(np.zeros(7)),), z)
+    np.testing.assert_allclose(z @ zero.ito_drift, np.zeros(8), atol=0)
 
 
 def test_correction_full_frame(rng):
     z = unit_vector(rng)
-    fields = [frame_field(mu) for mu in range(1, 8)]
-    np.testing.assert_allclose(ito_correction_drift(fields, z), -7.0 * z, atol=1e-14)
+    np.testing.assert_allclose(z @ brownian_problem(z).ito_drift, -7.0 * z, atol=1e-14)
 
 
 def bent_field():
@@ -125,24 +99,20 @@ def bent_field():
 @pytest.mark.parametrize("fields", [
     lambda z0: tuple(frame_field(mu) for mu in (1, 4, 6)),
     lambda z0: (CombinedField.constant(np.isin(np.arange(1, 8), (2, 5, 7)) * 1.0),),
-    lambda z0: (bent_field(),),
-], ids=["linear", "combination", "state-dependent"])
+], ids=["linear", "combination"])
 def test_correction_batch_matches_rows(rng, fields):
     z = random_sphere_point(rng, 60).reshape(3, 20, 8)
-    fields = fields(z[0, 0])
-    rows = np.array([[ito_correction_drift(fields, p) for p in row] for row in z])
-    np.testing.assert_array_equal(ito_correction_drift(fields, z), rows)
+    drift = SdeProblem(fields(z[0, 0]), z[0, 0]).ito_drift
+    rows = np.array([[np.matmul(p, drift, order="A") for p in row] for row in z])
+    np.testing.assert_array_equal(np.matmul(z, drift, order="A"), rows)
 
 
 def test_correction_fd_matches_generator(rng):
+    # the drift sum_c (dV_c/dz) V_c(z), with central-difference Jacobians
     z = unit_vector(rng)
-    combo = CombinedField.constant(np.array([0.5, 0, -1.0, 0, 0, 2.0, 0]))
-    exact = ito_correction_drift(combo, z)
-
-    def bare(x):  # same field without the generator attribute
-        return combo(x)
-
-    np.testing.assert_allclose(ito_correction_drift(bare, z), exact, atol=1e-6)
+    fields = (CombinedField.constant(np.array([0.5, 0, -1.0, 0, 0, 2.0, 0])), frame_field(4))
+    fd = sum(central_difference(f, z, 1e-6) @ f(z) for f in fields)
+    np.testing.assert_allclose(z @ SdeProblem(fields, z).ito_drift, fd, atol=1e-6)
 
 
 # --------------------------------------------------------------------------
@@ -271,6 +241,18 @@ def test_exact_rejected_for_state_dependent():
     problem = SdeProblem((field,), E[0])
     with pytest.raises(ValueError):
         simulate_ensemble(problem, 2, 2, 0.01, seed=1, scheme="exact_rotation")
+
+
+def test_ito_euler_rejected_for_state_dependent(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(integrators, "path_generator", lambda *a: drawn.append(a))
+    problem = SdeProblem((bent_field(),), E[0])
+    assert problem.ito_drift is None
+    with pytest.raises(ValueError, match="linear"):
+        simulate_ensemble(problem, 2, 2, 0.01, seed=1, scheme="ito_euler")
+    assert drawn == []  # rejected before any noise is drawn
+    with pytest.raises(ValueError, match="linear"):
+        ito_euler_step(problem, E[0], np.zeros(1), 0.01)
 
 
 def test_strong_error_decreases_with_refinement():
@@ -531,16 +513,6 @@ def test_each_path_generator_built_once_in_chunk_order(monkeypatch, threads):
         assert [i for _, i in made if lo <= i < hi] == list(range(lo, hi))
 
 
-def test_ito_correction_rejects_non_finite():
-    def broken(z):
-        out = np.asarray(z, dtype=float).copy()
-        out[0] = np.nan
-        return out
-
-    with pytest.raises(FloatingPointError):
-        ito_correction_drift(broken, E[0])
-
-
 # --------------------------------------------------------------------------
 # linear diffusion fields: one product with the stacked generators
 # --------------------------------------------------------------------------
@@ -583,10 +555,8 @@ def test_field_without_generator_takes_per_field_path(rng):
     vals = problem.diffusion_matrix(z)
     assert calls == [(5, 8)]
     np.testing.assert_array_equal(vals, per_field_values(brownian_problem(z[0]), z)[:, [0, 2]])
-    h = ito_euler_step(problem, z, np.zeros((5, 2)), 0.01)[0]
-    linear = SdeProblem((frame_field(1), frame_field(3)), z[0])
-    np.testing.assert_allclose(h, ito_euler_step(linear, z, np.zeros((5, 2)), 0.01)[0],
-                               atol=1e-9)
+    with pytest.raises(ValueError, match="linear"):
+        ito_euler_step(problem, z, np.zeros((5, 2)), 0.01)
 
 
 # --------------------------------------------------------------------------
@@ -648,7 +618,7 @@ def reference_heun(problem, z, dw):
 
 
 def reference_ito_euler(problem, z, dw, dt):
-    h = ito_correction_drift(problem.diffusion_fields, z)
+    h = z @ np.sum(problem.generators @ problem.generators, axis=0).T
     return reference_renormalize(z + 0.5 * dt * h + reference_increment(problem, z, dw))
 
 
@@ -690,6 +660,9 @@ STEP_CASES = {
 }
 
 
+LINEAR_CASES = ("brownian", "frame3", "combo")  # the fields ito_euler takes
+
+
 def points_last(x):
     """x as the transposed view of a C-order array: the points axis innermost,
     the layout of the ensemble's state and noise."""
@@ -709,8 +682,9 @@ LAYOUTS = pytest.mark.parametrize("n_points, layout", [
 
 
 @LAYOUTS
-@pytest.mark.parametrize("case", sorted(STEP_CASES))
-@pytest.mark.parametrize("scheme", ["heun", "ito_euler"])
+@pytest.mark.parametrize("scheme, case", [
+    (scheme, case) for scheme in ("heun", "ito_euler") for case in sorted(STEP_CASES)
+    if scheme == "heun" or case in LINEAR_CASES])
 def test_steps_equal_reference_formulas_bitwise(rng, scheme, case, n_points, layout):
     problem, reference = STEP_CASES[case](rng, unit_vector(rng))
     layout = points_last if layout == "points-last" else np.asarray
