@@ -63,9 +63,9 @@ class ExperimentConfig:
     field: str = _key("full | frame:<mu> | combo:c1,...,c7", "full", read_by=("simulate",))
     grid_bins: int = _key("histogram bins per angle; 0 sizes the grid from the sample "
                           "count", 0, read_by=("entropy", "exotic-compare"))
-    deformation_eps: float = _key("bump deformation strength in [0, 0.3)", 0.2,
+    deformation_eps: float = _key(f"bump deformation strength in [0, {sexo.MAX_EPS})", 0.2,
                                   read_by=("exotic-compare", "circles"))
-    scaling: str = _key("constant | bump-smooth | bump-kink", "constant",
+    scaling: str = _key(" | ".join(sexo.SCALINGS), "constant",
                         read_by=("exotic-compare", "circles"))
     threads: int = 1
 
@@ -127,13 +127,16 @@ class ExperimentConfig:
                               f"check rests on a sample standard deviation")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if not 0.0 <= self.deformation_eps < 0.3:
-            raise ConfigError("deformation_eps must lie in [0, 0.3)")
-        if self.grid_bins < 0 or self.grid_bins == 1:
-            raise ConfigError("grid_bins must be 0 (auto) or >= 2")
+        if not 0.0 <= self.deformation_eps < sexo.MAX_EPS:
+            raise ConfigError(f"deformation_eps must lie in [0, {sexo.MAX_EPS})")
+        try:
+            if self.grid_bins:
+                sdens.GridSpec.uniform(self.grid_bins)
+        except ValueError as exc:
+            raise ConfigError(f"grid_bins = {self.grid_bins} (0 is auto): {exc}") from exc
         if self.scheme not in sint.SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.scaling not in ("constant", "bump-smooth", "bump-kink"):
+        if self.scaling not in sexo.SCALINGS:
             raise ConfigError(f"unknown scaling {self.scaling!r}")
         if (self.experiment, self.scaling) == ("exotic-compare", "bump-kink"):
             raise ConfigError("exotic-compare pushes fields forward, which needs a C1 "
@@ -200,17 +203,6 @@ def _problem_from_field(spec: str, initial):
     if isinstance(field, np.ndarray):
         return sint.combination_problem(field, initial)
     return sint.brownian_problem(initial)
-
-
-def _exotic_map(cfg: ExperimentConfig) -> sexo.ExoticMap:
-    deform = sexo.Deformation(cfg.deformation_eps)
-    if cfg.scaling == "constant":
-        scaling = sexo.ScalingFunction()
-    else:
-        kind = "smooth" if cfg.scaling == "bump-smooth" else "kink"
-        scaling = sexo.ScalingFunction(base=1.0, eps=0.1,
-                                       profile=sexo.BumpProfile(kind=kind))
-    return sexo.ExoticMap(deform, scaling)
 
 
 def write_series_csv(path, header, columns):
@@ -412,7 +404,7 @@ def _interior_points(rng, n):
 
 def _run_exotic_compare(cfg, outdir, summary):
     rng = np.random.default_rng(cfg.seed)
-    h = _exotic_map(cfg)
+    h = sexo.ExoticMap(cfg.deformation_eps, cfg.scaling)
     pts = sgeo.random_sphere_point(rng, cfg.n_points)
     summary.add("roundtrip_dev",
                 float(np.max(sgeo.row_norms(h.inverse(h.forward(pts)) - pts))),
@@ -447,7 +439,7 @@ def _run_exotic_compare(cfg, outdir, summary):
 
 
 def _run_circles(cfg, outdir, summary):
-    h = _exotic_map(cfg)
+    h = sexo.ExoticMap(cfg.deformation_eps, cfg.scaling)
     images = sexo.circle_images(h)
     summary.add("circle_closure_dev", max(im.closure_error for im in images), 1e-9)
     fixed = [im for im in images if (im.i, im.j) == (1, 2)][0]

@@ -8,6 +8,7 @@ volumes of all bins sum to the exact total area.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ class GridSpec:
     def __post_init__(self):
         if len(self.bins) != N_ANGLES or any(b < 2 for b in self.bins):
             raise ValueError("grid needs 7 angle resolutions, each >= 2")
+        if math.prod(int(b) for b in self.bins) > np.iinfo(np.intp).max:
+            raise ValueError(f"grid {self.bins} has more bins than a flat intp index can number")
 
     @classmethod
     def uniform(cls, n: int) -> "GridSpec":

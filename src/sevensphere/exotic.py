@@ -7,10 +7,10 @@ direction:
     G'(g)     = (I - u u^T) / |g|^2,  u = g / |g|
 
 so the inverse and the pulled-back round metric G' are the same for every
-map of the family.  The default ray scale s = 1 + eps * bump is one on a
-neighbourhood of the circle in the (z1, z2) plane, so that circle is fixed
-pointwise.  A kinked (merely continuous) scaling profile is provided to
-exercise the regularity failure of the field pushforward.
+map of the family.  The bump, and with it s = 1 + eps * bump and beta, is
+zero on a neighbourhood of the circle in the (z1, z2) plane, so that circle
+is fixed pointwise.  The ``bump-kink`` scaling's merely continuous beta
+exercises the regularity failure of the field pushforward.
 """
 
 from __future__ import annotations
@@ -23,6 +23,12 @@ from .density import ANGLE_SPANS, EntropyReport, GridSpec, _histogram, plugin_en
 from .frames import DIM
 from .geometry import chart_jacobian, row_norms, to_cartesian, volume_element
 from . import integrators
+
+
+SCALINGS = ("constant", "bump-smooth", "bump-kink")
+MAX_EPS = 0.3     # the ray scale's bump strength lies in [0, MAX_EPS)
+BETA_EPS = 0.1    # the bump strength of beta for bump-smooth and bump-kink
+RHO0, RHO1 = 0.15, 0.6  # the bump ramps from 0 to 1 between these plane distances
 
 
 class RegularityError(ValueError):
@@ -55,78 +61,44 @@ def _plane_distance(u):
     return np.sqrt(np.sum(u[..., 2:] ** 2, axis=-1))
 
 
-class BumpProfile:
-    """Scalar profile of the direction, zero near the fixed circle."""
-
-    def __init__(self, rho0=0.15, rho1=0.6, kind="smooth"):
-        if kind not in ("smooth", "kink"):
-            raise ValueError(f"unknown profile kind {kind!r}")
-        self.rho0 = rho0
-        self.rho1 = rho1
-        self.kind = kind
-
-    def value(self, u):
-        t = (_plane_distance(u) - self.rho0) / (self.rho1 - self.rho0)
-        return _smooth_transition(t) if self.kind == "smooth" else np.clip(t, 0.0, 1.0)
-
-    def gradient(self, u):
-        """Ambient gradient (..., 8) at unit points u (..., 8); only available
-        for the smooth profile."""
-        if self.kind != "smooth":
-            raise RegularityError("the kinked profile is not differentiable")
-        u = np.asarray(u, dtype=float)
-        rho = _plane_distance(u)[..., None]
-        t = (rho - self.rho0) / (self.rho1 - self.rho0)
-        dpsi = _smooth_transition_deriv(t) / (self.rho1 - self.rho0)
-        off_circle = rho > 1e-12
-        grad = np.zeros(u.shape)
-        grad[..., 2:] = np.where(off_circle,
-                                 dpsi * u[..., 2:] / np.where(off_circle, rho, 1.0), 0.0)
-        # chain through the normalization u = x/|x| at |x| = 1
-        proj = np.eye(DIM) - u[..., :, None] * u[..., None, :]
-        return (proj @ grad[..., None])[..., 0]
+def _bump(u, kink=False):
+    """The direction's profile: 0 for plane distance <= RHO0, 1 for >= RHO1,
+    the smooth ramp between them, or the linear (C0) ramp when kinked."""
+    t = (_plane_distance(u) - RHO0) / (RHO1 - RHO0)
+    return np.clip(t, 0.0, 1.0) if kink else _smooth_transition(t)
 
 
-class ScalingFunction:
-    """Positive function on the sphere; the radius assigned to each direction."""
-
-    def __init__(self, base: float = 1.0, eps: float = 0.0,
-                 profile: BumpProfile | None = None):
-        self.base = base
-        self.eps = eps
-        self.profile = profile or BumpProfile()
-
-    @property
-    def smoothness(self) -> str:
-        if self.eps == 0.0 or self.profile.kind == "smooth":
-            return "smooth"
-        return "c0"
-
-    def __call__(self, z) -> np.ndarray:
-        if self.eps == 0.0:  # base + 0 * bump without the bump; NaN at non-finite z
-            val = np.where(np.isfinite(z).all(axis=-1), float(self.base), np.nan)
-        else:
-            val = np.asarray(self.base + self.eps * self.profile.value(z))
-        if not np.all(val > 0.0):
-            raise ValueError("scaling function must stay positive (and not NaN)")
-        return val
-
-    def gradient(self, z) -> np.ndarray:
-        if self.smoothness != "smooth":
-            raise RegularityError("scaling function is not C1")
-        if self.eps == 0.0:
-            return np.zeros(np.shape(z))
-        return self.eps * self.profile.gradient(z)
+def _bump_gradient(u):
+    """Ambient gradient (..., 8) of the smooth bump at unit points u (..., 8)."""
+    u = np.asarray(u, dtype=float)
+    rho = _plane_distance(u)[..., None]
+    t = (rho - RHO0) / (RHO1 - RHO0)
+    dpsi = _smooth_transition_deriv(t) / (RHO1 - RHO0)
+    off_circle = rho > 1e-12
+    grad = np.zeros(u.shape)
+    grad[..., 2:] = np.where(off_circle,
+                             dpsi * u[..., 2:] / np.where(off_circle, rho, 1.0), 0.0)
+    # chain through the normalization u = x/|x| at |x| = 1
+    proj = np.eye(DIM) - u[..., :, None] * u[..., None, :]
+    return (proj @ grad[..., None])[..., 0]
 
 
-class Deformation(ScalingFunction):
-    """The ray scale s(u) = 1 + eps * bump(u): the ambient deformation
-    x -> x s(x/|x|) stretches each ray by a factor of its direction only."""
+def _scale(eps, z, kink=False) -> np.ndarray:
+    """1 + eps * bump(z), which must stay positive and not NaN."""
+    if eps == 0.0:  # 1 + 0 * bump without the bump; NaN at non-finite z
+        val = np.where(np.isfinite(z).all(axis=-1), 1.0, np.nan)
+    else:
+        val = np.asarray(1.0 + eps * _bump(z, kink))
+    if not np.all(val > 0.0):
+        raise ValueError("scaling function must stay positive (and not NaN)")
+    return val
 
-    def __init__(self, eps: float = 0.2, profile: BumpProfile | None = None):
-        if not 0.0 <= eps < 0.3:
-            raise ValueError("deformation strength must lie in [0, 0.3)")
-        super().__init__(1.0, eps, profile)
+
+def _scale_gradient(eps, z) -> np.ndarray:
+    """Ambient gradient of the smooth 1 + eps * bump."""
+    if eps == 0.0:
+        return np.zeros(np.shape(z))
+    return eps * _bump_gradient(z)
 
 
 def _unit(x):
@@ -142,17 +114,28 @@ def _unit(x):
 
 class ExoticMap:
     """The radial graph h(z) = (beta / s)(z) z of the sphere and its inverse,
-    the normalization h^{-1}(gamma) = gamma / |gamma|."""
+    the normalization h^{-1}(gamma) = gamma / |gamma|.  The ray scale is
+    s = 1 + eps * bump; beta is 1 for ``constant`` and 1 + BETA_EPS * bump
+    for ``bump-smooth`` and ``bump-kink``, the last with the kinked bump."""
 
-    def __init__(self, deformation: Deformation | None = None,
-                 scaling: ScalingFunction | None = None):
-        self.deformation = deformation or Deformation(0.0)
-        self.scaling = scaling or ScalingFunction()
+    def __init__(self, eps: float = 0.0, scaling: str = "constant"):
+        if scaling not in SCALINGS:
+            raise ValueError(f"unknown scaling {scaling!r}, expected one of {SCALINGS}")
+        if not 0.0 <= eps < MAX_EPS:
+            raise ValueError(f"deformation strength must lie in [0, {MAX_EPS})")
+        self.eps, self.scaling = eps, scaling
+        self.beta_eps = 0.0 if scaling == "constant" else BETA_EPS
+
+    def beta(self, z) -> np.ndarray:
+        return _scale(self.beta_eps, z, kink=self.scaling == "bump-kink")
+
+    def ray_scale(self, u) -> np.ndarray:
+        return _scale(self.eps, u)
 
     def forward(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        zeta = z * self.scaling(z)[..., None]
-        return zeta / self.deformation(_unit(zeta)[0])[..., None]
+        zeta = z * self.beta(z)[..., None]
+        return zeta / self.ray_scale(_unit(zeta)[0])[..., None]
 
     def inverse(self, gamma) -> np.ndarray:
         return _unit(gamma)[0]
@@ -160,10 +143,13 @@ class ExoticMap:
     def jacobian(self, z) -> np.ndarray:
         """d h / d z = r I + z grad(r)^T, shape (..., 8, 8), at sphere points
         z (..., 8), with r = beta / s and grad r = (s grad beta - beta grad s) / s^2."""
+        if self.scaling == "bump-kink":
+            raise RegularityError("the kinked scaling is not C1")
         z = np.asarray(z, dtype=float)
-        beta = self.scaling(z)[..., None]
-        s = self.deformation(z)[..., None]
-        grad_r = (s * self.scaling.gradient(z) - beta * self.deformation.gradient(z)) / s ** 2
+        beta = self.beta(z)[..., None]
+        s = self.ray_scale(z)[..., None]
+        grad_r = (s * _scale_gradient(self.beta_eps, z)
+                  - beta * _scale_gradient(self.eps, z)) / s ** 2
         return ((beta / s)[..., None] * np.eye(DIM)
                 + z[..., :, None] * grad_r[..., None, :])
 
@@ -178,7 +164,7 @@ def pushforward_field(V, h: ExoticMap):
     Requires the scaling function to be C1; with the kinked profile the
     chain-rule factor does not exist and the construction is refused.
     """
-    if h.scaling.smoothness != "smooth":
+    if h.scaling == "bump-kink":
         raise RegularityError(
             "pushforward needs a C1 scaling function; the kinked profile is "
             "only continuous, so the induced field may not exist")
@@ -300,8 +286,7 @@ def write_circles_csv(images, fname) -> None:
 
 
 __all__ = [
-    "RegularityError", "BumpProfile", "Deformation", "ScalingFunction",
-    "ExoticMap", "CircleImage",
+    "SCALINGS", "MAX_EPS", "RegularityError", "ExoticMap", "CircleImage",
     "pushforward_field", "conjugation_gaps", "pullback_metric",
     "surface_patch_jacobian", "entropy_on_surface",
     "circle_images", "write_circles_csv",

@@ -402,9 +402,6 @@ def exact_rotation_step(coefficients, z, dw):
 class EnsembleResult:
     times: np.ndarray
     states: np.ndarray  # (n_paths, n_saved, 8)
-    seed: int
-    scheme: str
-    dt: float
     max_renorm_defect: float = 0.0
 
     @property
@@ -520,8 +517,7 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
             defects = list(pool.map(work, range(0, n_paths, CHUNK)))
     else:
         defects = [work(lo) for lo in range(0, n_paths, CHUNK)]
-    return EnsembleResult(times, states, seed, scheme, dt,
-                          max_renorm_defect=max([0.0, *defects]))
+    return EnsembleResult(times, states, max_renorm_defect=max([0.0, *defects]))
 
 
 def write_trajectories_csv(result: EnsembleResult, fname) -> None:

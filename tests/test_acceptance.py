@@ -242,7 +242,7 @@ def test_criterion_10_group_actions():
 
 def test_criterion_11_exotic_structure():
     rng = np.random.default_rng(111)
-    h = sexo.ExoticMap(sexo.Deformation(0.2))
+    h = sexo.ExoticMap(0.2)
     pts = sgeo.random_sphere_point(rng, 2000)
     roundtrip = float(np.max(np.linalg.norm(h.inverse(h.forward(pts)) - pts,
                                             axis=-1)))

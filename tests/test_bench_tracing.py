@@ -64,7 +64,7 @@ if got != (1100, 1100 * steps * 7, 2 * steps):
 # coarsened steps, and every step must pass the traced module attribute
 from sevensphere import exotic
 
-exotic.conjugation_gaps(exotic.ExoticMap(exotic.Deformation(0.2)), 1, n_noise=2)
+exotic.conjugation_gaps(exotic.ExoticMap(0.2), 1, n_noise=2)
 calls = tracer.layer_metrics(1.0)["integrators.step.heun.calls"] - 5
 if calls != 2 * (63 + 125 + 250):
     sys.exit(f"traced heun steps of conjugation_gaps: {calls}, expected 876")

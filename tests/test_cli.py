@@ -181,6 +181,8 @@ CONFIG_ERRORS = [  # (experiment, config lines that it must reject)
     # keys the experiment never reads: fp-check's weak check has its own dt,
     # entropy always runs exact_rotation
     ("fp-check", "dt = 0.001"), ("entropy", "scheme = heun"),
+    # 512^7 = 2^63 bins have no flat numpy index (the dt keeps the ids unique)
+    ("entropy", "grid_bins = 512"), ("exotic-compare", "dt = 0.01\ngrid_bins = 512"),
 ]
 
 

@@ -43,7 +43,7 @@ def rng():
 def test_trajectories_csv(tmp_path, rng):
     times = np.array([0.0, 0.1 + 0.2, 1.0 / 3.0])
     states = values(rng, (5, 3, 8))  # 5 paths of 2 per block: a partial last block
-    result = EnsembleResult(times, states, seed=1, scheme="heun", dt=0.1)
+    result = EnsembleResult(times, states)
     fname = tmp_path / "t.csv"
     integrators.write_trajectories_csv(result, fname)
     expected = "path_id,t,z1,z2,z3,z4,z5,z6,z7,z8\n" + "".join(

@@ -36,6 +36,15 @@ def test_grid_validation():
         GridSpec((1,) * 7)
 
 
+def test_grid_rejects_bins_past_flat_index(rng):
+    # the histogram numbers bins by one flat intp index: 512^7 = 2^63 is one past it
+    for bins in ((512,) * 7, (2 ** 57, 2, 2, 2, 2, 2, 2)):
+        with pytest.raises(ValueError, match="flat intp index"):
+            GridSpec(bins)
+    est = estimate_density(random_sphere_point(rng, 10), GridSpec.uniform(511))
+    assert est.counts.sum() == 10
+
+
 def test_point_mass_density():
     grid = GridSpec.uniform(3)
     samples = np.tile(E[3], (50, 1))

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevensphere.density import GridSpec, entropy, estimate_density
-from sevensphere.exotic import (BumpProfile, Deformation, ExoticMap, RegularityError, ScalingFunction,
+from sevensphere.exotic import (MAX_EPS, ExoticMap, RegularityError, _bump,
+                                _bump_gradient, _scale, _scale_gradient,
                                 circle_images, conjugation_gaps, entropy_on_surface,
                                 pullback_metric, pushforward_field,
                                 surface_patch_jacobian, write_circles_csv)
@@ -17,7 +18,7 @@ E = np.eye(8)
 
 
 def bump_map(eps=0.2):
-    return ExoticMap(Deformation(eps))
+    return ExoticMap(eps)
 
 
 def circle12(n=181):
@@ -54,12 +55,18 @@ def test_deformation_origin_rejected():
 
 
 def test_deformation_strength_validated():
-    with pytest.raises(ValueError):
-        Deformation(0.5)
+    for eps in (0.5, MAX_EPS, -0.1, np.nan):
+        with pytest.raises(ValueError, match="deformation strength"):
+            ExoticMap(eps)
 
 
-@pytest.mark.parametrize("scale", [ScalingFunction(1.0, 0.1), Deformation(0.2),
-                                   ScalingFunction()],
+def test_unknown_scaling_rejected():
+    with pytest.raises(ValueError, match="unknown scaling"):
+        ExoticMap(0.2, "kink")
+
+
+@pytest.mark.parametrize("scale", [ExoticMap(0.2, "bump-smooth").beta,
+                                   ExoticMap(0.2).ray_scale, ExoticMap().beta],
                          ids=["scaling", "deformation", "constant"])
 def test_scaling_rejects_nan_point(scale):
     # the ramp carries NaN through, so the positivity check sees it; the
@@ -74,14 +81,14 @@ def test_scaling_rejects_nan_point(scale):
 
 @pytest.mark.parametrize("kind", ["smooth", "kink"])
 def test_constant_scaling_equals_base_plus_zero_bump(rng, kind):
-    scale = ScalingFunction(1.3, 0.0, BumpProfile(kind=kind))
+    kink = kind == "kink"
     for z in (random_sphere_point(rng, 50), random_sphere_point(rng)):
-        want = np.asarray(1.3 + 0.0 * BumpProfile(kind=kind).value(z))
-        got = scale(z)
+        want = np.asarray(1.0 + 0.0 * _bump(z, kink))
+        got = _scale(0.0, z, kink)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     with pytest.raises(ValueError):
-        scale(np.stack([E[2], np.full(8, np.inf)]))
+        _scale(0.0, np.stack([E[2], np.full(8, np.inf)]), kink)
 
 
 def test_identity_map_is_identity(rng):
@@ -126,17 +133,17 @@ def test_inverse_of_identity_deformation_normalizes(rng):
 
 def test_scaling_recovery_from_deformation(rng):
     # the radius function evaluated at u = h^{-1}(gamma) equals |gamma| s(u)
-    scaling = ScalingFunction(base=1.0, eps=0.1, profile=BumpProfile())
-    h = ExoticMap(Deformation(0.2), scaling)
+    h = ExoticMap(0.2, "bump-smooth")
     gamma = h.forward(random_sphere_point(rng, 50))
     u = h.inverse(gamma)
-    np.testing.assert_allclose(scaling(u), np.linalg.norm(gamma, axis=-1) * h.deformation(u),
+    np.testing.assert_allclose(h.beta(u), np.linalg.norm(gamma, axis=-1) * h.ray_scale(u),
                                rtol=0.0, atol=1e-10)
 
 
 def test_scaling_positive_enforced():
+    # e3 lies where the bump is 1, so 1 - 2 * bump is -1 there
     with pytest.raises(ValueError):
-        ScalingFunction(base=-1.0)(E[0])
+        _scale(-2.0, E[2])
 
 
 # --------------------------------------------------------------------------
@@ -163,8 +170,7 @@ def test_pushforward_on_fixed_circle_matches_field():
 
 def test_pushforward_chain_rule_oracle(rng):
     # directional finite difference of h along the field's rotation curve
-    h = ExoticMap(Deformation(0.2),
-                  ScalingFunction(base=1.0, eps=0.1, profile=BumpProfile()))
+    h = ExoticMap(0.2, "bump-smooth")
     fld = frame_field(3)
     push = pushforward_field(fld, h)
     from sevensphere.integrators import frame_rotation_apply
@@ -180,19 +186,21 @@ def test_pushforward_chain_rule_oracle(rng):
         np.testing.assert_allclose(push(gamma), fd, atol=1e-6)
 
 
+def test_jacobian_refuses_kinked_scaling(rng):
+    h = ExoticMap(0.2, "bump-kink")
+    with pytest.raises(RegularityError):
+        h.jacobian(random_sphere_point(rng, 3))
+
+
 def test_pushforward_refuses_kinked_scaling():
-    h = ExoticMap(Deformation(0.2),
-                  ScalingFunction(base=1.0, eps=0.1,
-                                  profile=BumpProfile(kind="kink")))
+    h = ExoticMap(0.2, "bump-kink")
     with pytest.raises(RegularityError):
         pushforward_field(frame_field(1), h)
 
 
 def test_surface_entropy_refuses_kinked_scaling(rng):
     # the bin volumes take the chain-rule patch derivative, which needs C1
-    h = ExoticMap(Deformation(0.2),
-                  ScalingFunction(base=1.0, eps=0.1,
-                                  profile=BumpProfile(kind="kink")))
+    h = ExoticMap(0.2, "bump-kink")
     with pytest.raises(RegularityError):
         entropy_on_surface(h.forward(random_sphere_point(rng, 100)), h, GridSpec.uniform(3))
 
@@ -282,8 +290,7 @@ def test_fixed_circle_length_is_two_pi():
 def test_map_is_isometry_onto_pullback_metric(rng):
     # <dh a, dh b> in the pulled-back metric equals <a, b> for tangent a, b:
     # the inverse map was built to be an isometry onto the round sphere
-    h = ExoticMap(Deformation(0.2),
-                  ScalingFunction(base=1.0, eps=0.1, profile=BumpProfile()))
+    h = ExoticMap(0.2, "bump-smooth")
     for _ in range(20):
         z = random_sphere_point(rng)
         a = frame_field(1)(z)
@@ -348,8 +355,7 @@ def test_surface_bin_volumes_match_per_bin_loop(rng, monkeypatch):
     from sevensphere.density import ANGLE_SPANS, _histogram
     from sevensphere.geometry import to_cartesian, volume_element
 
-    h = ExoticMap(Deformation(0.2),
-                  ScalingFunction(base=1.0, eps=0.1, profile=BumpProfile()))
+    h = ExoticMap(0.2, "bump-smooth")
     gammas = h.forward(random_cap_point(rng, E[0], 0.8, 5000))
     grid = GridSpec.uniform(3)
     seen = {}
@@ -379,15 +385,9 @@ def test_surface_bin_volumes_match_per_bin_loop(rng, monkeypatch):
 # batching: every map, Jacobian and field acts row by row on (..., 8)
 # --------------------------------------------------------------------------
 
-@st.composite
-def smooth_maps(draw):
-    rho0 = draw(st.floats(0.0, 0.95))
-    rho1 = draw(st.floats(rho0 + 0.05, 1.0))
-    eps = draw(st.floats(0.0, 0.3, exclude_max=True))
-    scaling_eps = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3, exclude_max=True)))
-    profile = BumpProfile(rho0, rho1)
-    return ExoticMap(Deformation(eps, profile),
-                     ScalingFunction(1.0, scaling_eps, profile))
+def smooth_maps():
+    return st.builds(ExoticMap, st.floats(0.0, MAX_EPS, exclude_max=True),
+                     st.sampled_from(["constant", "bump-smooth"]))
 
 
 def batch_points(seed):
@@ -403,9 +403,9 @@ def batch_points(seed):
 def test_batched_jacobians_equal_rowwise(h, seed):
     z = batch_points(seed)
     gamma = h.forward(z)
-    checks = [(h.deformation.profile.gradient, z),
-              (h.scaling.gradient, z),
-              (h.deformation.gradient, z),
+    checks = [(_bump_gradient, z),
+              (lambda p: _scale_gradient(h.beta_eps, p), z),
+              (lambda p: _scale_gradient(h.eps, p), z),
               (h.jacobian, z),
               (pullback_metric, gamma),
               (pushforward_field(frame_field(1), h), gamma)]

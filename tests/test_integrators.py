@@ -430,7 +430,8 @@ def seed_sequence_generator(seed, path_index):
     return np.random.Generator(np.random.Philox(seq))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
+                                  2 ** 128 + 7, 2 ** 200 + 11])
 @pytest.mark.parametrize("path_index", [0, 1, 1023, 1024, 2047, 40000, 2 ** 32 - 1])
 def test_path_generator_equals_seed_sequence_construction(seed, path_index):
     ours, oracle = path_generator(seed, path_index), seed_sequence_generator(seed, path_index)
