@@ -19,7 +19,6 @@ from .flows import IntegratedFlow, RotationFlow, isometry_check
 from .density import (DensityEstimate, EntropyReport, GridSpec, entropy,
                       estimate_density, fokker_planck_residual,
                       generator_weak_check, max_entropy, uniform_density)
-from .exotic import (ExoticMap, circle_images, entropy_on_surface, pullback_metric,
-                     pushforward_field)
+from .exotic import ExoticMap, circle_images, entropy_on_surface, pushforward_field
 
 __version__ = "0.1.0"

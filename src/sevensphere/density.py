@@ -19,6 +19,7 @@ from .geometry import (ANGLE_UPPER as ANGLE_SPANS, N_ANGLES, chart_jacobian,
                        volume_element)
 
 SIN_POWERS = tuple(range(6, 0, -1)) + (0,)  # per 0-based angle axis
+WEAK_SAVES = 11  # generator_weak_check's saved slices per path
 
 
 @dataclass(frozen=True)
@@ -223,20 +224,19 @@ def _generator_apply(problem: sint.SdeProblem, f, states, h: float = 1e-4):
 
 
 def generator_weak_check(problem: sint.SdeProblem, f, t: float, n_paths: int,
-                         dt: float, seed: int, n_save: int = 11,
-                         threads: int = 1) -> WeakCheckReport:
+                         dt: float, seed: int, threads: int = 1) -> WeakCheckReport:
     """Dynkin martingale test: f(z_t) - f(z_0) - int L f(z_s) ds has mean zero.
 
     Both sides are Monte Carlo estimates on the same paths; the time integral
-    is a trapezoid over ``n_save`` saved slices per path.
+    is a trapezoid over WEAK_SAVES saved slices per path.
     """
     n_steps = int(round(t / dt))
-    save = np.linspace(0.0, n_steps * dt, n_save)
+    save = np.linspace(0.0, n_steps * dt, WEAK_SAVES)
     save = np.round(save / dt) * dt
     result = sint.simulate_ensemble(problem, n_paths, n_steps, dt, seed,
                                     scheme="exact_rotation", save_times=save,
                                     threads=threads)
-    fvals = f(result.states)          # (n_paths, n_save)
+    fvals = f(result.states)          # (n_paths, WEAK_SAVES)
     lf = _generator_apply(problem, f, result.states)
     integral = np.trapezoid(lf, result.times, axis=1)
     f0 = float(np.asarray(f(problem.initial)))

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import ANGLE_SPANS, EntropyReport, GridSpec, _histogram, plugin_entropy
+from .density import EntropyReport, GridSpec, _histogram, plugin_entropy
 from .frames import DIM
-from .geometry import chart_jacobian, row_norms, to_cartesian, volume_element
+from .geometry import row_norms
 from . import integrators
 
 
@@ -29,6 +29,8 @@ SCALINGS = ("constant", "bump-smooth", "bump-kink")
 MAX_EPS = 0.3     # the ray scale's bump strength lies in [0, MAX_EPS)
 BETA_EPS = 0.1    # the bump strength of beta for bump-smooth and bump-kink
 RHO0, RHO1 = 0.15, 0.6  # the bump ramps from 0 to 1 between these plane distances
+# conjugation_gaps: noise of CONJ_T / CONJ_DT steps, coarsened by each level
+CONJ_T, CONJ_DT, CONJ_LEVELS = 0.5, 0.002, (4, 2, 1)
 
 
 class RegularityError(ValueError):
@@ -176,18 +178,18 @@ def pushforward_field(V, h: ExoticMap):
     return field
 
 
-def conjugation_gaps(h: ExoticMap, seed, t=0.5, base_dt=0.002, levels=(4, 2, 1),
-                     n_noise=8):
-    """Average pathwise gap between the conjugated sphere integration and the
-    direct surface integration with pushforward fields, per coarsening level."""
+def conjugation_gaps(h: ExoticMap, seed, n_noise=8):
+    """Average pathwise gap over ``n_noise`` noise paths between the
+    conjugated sphere integration and the direct surface integration with
+    pushforward fields, per coarsening level of CONJ_LEVELS."""
     start = np.eye(DIM)[0]
     problem = integrators.single_frame_problem(1, start)
     push = pushforward_field(problem.diffusion_fields[0], h)
-    fines = [integrators.sample_brownian(int(round(t / base_dt)), base_dt, 1, seed,
+    fines = [integrators.sample_brownian(int(round(CONJ_T / CONJ_DT)), CONJ_DT, 1, seed,
                                          path_index=k)
              for k in range(n_noise)]
     gaps = []
-    for level in levels:
+    for level in CONJ_LEVELS:
         coarse = [fine.coarsened(level) for fine in fines]
         ends = []
         for path in coarse:
@@ -206,41 +208,13 @@ def conjugation_gaps(h: ExoticMap, seed, t=0.5, base_dt=0.002, levels=(4, 2, 1),
     return gaps
 
 
-def pullback_metric(gamma) -> np.ndarray:
-    """G' = (I - u u^T) / |gamma|^2 with u = gamma / |gamma|, shape (..., 8, 8),
-    at surface points gamma (..., 8): the round metric pulled back through
-    h^{-1}(gamma) = u, the same for every map of the family, zero radially."""
-    u, r = _unit(gamma)
-    return (np.eye(DIM) - u[..., :, None] * u[..., None, :]) / r[..., None] ** 2
-
-
-def surface_patch_jacobian(h: ExoticMap, phi) -> np.ndarray:
-    """Derivative (..., 8, 7) of the surface parameterization angles ->
-    h(chart(angles)) at angle vectors phi (..., 7), by the chain rule
-    J_h(z) J_chart(phi); it needs a C1 map, as ``ExoticMap.jacobian`` does."""
-    return h.jacobian(to_cartesian(phi)) @ chart_jacobian(phi)
-
-
-def entropy_on_surface(gammas, h: ExoticMap, grid: GridSpec,
-                       t: float | None = None) -> EntropyReport:
-    """Entropy of a transported sample cloud using the pulled-back measure.
-
-    Bins by the ray direction (the surface chart).  Each bin volume is the
-    integral over the angle box of the pullback volume density
-    sqrt(det M^T G' M), M being the surface patch derivative; the integral is
-    evaluated against the chart's reference density, i.e. as the exact
-    reference box integral times the density ratio at the box center.  A wrong
-    pullback metric therefore shifts the volumes and the entropy.  M is the
-    chain-rule derivative, so, as for ``pushforward_field``, the scaling
-    function must be C1: the kinked profile raises RegularityError.
-    """
+def entropy_on_surface(gammas, grid: GridSpec, t: float | None = None) -> EntropyReport:
+    """Entropy of a transported sample cloud under the measure h carries over
+    from the round sphere: the pulled-back metric G' is the round metric of
+    the direction h^{-1}(gamma), so the samples are binned by direction with
+    the histogram's own volumes.  dh is not used, so any scaling is accepted."""
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
-    keys, counts, volumes = _histogram(_unit(gammas)[0], grid)
-    centers = (keys + 0.5) * (ANGLE_SPANS / np.asarray(grid.bins, dtype=float))
-    m = surface_patch_jacobian(h, centers)
-    gp = pullback_metric(h.forward(to_cartesian(centers)))
-    gram = np.swapaxes(m, -1, -2) @ gp @ m
-    volumes *= np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / volume_element(centers)
+    _, counts, volumes = _histogram(_unit(gammas)[0], grid)
     n = gammas.shape[0]
     return plugin_entropy(counts, counts / (n * volumes), n, t)
 
@@ -287,7 +261,6 @@ def write_circles_csv(images, fname) -> None:
 
 __all__ = [
     "SCALINGS", "MAX_EPS", "RegularityError", "ExoticMap", "CircleImage",
-    "pushforward_field", "conjugation_gaps", "pullback_metric",
-    "surface_patch_jacobian", "entropy_on_surface",
+    "pushforward_field", "conjugation_gaps", "entropy_on_surface",
     "circle_images", "write_circles_csv",
 ]

@@ -11,6 +11,11 @@ from . import integrators as sint
 from .geometry import geodesic_distance, row_norms
 from .integrators import NoisePath, SdeProblem, frame_rotation_matrix
 
+# heun_refinement_residuals: REFINE_NOISE noise paths of REFINE_FINE steps to
+# t = 0.5, each coarsened by every level of REFINE_LEVELS
+REFINE_FINE, REFINE_LEVELS, REFINE_NOISE = 256, (8, 4, 2), 12
+REFINE_DT = 0.5 / REFINE_FINE
+
 
 class RotationFlow:
     """Flow over [s, t] as its one 8x8 rotation matrix M: z -> M z.
@@ -84,29 +89,28 @@ class IntegratedFlow:
         return flow
 
 
-def heun_refinement_residuals(problem, points, seed, n_fine=256, dt_fine=0.5 / 256,
-                              levels=(8, 4, 2), n_noise=12):
+def heun_refinement_residuals(problem, points, seed):
     """Cocycle and round-trip defects of re-integrated flows, averaged over
-    noise realizations, at a sequence of coarsening levels.
+    REFINE_NOISE noise realizations, at each coarsening level of REFINE_LEVELS.
 
     The split time sits strictly inside one step of each coarse grid: the
     composed flow takes two partial steps across it where the direct flow
     takes one, and is otherwise identical, so the residual is the genuine
     step-splitting defect of the scheme and shrinks with the step size.
     """
-    cut = n_fine // 2 + 1  # odd: interior to one step of every coarse grid
-    residuals = np.zeros(len(levels))
-    roundtrips = np.zeros(len(levels))
-    for k in range(n_noise):
-        fine = sint.sample_brownian(n_fine, dt_fine, problem.n_channels, seed,
+    cut = REFINE_FINE // 2 + 1  # odd: interior to one step of every coarse grid
+    residuals = np.zeros(len(REFINE_LEVELS))
+    roundtrips = np.zeros(len(REFINE_LEVELS))
+    for k in range(REFINE_NOISE):
+        fine = sint.sample_brownian(REFINE_FINE, REFINE_DT, problem.n_channels, seed,
                                     path_index=k)
         inc = fine.increments
-        for li, level in enumerate(levels):
+        for li, level in enumerate(REFINE_LEVELS):
             boundary = ((cut + level - 1) // level) * level  # next grid point
-            left = NoisePath(dt_fine, inc[:cut]).coarsened(level)
+            left = NoisePath(REFINE_DT, inc[:cut]).coarsened(level)
             bridge = inc[cut:boundary].sum(axis=0, keepdims=True)
-            right_steps = NoisePath(dt_fine, inc[boundary:]).coarsened(level)
-            right = NoisePath(dt_fine * level, np.vstack([bridge, right_steps.increments]))
+            right_steps = NoisePath(REFINE_DT, inc[boundary:]).coarsened(level)
+            right = NoisePath(REFINE_DT * level, np.vstack([bridge, right_steps.increments]))
             f1 = IntegratedFlow(problem, left)
             f2 = IntegratedFlow(problem, right, s=f1.t)
             direct = IntegratedFlow(problem, fine.coarsened(level))
@@ -114,7 +118,7 @@ def heun_refinement_residuals(problem, points, seed, n_fine=256, dt_fine=0.5 / 2
                 f2.apply(f1.apply(points)) - direct.apply(points))))
             roundtrips[li] += float(np.mean(row_norms(
                 direct.invert().apply(direct.apply(points)) - points)))
-    return list(residuals / n_noise), list(roundtrips / n_noise)
+    return list(residuals / REFINE_NOISE), list(roundtrips / REFINE_NOISE)
 
 
 def isometry_check(flow, points) -> float:

@@ -74,14 +74,13 @@ def frame_eval_all(z) -> np.ndarray:
 
 
 def frame_field(mu: int):
-    """Field mu as a batch-aware callable carrying its generator matrix and
-    its frame coefficients, the unit vector e_mu."""
+    """Field mu as a batch-aware callable carrying its frame coefficients,
+    the unit vector e_mu."""
     gen = generator_matrix(mu)
 
     def field(z):
         return np.asarray(z, dtype=float) @ gen.T
 
-    field.generator = gen
     field.coefficients = np.eye(N_FRAME_FIELDS)[mu - 1]
     return field
 
@@ -108,9 +107,7 @@ class CombinedField:
             return np.broadcast_to(c, z.shape[:-1] + (N_FRAME_FIELDS,)).copy()
 
         field = cls(coeffs)
-        field.coefficients = c  # read by the exact rotation scheme
-        # constant combination is itself linear: a single generator matrix
-        field.generator = np.tensordot(c, FRAME_GENERATORS, axes=(0, 0))
+        field.coefficients = c  # read by SdeProblem
         return field
 
     def coefficients_at(self, z) -> np.ndarray:

@@ -17,6 +17,7 @@ N_ANGLES = 7
 DIM = 8
 
 ANGLE_UPPER = np.array([np.pi] * 6 + [2.0 * np.pi])
+SIN_POWER_NODES = 24  # Gauss-Legendre nodes of sin_power_integral
 
 
 def _check_ranges(phi):
@@ -141,9 +142,9 @@ def gauss_legendre(n: int, a: float, b: float):
     return a + half * (x + 1.0), half * w
 
 
-def sin_power_integral(power: int, a: float, b: float, n_nodes: int = 24) -> float:
-    """integral of sin(phi)^power over [a, b] by Gauss-Legendre."""
-    x, w = gauss_legendre(n_nodes, a, b)
+def sin_power_integral(power: int, a: float, b: float) -> float:
+    """integral of sin(phi)^power over [a, b] by SIN_POWER_NODES-point Gauss-Legendre."""
+    x, w = gauss_legendre(SIN_POWER_NODES, a, b)
     return float(np.sum(w * np.sin(x) ** power))
 
 

@@ -247,14 +247,13 @@ class SdeProblem:
     """Diffusion fields, one Wiener channel each, and an initial point on
     the sphere: the Stratonovich SDE dz = sum_c V_c(z) o dW^c.
 
-    Both stacks below are read off the fields and are None unless every
-    field carries the attribute.  ``generators`` (n_fields, 8, 8) stacks the
-    matrices J of linear fields V(z) = J z and enables the Ito-Euler scheme.
-    Its drift h(z) = sum_c (dV_c/dz) V_c(z), the Stratonovich-to-Ito
+    ``frame_coefficients`` (n_fields, 7) stacks the fields' constant frame
+    ``coefficients`` (None unless every field has them) and enables the exact
+    rotation scheme.  Such fields are linear, V(z) = J z, and ``generators``
+    (n_fields, 8, 8) stacks their matrices J, which enable the Ito-Euler
+    scheme.  Its drift h(z) = sum_c (dV_c/dz) V_c(z), the Stratonovich-to-Ito
     correction, is then z @ ``ito_drift`` with ``ito_drift`` = (sum_c J_c J_c)^T;
-    a single frame field gives h = -z exactly.  ``frame_coefficients``
-    (n_fields, 7) stacks the constant frame coefficients of fixed frame
-    combinations and enables the exact rotation scheme.
+    a single frame field gives h = -z exactly.
     """
 
     diffusion_fields: tuple
@@ -267,11 +266,12 @@ class SdeProblem:
             raise ValueError("initial point must be an 8-vector")
         if abs(np.linalg.norm(self.initial) - 1.0) > 1e-10:
             raise ValueError("initial point must lie on the unit sphere")
-        self.generators = gens = _stack(self.diffusion_fields, "generator")
+        self.frame_coefficients = coeffs = _stack(self.diffusion_fields, "coefficients")
+        self.generators = gens = (None if coeffs is None
+                                  else np.tensordot(coeffs, FRAME_GENERATORS, 1))
         # (8, n_fields * 8), F-contiguous: order "A" keeps a points-last z points-last
         self._table = None if gens is None else gens.reshape(-1, DIM).T
         self.ito_drift = None if gens is None else np.sum(gens @ gens, axis=0).T
-        self.frame_coefficients = _stack(self.diffusion_fields, "coefficients")
 
     @property
     def n_channels(self) -> int:

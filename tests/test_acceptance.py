@@ -258,7 +258,7 @@ def test_criterion_11_exotic_structure():
     samples = sgeo.random_cap_point(rng, E[0], 0.8, 30000)
     grid = sdens.GridSpec.uniform(3)
     sphere_rep = sdens.entropy(sdens.estimate_density(samples, grid))
-    surface_rep = sexo.entropy_on_surface(h.forward(samples), h, grid)
+    surface_rep = sexo.entropy_on_surface(h.forward(samples), grid)
     band = 2.0 * max(np.hypot(sphere_rep.stderr, surface_rep.stderr), 1e-3)
     paired = abs(surface_rep.S - sphere_rep.S)
     ok = (roundtrip < 1e-9 and closure < 1e-9 and fixed_dev < 1e-12

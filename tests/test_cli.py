@@ -247,6 +247,22 @@ def test_entropy_grid_auto_rule():
     assert cli.entropy_grid_bins(10 ** 5) == 4
 
 
+def test_exotic_compare_grid_auto_rule(tmp_path, monkeypatch):
+    # grid_bins = 0 sizes exotic-compare's grid by the same rule as entropy's
+    grids = []
+    estimate_density = cli.sdens.estimate_density
+
+    def spy(samples, grid):
+        grids.append(grid.bins)
+        return estimate_density(samples, grid)
+
+    monkeypatch.setattr(cli.sdens, "estimate_density", spy)
+    cfg = write_config(tmp_path, "experiment = exotic-compare\nseed = 2\n"
+                                 "n_paths = 200\nn_points = 20\n")
+    cli.main(["--config", cfg, "--output", str(tmp_path / "out")])
+    assert grids == [(cli.entropy_grid_bins(200),) * 7] == [(2,) * 7]
+
+
 def test_simulate_with_frame_and_combo_fields(tmp_path):
     for spec in ("frame:3", "combo:0.6,0,0,0.8,0,0,0"):
         cfg = write_config(tmp_path, "\n".join([

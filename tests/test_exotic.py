@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevensphere.density import GridSpec, entropy, estimate_density
+from sevensphere.density import ANGLE_SPANS, GridSpec, entropy, estimate_density
 from sevensphere.exotic import (MAX_EPS, ExoticMap, RegularityError, _bump,
                                 _bump_gradient, _scale, _scale_gradient,
                                 circle_images, conjugation_gaps, entropy_on_surface,
-                                pullback_metric, pushforward_field,
-                                surface_patch_jacobian, write_circles_csv)
+                                pushforward_field, write_circles_csv)
 from sevensphere.frames import frame_eval_all, frame_field
-from sevensphere.geometry import (central_difference, gauss_legendre,
-                                  geodesic_distance, random_cap_point,
-                                  random_sphere_point, sphere_volume)
+from sevensphere.geometry import (central_difference, chart_jacobian, gauss_legendre,
+                                  random_cap_point, random_sphere_point, sphere_volume,
+                                  to_cartesian, volume_element)
 
 E = np.eye(8)
 
@@ -51,7 +50,7 @@ def test_deformation_origin_rejected():
     with pytest.raises(ValueError):
         h.inverse(np.zeros(8))
     with pytest.raises(ValueError):
-        pullback_metric(np.zeros((2, 8)))
+        h.surface_point(np.zeros((2, 8)))
 
 
 def test_deformation_strength_validated():
@@ -198,13 +197,6 @@ def test_pushforward_refuses_kinked_scaling():
         pushforward_field(frame_field(1), h)
 
 
-def test_surface_entropy_refuses_kinked_scaling(rng):
-    # the bin volumes take the chain-rule patch derivative, which needs C1
-    h = ExoticMap(0.2, "bump-kink")
-    with pytest.raises(RegularityError):
-        entropy_on_surface(h.forward(random_sphere_point(rng, 100)), h, GridSpec.uniform(3))
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_surface_entropy_nonfinite_sample_rejected(rng, bad):
@@ -212,7 +204,7 @@ def test_surface_entropy_nonfinite_sample_rejected(rng, bad):
     gammas = h.forward(random_sphere_point(rng, 3))
     gammas[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
-        entropy_on_surface(gammas, h, GridSpec.uniform(3))
+        entropy_on_surface(gammas, GridSpec.uniform(3))
 
 
 @pytest.mark.filterwarnings("error")
@@ -245,34 +237,36 @@ def test_conjugation_gaps_regression_oracle():
 
 
 # --------------------------------------------------------------------------
-# pullback metric
+# the round metric pulled back through h^{-1}, and the Gram-route oracle
 # --------------------------------------------------------------------------
 
-def test_pullback_identity_is_tangent_projector(rng):
-    h = ExoticMap()
-    z = random_sphere_point(rng)
-    g = pullback_metric(z)
-    np.testing.assert_allclose(g, np.eye(8) - np.outer(z, z), atol=1e-12)
+def round_pullback(gamma):
+    """G' = (I - u u^T) / |gamma|^2 with u = gamma / |gamma|: the round metric
+    pulled back through h^{-1}(gamma) = u, shape (..., 8, 8)."""
+    r = np.linalg.norm(gamma, axis=-1)[..., None, None]
+    u = gamma / r[..., 0]
+    return (np.eye(8) - u[..., :, None] * u[..., None, :]) / r ** 2
 
 
-def test_pullback_symmetric_psd(rng):
-    h = bump_map()
-    for _ in range(1000):
-        gamma = h.forward(random_sphere_point(rng))
-        g = pullback_metric(gamma)
-        np.testing.assert_allclose(g, g.T, atol=1e-12)
-        assert np.min(np.linalg.eigvalsh(g)) >= -1e-10
+def gram_volume_density(h, phi):
+    """sqrt(det M^T G' M) at angle vectors phi (..., 7), with M the chain-rule
+    derivative h.jacobian(chart(phi)) @ chart_jacobian(phi) of the surface
+    parameterization phi -> h(chart(phi))."""
+    m = h.jacobian(to_cartesian(phi)) @ chart_jacobian(phi)
+    gram = np.swapaxes(m, -1, -2) @ round_pullback(h.forward(to_cartesian(phi))) @ m
+    return np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
 
 
-def test_pullback_kills_ray_direction(rng):
-    h = bump_map()
-    gamma = h.forward(random_sphere_point(rng))
-    g = pullback_metric(gamma)
-    np.testing.assert_allclose(g @ gamma, np.zeros(8), atol=1e-10)
+SIX_MAPS = [ExoticMap(eps, scaling) for eps in (0.0, 0.2, 0.29)
+            for scaling in ("constant", "bump-smooth")]
+
+
+def grid_centers(grid):
+    keys = np.stack(np.meshgrid(*[np.arange(b) for b in grid.bins], indexing="ij"), axis=-1)
+    return (keys.reshape(-1, 7) + 0.5) * (ANGLE_SPANS / np.asarray(grid.bins, dtype=float))
 
 
 def test_fixed_circle_length_is_two_pi():
-    h = bump_map()
     x, w = gauss_legendre(64, 0.0, 2.0 * np.pi)
     total = 0.0
     for theta, weight in zip(x, w):
@@ -282,7 +276,7 @@ def test_fixed_circle_length_is_two_pi():
         tangent = np.zeros(8)
         tangent[0] = -np.sin(theta)
         tangent[1] = np.cos(theta)
-        g = pullback_metric(gamma)
+        g = round_pullback(gamma)
         total += weight * np.sqrt(tangent @ g @ tangent)
     assert total == pytest.approx(2.0 * np.pi, abs=1e-6)
 
@@ -296,28 +290,21 @@ def test_map_is_isometry_onto_pullback_metric(rng):
         a = frame_field(1)(z)
         b = frame_field(3)(z)
         jac = h.jacobian(z)
-        g = pullback_metric(h.forward(z))
+        g = round_pullback(h.forward(z))
         va, vb = jac @ a, jac @ b
         assert va @ g @ vb == pytest.approx(a @ b, abs=1e-8)
         assert va @ g @ va == pytest.approx(a @ a, abs=1e-8)
 
 
-def test_surface_patch_matches_pullback_reference(rng):
-    # sqrt(det M^T G' M) must reproduce the chart volume density: the inverse
-    # map is an isometry from the pulled-back surface onto the round sphere
-    from sevensphere.geometry import volume_element
-
-    h = bump_map()
-    for _ in range(10):
-        phi = np.empty(7)
-        phi[:6] = rng.uniform(0.5, np.pi - 0.5, 6)
-        phi[6] = rng.uniform(0.5, 2 * np.pi - 0.5)
-        from sevensphere.geometry import to_cartesian
-
-        m = surface_patch_jacobian(h, phi)
-        g = pullback_metric(h.forward(to_cartesian(phi)))
-        dens = np.sqrt(max(np.linalg.det(m.T @ g @ m), 0.0))
-        assert dens == pytest.approx(volume_element(phi), rel=1e-5)
+def test_surface_patch_matches_pullback_reference():
+    # the Gram route: sqrt(det M^T G' M) reproduces the chart volume density
+    # at every grid-3 bin centre, because h^{-1} is an isometry from the
+    # pulled-back surface onto the round sphere; so the surface bins have the
+    # sphere's own bin volumes, which entropy_on_surface uses
+    phi = grid_centers(GridSpec.uniform(3))
+    for h in SIX_MAPS:
+        np.testing.assert_allclose(gram_volume_density(h, phi), volume_element(phi),
+                                   rtol=1e-12, atol=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -325,18 +312,29 @@ def test_surface_patch_matches_pullback_reference(rng):
 # --------------------------------------------------------------------------
 
 def test_surface_entropy_identity_map_matches_sphere(rng):
-    h = ExoticMap()
     samples = random_sphere_point(rng, 20000)
     grid = GridSpec.uniform(3)
     sphere = entropy(estimate_density(samples, grid))
-    surface = entropy_on_surface(samples, h, grid)
+    surface = entropy_on_surface(samples, grid)
     assert surface.S == pytest.approx(sphere.S, abs=1e-6)
+
+
+@pytest.mark.parametrize("h", SIX_MAPS + [ExoticMap(0.2, "bump-kink")],
+                         ids=lambda h: f"{h.scaling}-{h.eps}")
+def test_surface_entropy_equals_sphere_entropy(rng, h):
+    # both sides bin the same directions, up to h^{-1}(h(z)) rounding at bin
+    # edges; the measure does not use dh, so the kinked map is accepted too
+    samples = random_cap_point(rng, E[0], 0.8, 30000)
+    grid = GridSpec.uniform(3)
+    sphere = entropy(estimate_density(samples, grid))
+    surface = entropy_on_surface(h.forward(samples), grid)
+    assert abs(surface.S - sphere.S) <= 1e-14
 
 
 def test_surface_entropy_uniform(rng):
     h = bump_map()
     samples = random_sphere_point(rng, 10 ** 5)
-    surface = entropy_on_surface(h.forward(samples), h, GridSpec.uniform(3))
+    surface = entropy_on_surface(h.forward(samples), GridSpec.uniform(3))
     assert abs(surface.S + surface.mm_correction - np.log(sphere_volume())) < 0.1
 
 
@@ -345,15 +343,15 @@ def test_surface_entropy_paired_with_sphere(rng):
     samples = random_cap_point(rng, E[0], 0.8, 30000)
     grid = GridSpec.uniform(3)
     sphere = entropy(estimate_density(samples, grid))
-    surface = entropy_on_surface(h.forward(samples), h, grid)
+    surface = entropy_on_surface(h.forward(samples), grid)
     band = 2.0 * max(np.hypot(sphere.stderr, surface.stderr), 1e-3)
     assert abs(surface.S - sphere.S) <= band
 
 
 def test_surface_bin_volumes_match_per_bin_loop(rng, monkeypatch):
+    # the volumes entropy_on_surface uses against the Gram route, bin by bin
     from sevensphere import exotic
-    from sevensphere.density import ANGLE_SPANS, _histogram
-    from sevensphere.geometry import to_cartesian, volume_element
+    from sevensphere.density import _histogram
 
     h = ExoticMap(0.2, "bump-smooth")
     gammas = h.forward(random_cap_point(rng, E[0], 0.8, 5000))
@@ -366,16 +364,13 @@ def test_surface_bin_volumes_match_per_bin_loop(rng, monkeypatch):
         return plugin_entropy(counts, densities, n, t)
 
     monkeypatch.setattr(exotic, "plugin_entropy", spy)
-    entropy_on_surface(gammas, h, grid)
+    entropy_on_surface(gammas, grid)
     keys, counts, volumes = _histogram(
         gammas / np.linalg.norm(gammas, axis=-1, keepdims=True), grid)
     widths = ANGLE_SPANS / np.asarray(grid.bins, dtype=float)
     for row, key in enumerate(keys):
         center = (key + 0.5) * widths
-        m = surface_patch_jacobian(h, center)
-        g = pullback_metric(h.forward(to_cartesian(center)))
-        density = np.sqrt(max(np.linalg.det(m.T @ g @ m), 0.0))
-        volumes[row] *= density / volume_element(center)
+        volumes[row] *= gram_volume_density(h, center) / volume_element(center)
     np.testing.assert_array_equal(seen["counts"], counts)
     np.testing.assert_allclose(counts / (seen["n"] * seen["densities"]), volumes,
                                rtol=1e-13, atol=0.0)
@@ -407,7 +402,6 @@ def test_batched_jacobians_equal_rowwise(h, seed):
               (lambda p: _scale_gradient(h.beta_eps, p), z),
               (lambda p: _scale_gradient(h.eps, p), z),
               (h.jacobian, z),
-              (pullback_metric, gamma),
               (pushforward_field(frame_field(1), h), gamma)]
     tol = 4 * np.finfo(float).eps
     for fn, pts in checks:

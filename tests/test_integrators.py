@@ -546,12 +546,12 @@ def test_stacked_combination_matches_per_field(rng):
 def test_field_without_generator_takes_per_field_path(rng):
     calls = []
 
-    def bare(z):  # frame field 3 without its generator attribute
+    def bare(z):  # frame field 3 without its coefficients, so without a generator
         calls.append(np.shape(z))
         return frame_field(3)(z)
 
     problem = SdeProblem((frame_field(1), bare), unit_vector(rng))
-    assert problem.generators is None
+    assert problem.frame_coefficients is None and problem.generators is None
     z = random_sphere_point(rng, 5)
     vals = problem.diffusion_matrix(z)
     assert calls == [(5, 8)]

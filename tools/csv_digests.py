@@ -13,7 +13,8 @@ diffing the output for two checkouts shows whether a change kept every byte,
 every verdict and every checked number:
 
 - every experiment with its default keys at seed 7; exotic-compare at seed
-  3 with 10k paths and grid 3, and at seed 5 with bump-smooth and eps 0.25;
+  3 with 10k paths and grid 3, and at seed 5 with bump-smooth at eps 0.25
+  and at eps 0.29, the largest deformation the config accepts;
   circles at seed 3 with bump-kink; simulate with each scheme at seed 5 and
   1500 paths, with heun at dt 0.002 (500 steps, past one noise block), and
   with exact_rotation at dt 0.002 on 2 threads (kept generators, a partial
@@ -52,6 +53,8 @@ def runs():
          Experiment("exotic-compare", {"n_paths": 10_000, "grid_bins": 3}), 3),
         ("exotic-smooth-s5", Experiment("exotic-compare", {
             "scaling": "bump-smooth", "deformation_eps": 0.25}), 5),
+        ("exotic-smooth-eps029-s5", Experiment("exotic-compare", {
+            "scaling": "bump-smooth", "deformation_eps": 0.29}), 5),
         ("circles-kink-s3", Experiment("circles", {"scaling": "bump-kink"}), 3),
     ]
     out += [(f"simulate-{scheme}-s5",
