@@ -11,6 +11,8 @@ with phi1..phi6 in [0, pi] and phi7 in [0, 2*pi).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 N_ANGLES = 7
@@ -135,9 +137,17 @@ def sphere_volume() -> float:
     return np.pi ** 4 / 3.0
 
 
+@functools.cache
+def _leggauss(n: int):
+    """Read-only nodes and weights of n-point Gauss-Legendre on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(n: int, a: float, b: float):
     """Nodes and weights of n-point Gauss-Legendre on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 

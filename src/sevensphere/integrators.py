@@ -1,15 +1,16 @@
 """Driving noise, midpoint (Heun) and Ito-Euler steps, the exact rotation
 step for frame-generated dynamics, and deterministic parallel ensembles.
 
-Determinism contract: every path owns a counter-based generator keyed by
-(master seed, path index), and all reductions run in fixed path order, so
-results are bit-identical for any worker count.
+Determinism contract: every path draws from a counter-based generator keyed
+by (master seed, path index), and all reductions run in fixed path order, so
+results are bit-identical for any worker count.  An ensemble worker keeps one
+generator per path slot of its chunk and re-keys it for each path it runs.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,7 +22,6 @@ from .geometry import row_norms
 
 CHUNK = 1024  # fixed path block size; independent of the worker count
 NOISE_BLOCK = 256  # steps of noise drawn per block; bounds a chunk's noise buffer
-GEN_GROUP = 256  # per-path generators built together, just before their draws
 ROW_BLOCK = 1024  # CSV rows formatted per write; bounds the text held in memory
 
 
@@ -111,18 +111,29 @@ def _keyed_generator():
     return lambda key: Generator(Philox(Key(key), counter=counter))
 
 
-def path_generator(master_seed: int, path_index: int = 0) -> np.random.Generator:
+_ZEROS = (0, 0, 0, 0)
+
+
+def path_generator(master_seed: int, path_index: int = 0,
+                   into: np.random.Generator | None = None) -> np.random.Generator:
     """Counter-based generator for one path, independent of draw order elsewhere.
 
     Its stream is that of Philox(SeedSequence(entropy=master_seed,
     spawn_key=(path_index,))); the key comes from the cached keys of the
-    path's CHUNK-aligned block.
+    path's CHUNK-aligned block.  ``into``, a Generator over a Philox, is
+    re-keyed in place to that state (zero counter and buffer, no spare
+    uint32) and returned, instead of a new generator being built.
     """
     path_index = int(path_index)
     if not 0 <= path_index < 2 ** 32:
         raise ValueError(f"path_index must lie in [0, 2**32), got {path_index}")
-    keys = _block_keys(int(master_seed), path_index // CHUNK)
-    return _keyed_generator()(keys[path_index % CHUNK])
+    key = _block_keys(int(master_seed), path_index // CHUNK)[path_index % CHUNK]
+    if into is None:
+        return _keyed_generator()(key)
+    into.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return into
 
 
 def sample_brownian(n_steps: int, dt: float, n_channels: int,
@@ -429,20 +440,20 @@ def _save_indices(n_steps, dt, save_times):
 
 
 def _simulate_chunk(problem, scheme, out, path_lo, n_steps, dt, seed, save_idx,
-                    initial_points=None):
+                    initial_points, gens):
     """Integrate paths path_lo + [0, len(out)) into ``out`` (n, n_saved, 8); return
-    the largest renormalization defect.  Per-path generators, built GEN_GROUP at a
-    time, fill a path-major (paths, steps, channels) noise buffer NOISE_BLOCK
-    steps at a time, and are kept only while a later block needs them.  State and
-    step noise are points-last, the (n, k) transposed views of (k, n) arrays, so
-    the steps' products and sums run along contiguous points."""
+    the largest renormalization defect.  ``gens``, the calling worker's list of
+    raw generators (one per path slot, grown here as needed and kept by the
+    caller across chunks), is re-keyed in one pass at the first noise block,
+    path k by ``path_generator(seed, path_lo + k, into=gens[k])``.  The
+    generators that call returns fill a path-major (paths, steps, channels)
+    noise buffer NOISE_BLOCK steps at a time.  State and step noise are
+    points-last, the (n, k) transposed views of (k, n) arrays, so the steps'
+    products and sums run along contiguous points."""
     n = len(out)
     n_ch = problem.n_channels
     sd = np.sqrt(dt)
     path_hi = path_lo + n
-    rngs = itertools.chain.from_iterable(
-        [path_generator(seed, i) for i in range(g, min(g + GEN_GROUP, path_hi))]
-        for g in range(path_lo, path_hi, GEN_GROUP))
     noise = np.empty((n, min(n_steps, NOISE_BLOCK), n_ch))
     dw = np.empty((n_ch, n)).T
     z = np.empty((DIM, n)).T
@@ -454,14 +465,14 @@ def _simulate_chunk(problem, scheme, out, path_lo, n_steps, dt, seed, save_idx,
     if 0 in save_pos:
         out[:, save_pos[0], :] = z[:, None, :]
     for step in range(n_steps):
+        if step == 0:
+            # any key will do: every slot is re-keyed before it draws
+            gens += [_keyed_generator()(_ZEROS[:2]) for _ in range(n - len(gens))]
+            rngs = [path_generator(seed, i, into=g) for i, g in zip(range(path_lo, path_hi), gens)]
         if step % NOISE_BLOCK == 0:
             block = noise[:, :n_steps - step]
-            kept = [] if n_steps - step > NOISE_BLOCK else None
             for k, rng in enumerate(rngs):
                 block[k] = rng.normal(0.0, sd, size=block.shape[1:])
-                if kept is not None:
-                    kept.append(rng)
-            rngs = kept
         dw[...] = block[:, step % NOISE_BLOCK]
         if scheme == "exact_rotation":
             z = exact_rotation_step(problem.frame_coefficients, z, dw)
@@ -508,9 +519,17 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
     save_idx, times = _save_indices(n_steps, dt, save_times)
     states = np.empty((n_paths, len(save_idx), DIM))
 
+    free = queue.SimpleQueue()  # one generator list per worker, reused across its chunks
+    for _ in range(threads):
+        free.put([])
+
     def work(lo):
-        return _simulate_chunk(problem, scheme, states[lo:lo + CHUNK], lo, n_steps, dt,
-                               seed, save_idx, initial_points)
+        gens = free.get()
+        try:
+            return _simulate_chunk(problem, scheme, states[lo:lo + CHUNK], lo, n_steps, dt,
+                                   seed, save_idx, initial_points, gens)
+        finally:
+            free.put(gens)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -434,11 +434,20 @@ def seed_sequence_generator(seed, path_index):
                                   2 ** 128 + 7, 2 ** 200 + 11])
 @pytest.mark.parametrize("path_index", [0, 1, 1023, 1024, 2047, 40000, 2 ** 32 - 1])
 def test_path_generator_equals_seed_sequence_construction(seed, path_index):
-    ours, oracle = path_generator(seed, path_index), seed_sequence_generator(seed, path_index)
-    # the state dict holds small arrays, so its repr shows every value
-    assert repr(ours.bit_generator.state) == repr(oracle.bit_generator.state)
-    np.testing.assert_array_equal(ours.normal(size=(3, 7)), oracle.normal(size=(3, 7)))
-    np.testing.assert_array_equal(ours.normal(0.0, 0.1, size=50), oracle.normal(0.0, 0.1, size=50))
+    used = seed_sequence_generator(5, 3)  # midway through another stream,
+    used.normal(size=3)
+    used.integers(5)  # with a buffered uint32
+    state = used.bit_generator.state
+    assert state["buffer"].any() and state["has_uint32"] == 1
+    rekeyed = path_generator(seed, path_index, into=used)
+    assert rekeyed is used
+    for ours in (path_generator(seed, path_index), rekeyed):
+        oracle = seed_sequence_generator(seed, path_index)
+        # the state dict holds small arrays, so its repr shows every value
+        assert repr(ours.bit_generator.state) == repr(oracle.bit_generator.state)
+        np.testing.assert_array_equal(ours.normal(size=(3, 7)), oracle.normal(size=(3, 7)))
+        np.testing.assert_array_equal(ours.normal(0.0, 0.1, size=50),
+                                      oracle.normal(0.0, 0.1, size=50))
 
 
 def test_path_generators_are_independent_objects():
@@ -459,18 +468,16 @@ ENSEMBLE_STEPS = NOISE_BLOCK + 7  # two noise blocks
 ENSEMBLE_SAVE = (0, 1, NOISE_BLOCK, ENSEMBLE_STEPS)
 
 
-@functools.cache
-def per_path_reference(scheme):
-    """Saved states of every path: each path's whole increment stream drawn
-    at once from the SeedSequence construction, then all paths stepped as one
-    batch by the public step functions."""
+def per_path_reference(scheme, paths, n_steps, save):
+    """Saved states of the given paths: each path's whole increment stream
+    drawn at once from the SeedSequence construction, then all paths stepped
+    as one batch by the public step functions."""
     problem = brownian_problem(E[0])
     inc = np.stack([seed_sequence_generator(ENSEMBLE_SEED, i).normal(
-        0.0, np.sqrt(ENSEMBLE_DT), size=(ENSEMBLE_STEPS, problem.n_channels))
-        for i in range(ENSEMBLE_PATHS)])
-    z = np.broadcast_to(problem.initial, (ENSEMBLE_PATHS, 8)).copy()
-    saved = [z]
-    for step in range(ENSEMBLE_STEPS):
+        0.0, np.sqrt(ENSEMBLE_DT), size=(n_steps, problem.n_channels)) for i in paths])
+    z = np.broadcast_to(problem.initial, (len(inc), 8)).copy()
+    saved = [z] if 0 in save else []
+    for step in range(n_steps):
         dw = inc[:, step]
         if scheme == "exact_rotation":
             z = exact_rotation_step(problem.frame_coefficients, z, dw)
@@ -478,9 +485,14 @@ def per_path_reference(scheme):
             z = heun_stratonovich_step(problem, z, dw)[0]
         else:
             z = ito_euler_step(problem, z, dw, ENSEMBLE_DT)[0]
-        if step + 1 in ENSEMBLE_SAVE:
+        if step + 1 in save:
             saved.append(z)
     return np.stack(saved, axis=1)
+
+
+@functools.cache
+def ensemble_reference(scheme):
+    return per_path_reference(scheme, range(ENSEMBLE_PATHS), ENSEMBLE_STEPS, ENSEMBLE_SAVE)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -490,19 +502,19 @@ def test_ensemble_equals_per_path_reference(scheme, threads):
                                ENSEMBLE_DT, seed=ENSEMBLE_SEED, scheme=scheme,
                                save_times=np.array(ENSEMBLE_SAVE) * ENSEMBLE_DT,
                                threads=threads)
-    np.testing.assert_array_equal(result.states, per_path_reference(scheme))
+    np.testing.assert_array_equal(result.states, ensemble_reference(scheme))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_each_path_generator_built_once_in_chunk_order(monkeypatch, threads):
-    """A full chunk and a partial generator group over two noise blocks: every
-    path's generator is created once, within its chunk in index order, and
-    the second block draws from the kept generators."""
+    """A full chunk and a partial one over two noise blocks: every path's
+    generator is keyed once, within its chunk in index order, and the second
+    block draws from the same generators."""
     made, real = [], integrators.path_generator
 
-    def recording(seed, index):
+    def recording(seed, index, into=None):
         made.append((seed, index))
-        return real(seed, index)
+        return real(seed, index, into=into)
 
     monkeypatch.setattr(integrators, "path_generator", recording)
     n_paths = CHUNK + 76
@@ -512,6 +524,21 @@ def test_each_path_generator_built_once_in_chunk_order(monkeypatch, threads):
     for lo in range(0, n_paths, CHUNK):
         hi = min(lo + CHUNK, n_paths)
         assert [i for _, i in made if lo <= i < hi] == list(range(lo, hi))
+
+
+def test_workers_rekey_generators_across_chunks():
+    """Three chunks past one noise block, on one worker and on two: a worker
+    re-keys generators that carry its previous chunk's state, and each path
+    still draws its own stream."""
+    n_paths, n_steps, save = 2 * CHUNK + 5, NOISE_BLOCK + 2, (1, NOISE_BLOCK + 2)
+    one, two = (simulate_ensemble(brownian_problem(E[0]), n_paths, n_steps, ENSEMBLE_DT,
+                                  seed=ENSEMBLE_SEED, scheme="exact_rotation",
+                                  save_times=np.array(save) * ENSEMBLE_DT,
+                                  threads=threads).states for threads in (1, 2))
+    np.testing.assert_array_equal(two, one)
+    ends = [0, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, n_paths - 1]
+    np.testing.assert_array_equal(two[ends], per_path_reference("exact_rotation", ends,
+                                                                n_steps, save))
 
 
 # --------------------------------------------------------------------------

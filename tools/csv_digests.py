@@ -17,8 +17,8 @@ every verdict and every checked number:
   and at eps 0.29, the largest deformation the config accepts;
   circles at seed 3 with bump-kink; simulate with each scheme at seed 5 and
   1500 paths, with heun at dt 0.002 (500 steps, past one noise block), and
-  with exact_rotation at dt 0.002 on 2 threads (kept generators, a partial
-  generator group and two workers);
+  with exact_rotation at dt 0.002 on 2 threads (generators re-keyed
+  across chunks, a partial chunk and two workers);
   simulate with heun and ito_euler on the single frame field ``frame:3``
   and on the constant combination ``COMBO`` at seed 5, 1500 paths;
 - every bench-size experiment of ``sevenbench/workloads.WORKLOADS``, with

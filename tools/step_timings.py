@@ -1,5 +1,6 @@
-"""Print the per-call time of each ensemble step function of one checkout of
-this repository, in microseconds, the best of several timeit rounds.
+"""Print the per-call time of each ensemble step function, and of keying one
+path's noise generator, of one checkout of this repository, in microseconds,
+the best of several timeit rounds.
 
     python3 tools/step_timings.py /path/to/checkout [--repeat 31]
 
@@ -15,7 +16,10 @@ and the best time per call:
   noise likewise, as an ensemble chunk holds them);
 - ``heun_stratonovich_step`` on the bent ``CombinedField`` (z1 times the
   first frame field, the state-dependent field of flow-check) at 8 points,
-  in C order.
+  in C order;
+- ``path_generator`` per path: building a new generator
+  (``path_generator(seed, i)``), and re-keying an existing one in place
+  (``into=``) where the checkout has it.
 
 At 1024 points glibc may return a step's half-megabyte temporaries to the
 system between calls, and back-to-back calls then pay page faults that an
@@ -28,6 +32,7 @@ the arithmetic.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import timeit
 from pathlib import Path
@@ -35,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 DT = 0.01
+SEED, PATH = 11, 1500  # the path's key block is cached after the first call
 
 
 def layouts(n_points):
@@ -74,6 +80,11 @@ def cases(sint, sfr):
         if n_points == 8:
             out.append(("heun_stratonovich_step bent", n_points, "C",
                         lambda z=z, dw=dw[:, :1]: sint.heun_stratonovich_step(bent, z, dw)))
+    out.append(("path_generator new", 1, "-", lambda: sint.path_generator(SEED, PATH)))
+    if "into" in inspect.signature(sint.path_generator).parameters:
+        rng = sint.path_generator(SEED, 0)
+        out.append(("path_generator into", 1, "-",
+                    lambda: sint.path_generator(SEED, PATH, into=rng)))
     return out
 
 
