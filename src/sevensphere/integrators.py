@@ -263,8 +263,8 @@ class SdeProblem:
     rotation scheme.  Such fields are linear, V(z) = J z, and ``generators``
     (n_fields, 8, 8) stacks their matrices J, which enable the Ito-Euler
     scheme.  Its drift h(z) = sum_c (dV_c/dz) V_c(z), the Stratonovich-to-Ito
-    correction, is then z @ ``ito_drift`` with ``ito_drift`` = (sum_c J_c J_c)^T;
-    a single frame field gives h = -z exactly.
+    correction, is then z @ ``ito_drift`` with ``ito_drift`` = (sum_c J_c J_c)^T
+    = -|C|_F^2 I, C = ``frame_coefficients``; one frame field gives h = -z exactly.
     """
 
     diffusion_fields: tuple
@@ -329,7 +329,7 @@ def _stack(fields, attr):
 
 
 def _increment(problem: SdeProblem, z, dw):
-    """sum_c V_c(z) dw_c."""
+    """sum_c V_c(z) dw_c; K z for frame-coefficient fields, K = sum_c dw_c J_c."""
     return np.einsum("...ci,...c->...i", problem.diffusion_matrix(z), dw)
 
 
@@ -339,18 +339,30 @@ def _renormalize(z):
     return z / norms, float(abs(norms - 1.0).max())
 
 
+def _rotation_step(problem: SdeProblem, z, dw, c):
+    """c z + K z renormalized: the step of both schemes on frame-coefficient fields."""
+    return _renormalize(c * z + _increment(problem, z, dw))
+
+
 def heun_stratonovich_step(problem: SdeProblem, z, dw):
     """One predictor-corrector Stratonovich step followed by renormalization.
 
     ``z`` is (..., 8), ``dw`` is (..., n_channels).  Returns the new points and
     the largest norm defect absorbed by the renormalization.  Without a drift
     the step sees the time step only through ``dw``.
+
+    On frame-coefficient fields K = sum_c dw_c J_c has K^2 = -|a|^2 I with
+    a = dw @ C, so the step (I + K + K^2/2) z is taken as (1 - |a|^2/2) z + K z:
+    it turns every point by theta = atan2(|a|, 1 - |a|^2/2), so the flow is an
+    exact isometry, and the defect is sqrt(1 + max|a|^4/4) - 1.
     """
     z = np.asarray(z, dtype=float)
     dw = np.asarray(dw, dtype=float)
+    if problem.frame_coefficients is not None:
+        a = np.matmul(dw, problem.frame_coefficients)  # C order: |a|^2 layout-free
+        return _rotation_step(problem, z, dw, 1.0 - 0.5 * np.vecdot(a, a)[..., None])
     incr = _increment(problem, z, dw)
-    incr2 = _increment(problem, z + incr, dw)
-    return _renormalize(z + 0.5 * (incr + incr2))
+    return _renormalize(z + 0.5 * (incr + _increment(problem, z + incr, dw)))
 
 
 _LINEAR_ONLY = "the Ito-Euler scheme needs every field to be linear, V(z) = J z"
@@ -358,13 +370,16 @@ _LINEAR_ONLY = "the Ito-Euler scheme needs every field to be linear, V(z) = J z"
 
 def ito_euler_step(problem: SdeProblem, z, dw, dt: float):
     """Euler-Maruyama step of the Ito form, drift h/2, then renormalization;
-    linear fields only (see ``SdeProblem.ito_drift``)."""
+    linear fields only (see ``SdeProblem.ito_drift``).  As h = -|C|_F^2 z, the
+    step is c z + K z with c = 1 - dt |C|_F^2 / 2 (K and a as for Heun): it
+    turns every point by theta = atan2(|a|, c), so the flow is an exact
+    isometry, and the defect is max |sqrt(c^2 + |a|^2) - 1|, in an ensemble
+    sqrt(c^2 + max|a|^2) - 1."""
     if problem.ito_drift is None:
         raise ValueError(_LINEAR_ONLY)
-    z = np.asarray(z, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    h = np.matmul(z, problem.ito_drift, order="A")  # in z's layout
-    return _renormalize(z + 0.5 * dt * h + _increment(problem, z, dw))
+    c = problem.frame_coefficients
+    return _rotation_step(problem, np.asarray(z, dtype=float), np.asarray(dw, dtype=float),
+                          1.0 - 0.5 * dt * np.vdot(c, c))
 
 
 def frame_rotation_apply(a, z) -> np.ndarray:

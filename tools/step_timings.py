@@ -14,6 +14,9 @@ and the best time per call:
 - at 1 point (an 8-vector), and at 8 and 1024 points both in C order and
   points-last (the (n, 8) transposed view of an (8, n) array, with the
   noise likewise, as an ensemble chunk holds them);
+- ``heun_stratonovich_step`` and ``ito_euler_step`` on the single-channel
+  ``frame:3`` problem (an 8-column generator table) at 8 and 1024 points,
+  points-last;
 - ``heun_stratonovich_step`` on the bent ``CombinedField`` (z1 times the
   first frame field, the state-dependent field of flow-check) at 8 points,
   in C order;
@@ -43,17 +46,23 @@ DT = 0.01
 SEED, PATH = 11, 1500  # the path's key block is cached after the first call
 
 
+def points_last(x):
+    """The (n, k) transposed view of a (k, n) C-order copy of x."""
+    return np.ascontiguousarray(x.T).T
+
+
 def layouts(n_points):
     """(name, function laying out an (n, k) array) for a batch of n points."""
     if n_points == 1:
         return [("-", lambda x: x[0])]
-    return [("C", np.ascontiguousarray), ("points-last", lambda x: np.ascontiguousarray(x.T).T)]
+    return [("C", np.ascontiguousarray), ("points-last", points_last)]
 
 
 def cases(sint, sfr):
     """(step name, points, layout, zero-argument call) for every line."""
     rng = np.random.default_rng(0)
     brownian = sint.brownian_problem(np.eye(8)[0])
+    frame3 = sint.single_frame_problem(3, np.eye(8)[0])
     coefficients = np.eye(7)
 
     def bent_coefficients(z):
@@ -76,6 +85,14 @@ def cases(sint, sfr):
                  lambda zl=zl, dwl=dwl: sint.ito_euler_step(brownian, zl, dwl, DT)),
                 ("exact_rotation_step", n_points, layout,
                  lambda zl=zl, dwl=dwl: sint.exact_rotation_step(coefficients, zl, dwl)),
+            ]
+        if n_points > 1:
+            zl, dwl = points_last(z), points_last(dw[:, :1])
+            out += [
+                ("heun_stratonovich_step frame3", n_points, "points-last",
+                 lambda zl=zl, dwl=dwl: sint.heun_stratonovich_step(frame3, zl, dwl)),
+                ("ito_euler_step frame3", n_points, "points-last",
+                 lambda zl=zl, dwl=dwl: sint.ito_euler_step(frame3, zl, dwl, DT)),
             ]
         if n_points == 8:
             out.append(("heun_stratonovich_step bent", n_points, "C",
@@ -110,9 +127,9 @@ def main(argv=None) -> int:
     from sevensphere import frames as sfr
     from sevensphere import integrators as sint
 
-    print(f"{'step':<28} {'points':>6}  {'layout':<11} {'best_us':>9}")
+    print(f"{'step':<30} {'points':>6}  {'layout':<11} {'best_us':>9}")
     for name, n_points, layout, call in cases(sint, sfr):
-        print(f"{name:<28} {n_points:>6}  {layout:<11} {best_us(call, args.repeat):9.1f}",
+        print(f"{name:<30} {n_points:>6}  {layout:<11} {best_us(call, args.repeat):9.1f}",
               flush=True)
     return 0
 
