@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -331,17 +332,25 @@ def _run_entropy(cfg, outdir, summary):
     center = _e1()
     starts = sgeo.random_cap_point(rng, center, 0.1, cfg.n_paths)
     problem = sint.brownian_problem(center)
+    grid = sdens.GridSpec.uniform(cfg.grid_bins or entropy_grid_bins(cfg.n_paths))
+    # per saved time: the ascending flat bins and counts of the blocks binned so far
+    binned = [(np.empty(0, np.intp), np.empty(0, np.intp)) for _ in ENTROPY_TIMES]
+    lock = threading.Lock()
+
+    def bin_block(lo, block):
+        ests = [sdens.estimate_density(block[:, j], grid) for j in range(len(binned))]
+        with lock:
+            for j, est in enumerate(ests):
+                binned[j] = sdens.merge_counts(*binned[j], est.flat, est.counts)
+
     result = sint.simulate_ensemble(problem, cfg.n_paths, cfg.n_steps, cfg.dt,
                                     cfg.seed, scheme="exact_rotation",
                                     save_times=np.array(ENTROPY_TIMES),
-                                    threads=cfg.threads, initial_points=starts)
+                                    threads=cfg.threads, initial_points=starts,
+                                    reduce=bin_block)
     summary.counters["max_renorm_defect"] = result.max_renorm_defect
-    bins = cfg.grid_bins or entropy_grid_bins(cfg.n_paths)
-    grid = sdens.GridSpec.uniform(bins)
-    reports = []
-    for j, t in enumerate(ENTROPY_TIMES):
-        est = sdens.estimate_density(result.states[:, j, :], grid)
-        reports.append(sdens.entropy(est, t=t))
+    reports = [sdens.entropy(sdens.counted_density(grid, *counts, cfg.n_paths), t=t)
+               for counts, t in zip(binned, ENTROPY_TIMES)]
     worst_drop = 0.0
     for a, b in zip(reports, reports[1:]):
         band = 2.0 * np.hypot(a.stderr, b.stderr)

@@ -8,6 +8,7 @@ volumes of all bins sum to the exact total area.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,21 +39,25 @@ class GridSpec:
     def uniform(cls, n: int) -> "GridSpec":
         return cls((n,) * N_ANGLES)
 
-    def edges(self, axis: int) -> np.ndarray:
-        return np.linspace(0.0, ANGLE_SPANS[axis], self.bins[axis] + 1)
-
     def axis_weights(self, axis: int) -> np.ndarray:
-        """Integral of sin^power over each bin of the axis."""
-        e = self.edges(axis)
-        power = SIN_POWERS[axis]
-        if power == 0:
-            return np.diff(e)
-        return np.array([sin_power_integral(power, lo, hi) for lo, hi in zip(e, e[1:])])
+        """Integral of sin^power over each bin of the axis; read-only, cached
+        per bin count and axis."""
+        return _axis_weights(self.bins[axis], axis)
 
     def bin_indices(self, phi: np.ndarray) -> np.ndarray:
         widths = ANGLE_SPANS / np.asarray(self.bins, dtype=float)
         idx = np.floor(phi / widths).astype(int)
         return np.clip(idx, 0, np.asarray(self.bins) - 1)
+
+
+@functools.cache
+def _axis_weights(n_bins: int, axis: int) -> np.ndarray:
+    e = np.linspace(0.0, ANGLE_SPANS[axis], n_bins + 1)
+    power = SIN_POWERS[axis]
+    w = (np.diff(e) if power == 0
+         else np.array([sin_power_integral(power, lo, hi) for lo, hi in zip(e, e[1:])]))
+    w.flags.writeable = False
+    return w
 
 
 @dataclass
@@ -61,34 +66,47 @@ class DensityEstimate:
 
     grid: GridSpec
     n_samples: int
+    flat: np.ndarray      # (K,) occupied bins' row-major flat numbers, ascending
     indices: np.ndarray   # (K, 7) occupied bin indices
     counts: np.ndarray    # (K,)
     volumes: np.ndarray   # (K,) Riemannian bin volumes
     densities: np.ndarray  # (K,) counts / (n * volume)
 
 
-def _histogram(samples, grid: GridSpec):
-    """Occupied bins of (n, 8) sphere points: keys (K, 7), counts and the
-    bins' round-sphere volumes."""
+def counted_density(grid: GridSpec, flat, counts, n: int) -> DensityEstimate:
+    """The histogram of n samples whose occupied bins, ascending flat numbers
+    ``flat``, hold ``counts``; the volumes are the bins' round-sphere ones."""
+    keys = np.column_stack(np.unravel_index(flat, grid.bins))
+    volumes = np.ones(len(keys))
+    for a in range(N_ANGLES):
+        volumes *= grid.axis_weights(a)[keys[:, a]]
+    return DensityEstimate(grid, n, flat, keys, counts, volumes, counts / (n * volumes))
+
+
+def _histogram(samples, grid: GridSpec) -> DensityEstimate:
+    """Histogram of (n, 8) sphere points."""
     if samples.shape[0] == 0:
         raise ValueError("density estimation needs at least one sample")
     if not np.isfinite(samples).all():
         raise ValueError("density estimation needs finite samples: got NaN or inf")
     flat = np.ravel_multi_index(grid.bin_indices(to_spherical(samples)).T, grid.bins)
-    flat, counts = np.unique(flat, return_counts=True)
-    keys = np.column_stack(np.unravel_index(flat, grid.bins))
-    volumes = np.ones(len(keys))
-    for a in range(N_ANGLES):
-        volumes *= grid.axis_weights(a)[keys[:, a]]
-    return keys, counts, volumes
+    return counted_density(grid, *np.unique(flat, return_counts=True), samples.shape[0])
 
 
 def estimate_density(samples, grid: GridSpec) -> DensityEstimate:
     """Histogram sphere points over the angle grid with volume weights."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    keys, counts, volumes = _histogram(samples, grid)
-    densities = counts / (samples.shape[0] * volumes)
-    return DensityEstimate(grid, samples.shape[0], keys, counts, volumes, densities)
+    return _histogram(np.atleast_2d(np.asarray(samples, dtype=float)), grid)
+
+
+def merge_counts(flat_a, counts_a, flat_b, counts_b):
+    """The bin counts of two disjoint sample sets pooled: ascending flat bin
+    numbers and integer counts, whichever set comes first.  numpy's stable
+    sort merges the two ascending runs, about 8x as fast as np.union1d."""
+    flat = np.concatenate([flat_a, flat_b])
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    first = np.flatnonzero(np.diff(flat, prepend=-1))  # bin numbers are >= 0
+    return flat[first], np.add.reduceat(np.concatenate([counts_a, counts_b])[order], first)
 
 
 @dataclass
@@ -252,7 +270,8 @@ def generator_weak_check(problem: sint.SdeProblem, f, t: float, n_paths: int,
 
 __all__ = [
     "GridSpec", "DensityEstimate", "EntropyReport", "WeakCheckReport",
-    "estimate_density", "entropy", "plugin_entropy", "max_entropy",
+    "estimate_density", "counted_density", "merge_counts", "entropy", "plugin_entropy",
+    "max_entropy",
     "angular_fields", "uniform_density", "fokker_planck_residual",
     "generator_weak_check",
 ]

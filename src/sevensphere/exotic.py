@@ -214,9 +214,8 @@ def entropy_on_surface(gammas, grid: GridSpec, t: float | None = None) -> Entrop
     the direction h^{-1}(gamma), so the samples are binned by direction with
     the histogram's own volumes.  dh is not used, so any scaling is accepted."""
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
-    _, counts, volumes = _histogram(_unit(gammas)[0], grid)
-    n = gammas.shape[0]
-    return plugin_entropy(counts, counts / (n * volumes), n, t)
+    d = _histogram(_unit(gammas)[0], grid)
+    return plugin_entropy(d.counts, d.densities, d.n_samples, t)
 
 
 @dataclass

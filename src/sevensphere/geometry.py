@@ -20,6 +20,7 @@ DIM = 8
 
 ANGLE_UPPER = np.array([np.pi] * 6 + [2.0 * np.pi])
 SIN_POWER_NODES = 24  # Gauss-Legendre nodes of sin_power_integral
+CAP_BLOCK = 4096  # rows of random_cap_point's in-place pass
 
 
 def _check_ranges(phi):
@@ -169,15 +170,22 @@ def random_sphere_point(rng: np.random.Generator, size=None) -> np.ndarray:
 
 def random_cap_point(rng: np.random.Generator, center, radius: float, size=None) -> np.ndarray:
     """Uniform-ish points in a geodesic cap: tangent Gaussian directions, radii
-    scaled to at most ``radius``; adequate as a concentrated initial condition."""
+    scaled to at most ``radius``; adequate as a concentrated initial condition.
+    The points cos(r) center + sin(r) v are built in place in v, CAP_BLOCK rows
+    at a time, so no temporary grows with the point count."""
     center = np.asarray(center, dtype=float)
     n = 1 if size is None else size
     v = rng.standard_normal((n, DIM))
-    v -= np.outer(v @ center, center)
-    v /= row_norms(v)
-    r = radius * rng.random(n) ** (1.0 / 7.0)  # volume-weighted in 7 dimensions
-    pts = np.cos(r)[:, None] * center + np.sin(r)[:, None] * v
-    return pts[0] if size is None else pts
+    r = rng.random(n)
+    r **= 1.0 / 7.0  # volume-weighted in 7 dimensions
+    r *= radius
+    for lo in range(0, n, CAP_BLOCK):
+        b, rb = v[lo:lo + CAP_BLOCK], r[lo:lo + CAP_BLOCK]
+        b -= np.outer(b @ center, center)
+        b /= row_norms(b)
+        b *= np.sin(rb)[:, None]
+        b += np.cos(rb)[:, None] * center  # IEEE addition commutes: sin r v + cos r c
+    return v[0] if size is None else v
 
 
 __all__ = [

@@ -2,9 +2,11 @@
 step for frame-generated dynamics, and deterministic parallel ensembles.
 
 Determinism contract: every path draws from a counter-based generator keyed
-by (master seed, path index), and all reductions run in fixed path order, so
-results are bit-identical for any worker count.  An ensemble worker keeps one
-generator per path slot of its chunk and re-keys it for each path it runs.
+by (master seed, path index) and the ensemble's work items are fixed path
+ranges, so results are bit-identical for any worker count, a reducer's too
+when its reduction does not depend on the order of the items.  An ensemble
+worker keeps one generator per path slot of its chunk and re-keys it for each
+path it runs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .frames import (DIM, FRAME_GENERATORS, N_FRAME_FIELDS, CombinedField,
 from .geometry import row_norms
 
 CHUNK = 1024  # fixed path block size; independent of the worker count
+REDUCE_BLOCK = 4 * CHUNK  # paths per ensemble work item, each handed whole to its reducer
 NOISE_BLOCK = 256  # steps of noise drawn per block; bounds a chunk's noise buffer
 ROW_BLOCK = 1024  # CSV rows formatted per write; bounds the text held in memory
 
@@ -427,7 +430,7 @@ def exact_rotation_step(coefficients, z, dw):
 @dataclass
 class EnsembleResult:
     times: np.ndarray
-    states: np.ndarray  # (n_paths, n_saved, 8)
+    states: np.ndarray | None  # (n_paths, n_saved, 8); None when a reducer took them
     max_renorm_defect: float = 0.0
 
     @property
@@ -504,7 +507,7 @@ def _simulate_chunk(problem, scheme, out, path_lo, n_steps, dt, seed, save_idx,
 
 def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float,
                       seed: int, scheme: str = "heun", save_times=None,
-                      threads: int = 1, initial_points=None) -> EnsembleResult:
+                      threads: int = 1, initial_points=None, reduce=None) -> EnsembleResult:
     """Simulate ``n_paths`` independent paths; deterministic for a fixed seed
     regardless of ``threads``.
 
@@ -512,6 +515,16 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
     point.  The exact rotation scheme requires every field to carry constant
     frame ``coefficients`` and the Ito-Euler scheme a ``generator``; both
     reject state-dependent problems.
+
+    The work items are the fixed path ranges lo + [0, REDUCE_BLOCK), each
+    stepped CHUNK paths at a time by one worker.  ``reduce(lo, block)``, if
+    given, receives an item's saved states ``block`` (n, n_saved, 8) in the
+    worker that ran it, as soon as the item ends, so items reach it in any
+    order and from several threads at once: its reduction must not depend on
+    that order (integer counts merged under a lock do not), and it must copy
+    whatever it keeps of ``block``.  The result's ``states`` is then None,
+    and the ensemble holds at most threads x REDUCE_BLOCK paths' states.
+    Without ``reduce`` each block is the slice of the returned ``states``.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -532,25 +545,33 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
         if initial_points.shape != (n_paths, DIM):
             raise ValueError("initial_points must have shape (n_paths, 8)")
     save_idx, times = _save_indices(n_steps, dt, save_times)
-    states = np.empty((n_paths, len(save_idx), DIM))
+    saved = (len(save_idx), DIM)
+    states = np.empty((n_paths, *saved)) if reduce is None else None
 
     free = queue.SimpleQueue()  # one generator list per worker, reused across its chunks
     for _ in range(threads):
         free.put([])
 
     def work(lo):
+        hi = min(lo + REDUCE_BLOCK, n_paths)
+        block = states[lo:hi] if reduce is None else np.empty((hi - lo, *saved))
         gens = free.get()
         try:
-            return _simulate_chunk(problem, scheme, states[lo:lo + CHUNK], lo, n_steps, dt,
-                                   seed, save_idx, initial_points, gens)
+            defect = max(_simulate_chunk(problem, scheme, block[c - lo:c - lo + CHUNK], c,
+                                         n_steps, dt, seed, save_idx, initial_points, gens)
+                         for c in range(lo, hi, CHUNK))
         finally:
             free.put(gens)
+        if reduce is not None:
+            reduce(lo, block)
+        return defect
 
+    items = range(0, n_paths, REDUCE_BLOCK)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            defects = list(pool.map(work, range(0, n_paths, CHUNK)))
+            defects = list(pool.map(work, items))
     else:
-        defects = [work(lo) for lo in range(0, n_paths, CHUNK)]
+        defects = [work(lo) for lo in items]
     return EnsembleResult(times, states, max_renorm_defect=max([0.0, *defects]))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -289,3 +290,91 @@ def test_bad_field_spec_rejected(tmp_path, capsys):
     with pytest.raises(cli.ConfigError):
         cli.run(cli.ExperimentConfig.from_text(
             "experiment = simulate\nseed = 1\nfield = wobble\n"), str(out))
+
+
+def entropy_config(n_paths, grid_bins, threads, dt=0.05):
+    return cli.ExperimentConfig(experiment="entropy", seed=13, n_paths=n_paths, dt=dt,
+                                grid_bins=grid_bins, threads=threads)
+
+
+def entropy_from_stored_states(cfg):
+    """The entropy series binned from the whole ensemble's stored states."""
+    starts = cli.sgeo.random_cap_point(np.random.default_rng(cfg.seed), cli._e1(), 0.1,
+                                       cfg.n_paths)
+    result = cli.sint.simulate_ensemble(cli.sint.brownian_problem(cli._e1()), cfg.n_paths,
+                                        cfg.n_steps, cfg.dt, cfg.seed,
+                                        scheme="exact_rotation",
+                                        save_times=np.array(cli.ENTROPY_TIMES),
+                                        threads=cfg.threads, initial_points=starts)
+    grid = cli.sdens.GridSpec.uniform(cfg.grid_bins)
+    return [cli.sdens.entropy(cli.sdens.estimate_density(result.states[:, j], grid), t=t)
+            for j, t in enumerate(cli.ENTROPY_TIMES)]
+
+
+@pytest.mark.parametrize("grid_bins", [2, 3])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n_paths", [2500, cli.sint.REDUCE_BLOCK + 2500])
+def test_streamed_entropy_equals_stored_states(tmp_path, monkeypatch, n_paths, threads,
+                                               grid_bins):
+    # one partial work item, then a full one and a partial one; each ends mid-chunk
+    cfg = entropy_config(n_paths, grid_bins, threads)
+    expected = entropy_from_stored_states(cfg)
+    reports, entropy = [], cli.sdens.entropy
+
+    def spy(d, t=None):
+        reports.append(entropy(d, t=t))
+        return reports[-1]
+
+    monkeypatch.setattr(cli.sdens, "entropy", spy)
+    cli.run(cfg, str(tmp_path))
+    assert [r.t for r in reports] == list(cli.ENTROPY_TIMES)
+    for got, want in zip(reports, expected):
+        for name in ("S", "stderr", "mm_correction", "n_occupied"):
+            assert getattr(got, name) == getattr(want, name), (got.t, name)
+
+
+def test_streamed_entropy_merge_under_thread_switching(tmp_path, monkeypatch):
+    # more workers than cores, switching threads every microsecond: a lost
+    # merge would drop a block's counts from some saved time
+    cfg = entropy_config(4 * cli.sint.REDUCE_BLOCK + 100, 2, 4, dt=0.1)
+    expected = entropy_from_stored_states(dataclasses.replace(cfg, threads=1))
+    densities, entropy = [], cli.sdens.entropy
+
+    def spy(d, t=None):
+        densities.append(d)
+        return entropy(d, t=t)
+
+    monkeypatch.setattr(cli.sdens, "entropy", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cli.run(cfg, str(tmp_path))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [int(d.counts.sum()) for d in densities] == [cfg.n_paths] * len(cli.ENTROPY_TIMES)
+    for d, want in zip(densities, expected):
+        assert entropy(d, t=want.t) == want
+
+
+def test_streamed_entropy_memory_does_not_grow_with_paths(tmp_path):
+    """Traced peak of the entropy run at 16384 paths against 4096 paths, after
+    a warm-up run has filled the caches that every run shares.
+
+    The start points, (n, 8) and held through the ensemble, are 64 B per path;
+    the old pipeline's saved states alone were 5 x 64 B per path more.  The
+    slack covers what is bounded but larger in the larger run: the Philox keys
+    of at most 16 cached CHUNK-path blocks (16 B per path) and the merged
+    counts of at most 3^7 bins per saved time (16 B per bin)."""
+    import tracemalloc
+
+    cli.run(entropy_config(4096, 3, 1, dt=0.1), str(tmp_path / "warm-up"))
+    peaks = {}
+    for n_paths in (4096, 16384):
+        tracemalloc.start()
+        try:
+            cli.run(entropy_config(n_paths, 3, 1, dt=0.1), str(tmp_path / str(n_paths)))
+            peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    slack = 16 * cli.sint.CHUNK * 16 + len(cli.ENTROPY_TIMES) * 3 ** 7 * 16
+    assert peaks[16384] - peaks[4096] < 64 * (16384 - 4096) + slack, peaks

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from sevensphere.density import (GridSpec, angular_fields, entropy, estimate_density,
-                                 fokker_planck_residual, generator_weak_check, max_entropy,
+from sevensphere.density import (SIN_POWERS, GridSpec, angular_fields, counted_density,
+                                 entropy, estimate_density, fokker_planck_residual,
+                                 generator_weak_check, max_entropy, merge_counts,
                                  uniform_density)
-from sevensphere.geometry import (chart_jacobian, random_cap_point, random_sphere_point,
-                                  sphere_volume, to_cartesian, to_spherical)
+from sevensphere.geometry import (ANGLE_UPPER, chart_jacobian, random_cap_point,
+                                  random_sphere_point, sin_power_integral, sphere_volume,
+                                  to_cartesian, to_spherical)
 from sevensphere.integrators import (brownian_problem, simulate_ensemble,
                                      single_frame_problem)
 
@@ -77,6 +79,38 @@ def test_histogram_keys_equal_sorted_unique_rows(rng):
                              return_counts=True)
     np.testing.assert_array_equal(est.indices, rows)
     np.testing.assert_array_equal(est.counts, counts)
+
+
+@pytest.mark.parametrize("bins", [(2,) * 7, (3,) * 7, (2, 3, 4, 5, 3, 2, 6)])
+def test_axis_weights_cached_read_only_and_bitwise_unchanged(bins):
+    grid = GridSpec(bins)
+    for a, n in enumerate(bins):
+        w = grid.axis_weights(a)
+        e = np.linspace(0.0, ANGLE_UPPER[a], n + 1)
+        ref = (np.diff(e) if SIN_POWERS[a] == 0 else
+               np.array([sin_power_integral(SIN_POWERS[a], lo, hi) for lo, hi in zip(e, e[1:])]))
+        np.testing.assert_array_equal(w, ref)
+        assert w is GridSpec.uniform(n).axis_weights(a)  # shared per (bins[axis], axis)
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 1.0
+
+
+def test_merged_block_counts_equal_one_histogram(rng):
+    # blocks of uneven sizes, pooled in a shuffled order, give the one-shot
+    # histogram's flat bins, counts, volumes and densities exactly
+    grid = GridSpec((2, 3, 4, 5, 3, 2, 6))
+    samples = random_cap_point(rng, E[0], 1.5, 20000)
+    whole = estimate_density(samples, grid)
+    cuts = [0, 1, 4096, 4097, 9000, 20000]
+    blocks = [estimate_density(samples[lo:hi], grid) for lo, hi in zip(cuts, cuts[1:])]
+    flat, counts = np.empty(0, np.intp), np.empty(0, np.intp)
+    for k in rng.permutation(len(blocks)):
+        flat, counts = merge_counts(flat, counts, blocks[k].flat, blocks[k].counts)
+    merged = counted_density(grid, flat, counts, len(samples))
+    for name in ("flat", "indices", "counts", "volumes", "densities"):
+        np.testing.assert_array_equal(getattr(merged, name), getattr(whole, name))
+    assert merged.counts.dtype == whole.counts.dtype
+    assert entropy(merged) == entropy(whole)
 
 
 def test_density_empty_rejected():

@@ -365,8 +365,8 @@ def test_surface_bin_volumes_match_per_bin_loop(rng, monkeypatch):
 
     monkeypatch.setattr(exotic, "plugin_entropy", spy)
     entropy_on_surface(gammas, grid)
-    keys, counts, volumes = _histogram(
-        gammas / np.linalg.norm(gammas, axis=-1, keepdims=True), grid)
+    d = _histogram(gammas / np.linalg.norm(gammas, axis=-1, keepdims=True), grid)
+    keys, counts, volumes = d.indices, d.counts, d.volumes
     widths = ANGLE_SPANS / np.asarray(grid.bins, dtype=float)
     for row, key in enumerate(keys):
         center = (key + 0.5) * widths

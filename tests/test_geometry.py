@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sevensphere.geometry import (central_difference, chart_jacobian,
-                                  geodesic_distance, random_sphere_point, row_norms,
+from sevensphere.geometry import (CAP_BLOCK, DIM, central_difference, chart_jacobian,
+                                  geodesic_distance, random_cap_point, random_sphere_point,
+                                  row_norms,
                                   sin_power_integral, sphere_volume, to_cartesian,
                                   to_spherical, volume_element)
 
@@ -175,5 +176,27 @@ def test_row_norms_equal_linalg_norm_of_c_copy_bitwise(rng, width, layout):
     if layout.endswith("points-last"):
         x = np.ascontiguousarray(x.T).T  # the transposed view of a C-order array
     got = row_norms(x)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def cap_points_reference(rng, center, radius, size):
+    """random_cap_point as four (n, 8) temporaries: outer product, both terms, sum."""
+    n = 1 if size is None else size
+    v = rng.standard_normal((n, DIM))
+    v -= np.outer(v @ center, center)
+    v /= row_norms(v)
+    r = radius * rng.random(n) ** (1.0 / 7.0)
+    pts = np.cos(r)[:, None] * center + np.sin(r)[:, None] * v
+    return pts[0] if size is None else pts
+
+
+@pytest.mark.parametrize("size", [None, 1, 5, CAP_BLOCK, 2 * CAP_BLOCK + 3])
+def test_random_cap_point_equals_reference_bitwise(rng, size):
+    center = rng.standard_normal(DIM)
+    center /= np.linalg.norm(center)
+    seed = int(rng.integers(2 ** 32))
+    got = random_cap_point(np.random.default_rng(seed), center, 0.7, size)
+    want = cap_points_reference(np.random.default_rng(seed), center, 0.7, size)
     assert got.shape == want.shape
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -9,7 +9,7 @@ from sevensphere import integrators
 from sevensphere.frames import (FRAME_GENERATORS, CombinedField, frame_field,
                                 generator_matrix)
 from sevensphere.geometry import central_difference, geodesic_distance, random_sphere_point
-from sevensphere.integrators import (CHUNK, NOISE_BLOCK, NoisePath, SdeProblem,
+from sevensphere.integrators import (CHUNK, NOISE_BLOCK, REDUCE_BLOCK, NoisePath, SdeProblem,
                                      brownian_problem, combination_problem,
                                      exact_rotation_step, frame_rotation_apply,
                                      frame_rotation_matrix,
@@ -596,6 +596,47 @@ def test_workers_rekey_generators_across_chunks():
     ends = [0, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, n_paths - 1]
     np.testing.assert_array_equal(two[ends], per_path_reference("exact_rotation", ends,
                                                                 n_steps, save))
+
+
+REDUCED_PATHS = 2 * REDUCE_BLOCK + CHUNK + 5  # two full work items, then one ending mid-chunk
+REDUCED_SAVE = (0, 1, 3)
+
+
+@functools.cache
+def reduced_reference():
+    return per_path_reference("exact_rotation", range(REDUCED_PATHS), 3, REDUCED_SAVE)
+
+
+def reduced_ensemble(threads, reduce=None):
+    return simulate_ensemble(brownian_problem(E[0]), REDUCED_PATHS, 3, ENSEMBLE_DT,
+                             seed=ENSEMBLE_SEED, scheme="exact_rotation",
+                             save_times=np.array(REDUCED_SAVE) * ENSEMBLE_DT,
+                             threads=threads, reduce=reduce)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_default_reducer_states_equal_per_path_reference(threads):
+    np.testing.assert_array_equal(reduced_ensemble(threads).states, reduced_reference())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_reducer_sees_every_path_once_in_fixed_blocks(threads):
+    import threading
+
+    seen = {}
+
+    def reduce(lo, block):
+        assert lo not in seen
+        seen[lo] = (block.copy(), threading.get_ident())
+
+    result = reduced_ensemble(threads, reduce)
+    assert result.states is None
+    assert sorted((lo, len(b)) for lo, (b, _) in seen.items()) == [
+        (0, REDUCE_BLOCK), (REDUCE_BLOCK, REDUCE_BLOCK), (2 * REDUCE_BLOCK, CHUNK + 5)]
+    np.testing.assert_array_equal(np.concatenate([seen[lo][0] for lo in sorted(seen)]),
+                                  reduced_reference())
+    workers = {ident for _, ident in seen.values()}
+    assert (workers == {threading.get_ident()}) == (threads == 1)
 
 
 # --------------------------------------------------------------------------
