@@ -516,15 +516,16 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
     frame ``coefficients`` and the Ito-Euler scheme a ``generator``; both
     reject state-dependent problems.
 
-    The work items are the fixed path ranges lo + [0, REDUCE_BLOCK), each
-    stepped CHUNK paths at a time by one worker.  ``reduce(lo, block)``, if
-    given, receives an item's saved states ``block`` (n, n_saved, 8) in the
-    worker that ran it, as soon as the item ends, so items reach it in any
-    order and from several threads at once: its reduction must not depend on
-    that order (integer counts merged under a lock do not), and it must copy
-    whatever it keeps of ``block``.  The result's ``states`` is then None,
-    and the ensemble holds at most threads x REDUCE_BLOCK paths' states.
-    Without ``reduce`` each block is the slice of the returned ``states``.
+    Without ``reduce`` the work items are the fixed path ranges
+    lo + [0, CHUNK), each writing its slice of the returned ``states``.
+    With ``reduce`` they are the fixed ranges lo + [0, REDUCE_BLOCK), each
+    stepped CHUNK paths at a time by one worker, and ``reduce(lo, block)``
+    receives an item's saved states ``block`` (n, n_saved, 8) in the worker
+    that ran it, as soon as the item ends, so items reach it in any order and
+    from several threads at once: its reduction must not depend on that order
+    (integer counts merged under a lock do not), and it must copy whatever it
+    keeps of ``block``.  The result's ``states`` is then None, and the
+    ensemble holds at most threads x REDUCE_BLOCK paths' states.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -552,8 +553,10 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
     for _ in range(threads):
         free.put([])
 
+    item = CHUNK if reduce is None else REDUCE_BLOCK  # small items keep workers balanced
+
     def work(lo):
-        hi = min(lo + REDUCE_BLOCK, n_paths)
+        hi = min(lo + item, n_paths)
         block = states[lo:hi] if reduce is None else np.empty((hi - lo, *saved))
         gens = free.get()
         try:
@@ -566,7 +569,7 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
             reduce(lo, block)
         return defect
 
-    items = range(0, n_paths, REDUCE_BLOCK)
+    items = range(0, n_paths, item)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             defects = list(pool.map(work, items))

@@ -891,3 +891,26 @@ def test_rotation_steps_equal_reference_formula_bitwise(rng, coefficients, n_poi
         if layout is points_last and n_points > 1:
             assert got.flags.f_contiguous  # an ensemble chunk stays points-last
         z = want
+
+
+def test_default_reducer_spreads_chunks_over_workers(monkeypatch):
+    # Two chunks, two workers: each chunk is its own work item, so both
+    # workers step at once and meet at the barrier. One item of both chunks
+    # would leave one worker waiting alone until the barrier times out.
+    import threading
+
+    def run(threads):
+        return simulate_ensemble(brownian_problem(E[0]), 2 * CHUNK, 1, ENSEMBLE_DT,
+                                 seed=ENSEMBLE_SEED, scheme="exact_rotation",
+                                 threads=threads).states
+
+    serial = run(1)
+    barrier = threading.Barrier(2, timeout=10)
+    step_chunk = integrators._simulate_chunk
+
+    def meeting(*args):
+        barrier.wait()
+        return step_chunk(*args)
+
+    monkeypatch.setattr(integrators, "_simulate_chunk", meeting)
+    np.testing.assert_array_equal(run(2), serial)
