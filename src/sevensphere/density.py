@@ -21,6 +21,7 @@ from .geometry import (ANGLE_UPPER as ANGLE_SPANS, N_ANGLES, chart_jacobian,
 
 SIN_POWERS = tuple(range(6, 0, -1)) + (0,)  # per 0-based angle axis
 WEAK_SAVES = 11  # generator_weak_check's saved slices per path
+WEAK_SLICE = 256  # paths per generator evaluation; bounds the weak check's temporaries
 
 
 @dataclass(frozen=True)
@@ -246,20 +247,30 @@ def generator_weak_check(problem: sint.SdeProblem, f, t: float, n_paths: int,
     """Dynkin martingale test: f(z_t) - f(z_0) - int L f(z_s) ds has mean zero.
 
     Both sides are Monte Carlo estimates on the same paths; the time integral
-    is a trapezoid over WEAK_SAVES saved slices per path.
+    is a trapezoid over WEAK_SAVES saved slices per path.  The ensemble hands
+    its blocks to a reducer that evaluates them WEAK_SLICE paths at a time and
+    keeps only f(z_t) and the integral per path, each written to the path's
+    own slot, so no saved state outlives its block.
     """
     n_steps = int(round(t / dt))
     save = np.linspace(0.0, n_steps * dt, WEAK_SAVES)
     save = np.round(save / dt) * dt
+    final = np.empty(n_paths)     # f(z_t) per path
+    integral = np.empty(n_paths)  # trapezoid of L f over the saved slices per path
+
+    def reduce(lo, block):
+        for k in range(0, len(block), WEAK_SLICE):
+            states = block[k:k + WEAK_SLICE]
+            own = slice(lo + k, lo + k + len(states))
+            final[own] = f(states[:, -1])
+            integral[own] = np.trapezoid(_generator_apply(problem, f, states), save, axis=1)
+
     result = sint.simulate_ensemble(problem, n_paths, n_steps, dt, seed,
                                     scheme="exact_rotation", save_times=save,
-                                    threads=threads)
-    fvals = f(result.states)          # (n_paths, WEAK_SAVES)
-    lf = _generator_apply(problem, f, result.states)
-    integral = np.trapezoid(lf, result.times, axis=1)
+                                    threads=threads, reduce=reduce)
     f0 = float(np.asarray(f(problem.initial)))
-    d = fvals[:, -1] - f0 - integral
-    lhs = float(np.mean(fvals[:, -1]) - f0)
+    d = final - f0 - integral
+    lhs = float(np.mean(final) - f0)
     rhs = float(np.mean(integral))
     return WeakCheckReport(lhs=lhs, rhs=rhs,
                            martingale_mean=float(np.mean(d)),

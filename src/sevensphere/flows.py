@@ -15,6 +15,18 @@ from .integrators import NoisePath, SdeProblem, frame_rotation_matrix
 # t = 0.5, each coarsened by every level of REFINE_LEVELS
 REFINE_FINE, REFINE_LEVELS, REFINE_NOISE = 256, (8, 4, 2), 12
 REFINE_DT = 0.5 / REFINE_FINE
+ROTATION_BLOCK = 256  # steps per block of RotationFlow.from_noise's factors; a power of two
+
+
+def _pairwise_product(m) -> np.ndarray:
+    """The product of the stacked matrices m (k >= 1, 8, 8), later ones on the
+    left, reduced pairwise in log depth: each level multiplies neighbours
+    (2i, 2i + 1) and pads an odd level's end with I."""
+    while len(m) > 1:
+        if len(m) % 2:
+            m = np.concatenate([m, np.eye(8)[None]])
+        m = m[1::2] @ m[0::2]
+    return m[0]
 
 
 class RotationFlow:
@@ -37,15 +49,19 @@ class RotationFlow:
     def from_noise(cls, coefficients, noise: NoisePath, s: float = 0.0) -> "RotationFlow":
         """The flow of a frame-coefficient problem driven by the increments:
         the product of the steps' exact rotations, later steps on the left,
-        reduced pairwise in log depth (odd levels padded with I)."""
+        reduced pairwise in log depth (odd levels padded with I).
+
+        The factors are built ROTATION_BLOCK steps at a time, and each block's
+        product is a subtree of the tree over all steps (the block is a power
+        of two, and only the last block can be partial), so reducing the block
+        products with the same tree gives the whole product bit for bit while
+        at most one block's factors are held."""
         coefficients = np.atleast_2d(np.asarray(coefficients, dtype=float))
-        m = frame_rotation_matrix(noise.increments @ coefficients)
-        m = m if len(m) else np.eye(8)[None]
-        while len(m) > 1:
-            if len(m) % 2:
-                m = np.concatenate([m, np.eye(8)[None]])
-            m = m[1::2] @ m[0::2]
-        return cls(s, s + noise.n_steps * noise.dt, m[0])
+        a = noise.increments @ coefficients  # whole: a one-row product takes other bits
+        blocks = [_pairwise_product(frame_rotation_matrix(a[lo:lo + ROTATION_BLOCK]))
+                  for lo in range(0, len(a), ROTATION_BLOCK)]
+        return cls(s, s + noise.n_steps * noise.dt,
+                   _pairwise_product(np.array(blocks)) if blocks else np.eye(8))
 
     def apply(self, z) -> np.ndarray:
         return np.asarray(z, dtype=float) @ self.matrix.T

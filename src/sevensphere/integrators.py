@@ -435,11 +435,17 @@ class EnsembleResult:
 
     @property
     def n_paths(self) -> int:
-        return self.states.shape[0]
+        return self._kept_states().shape[0]
 
     @property
     def final_states(self) -> np.ndarray:
-        return self.states[:, -1, :]
+        return self._kept_states()[:, -1, :]
+
+    def _kept_states(self) -> np.ndarray:
+        if self.states is None:
+            raise ValueError("this ensemble handed its states to a reduce callback and "
+                             "kept none; read what the reducer kept instead")
+        return self.states
 
 
 SCHEMES = ("heun", "exact_rotation", "ito_euler")
@@ -522,10 +528,13 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
     stepped CHUNK paths at a time by one worker, and ``reduce(lo, block)``
     receives an item's saved states ``block`` (n, n_saved, 8) in the worker
     that ran it, as soon as the item ends, so items reach it in any order and
-    from several threads at once: its reduction must not depend on that order
-    (integer counts merged under a lock do not), and it must copy whatever it
-    keeps of ``block``.  The result's ``states`` is then None, and the
-    ensemble holds at most threads x REDUCE_BLOCK paths' states.
+    from several threads at once: its reduction must not depend on that order,
+    and it must copy whatever it keeps of ``block``.  Integer counts merged
+    under a lock are order-free, and so are per-path values written to the
+    paths' own slots lo + [0, n) of a preallocated array, which need no lock
+    since items are disjoint.  The result's ``states`` is then None (its
+    ``n_paths`` and ``final_states`` raise ValueError), and the ensemble
+    holds at most threads x REDUCE_BLOCK paths' states.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from sevensphere.density import (SIN_POWERS, GridSpec, angular_fields, counted_density,
+from sevensphere.density import (SIN_POWERS, WEAK_SAVES, WEAK_SLICE, GridSpec,
+                                 _generator_apply, angular_fields, counted_density,
                                  entropy, estimate_density, fokker_planck_residual,
                                  generator_weak_check, max_entropy, merge_counts,
                                  uniform_density)
 from sevensphere.geometry import (ANGLE_UPPER, chart_jacobian, random_cap_point,
                                   random_sphere_point, sin_power_integral, sphere_volume,
                                   to_cartesian, to_spherical)
-from sevensphere.integrators import (brownian_problem, simulate_ensemble,
+from sevensphere.integrators import (REDUCE_BLOCK, brownian_problem, simulate_ensemble,
                                      single_frame_problem)
 
 E = np.eye(8)
@@ -399,6 +400,39 @@ def test_weak_check_constant_function():
                                t=0.1, n_paths=100, dt=1e-3, seed=5)
     assert rep.lhs == pytest.approx(0.0, abs=1e-14)
     assert rep.rhs == pytest.approx(0.0, abs=1e-10)
+
+
+def kept_states_weak_check(problem, f, t, n_paths, dt, seed):
+    """(lhs, rhs, martingale_mean, stderr) by the weak check's formula on the
+    whole ensemble's kept states."""
+    n_steps = int(round(t / dt))
+    save = np.round(np.linspace(0.0, n_steps * dt, WEAK_SAVES) / dt) * dt
+    result = simulate_ensemble(problem, n_paths, n_steps, dt, seed,
+                               scheme="exact_rotation", save_times=save)
+    fvals = f(result.states)
+    integral = np.trapezoid(_generator_apply(problem, f, result.states), result.times, axis=1)
+    f0 = float(np.asarray(f(problem.initial)))
+    d = fvals[:, -1] - f0 - integral
+    return (float(np.mean(fvals[:, -1]) - f0), float(np.mean(integral)), float(np.mean(d)),
+            float(np.std(d, ddof=1) / np.sqrt(n_paths)))
+
+
+WEAK_STREAM_PATHS = REDUCE_BLOCK + WEAK_SLICE + 44  # a partial last block and slice
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_streamed_weak_check_equals_kept_states_bitwise(threads):
+    problem = brownian_problem(random_sphere_point(np.random.default_rng(41)))
+
+    def f(z):
+        z = np.asarray(z)
+        return z[..., 0] * z[..., 1] + z[..., 2] ** 2
+
+    rep = generator_weak_check(problem, f, t=0.01, n_paths=WEAK_STREAM_PATHS, dt=1e-3,
+                               seed=41, threads=threads)
+    assert rep.n_paths == WEAK_STREAM_PATHS
+    assert (rep.lhs, rep.rhs, rep.martingale_mean, rep.stderr) == kept_states_weak_check(
+        problem, f, 0.01, WEAK_STREAM_PATHS, 1e-3, 41)
 
 
 def test_weak_check_quadratic_single_field_vs_gaussian_oracle():

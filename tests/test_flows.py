@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sevensphere.flows import (IntegratedFlow, RotationFlow, heun_refinement_residuals,
-                               isometry_check)
+from sevensphere.flows import (ROTATION_BLOCK, IntegratedFlow, RotationFlow,
+                               heun_refinement_residuals, isometry_check)
 from sevensphere.frames import CombinedField
 from sevensphere.geometry import random_sphere_point
 from sevensphere.integrators import (NoisePath, SdeProblem, frame_rotation_matrix,
@@ -116,6 +116,29 @@ def test_from_noise_equals_sequential_product(n_steps):
     flow = RotationFlow.from_noise(coeffs, noise, s=0.5)
     assert (flow.s, flow.t) == (0.5, pytest.approx(0.5 + n_steps * 1e-3))
     np.testing.assert_allclose(flow.as_matrix(), expect, rtol=0, atol=1e-13)
+
+
+def unblocked_pairwise_product(coeffs, increments):
+    """All steps' factors at once, reduced by the same pairwise tree."""
+    m = frame_rotation_matrix(increments @ coeffs)
+    m = m if len(m) else np.eye(8)[None]
+    while len(m) > 1:
+        if len(m) % 2:
+            m = np.concatenate([m, np.eye(8)[None]])
+        m = m[1::2] @ m[0::2]
+    return m[0]
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, ROTATION_BLOCK - 1, ROTATION_BLOCK,
+                                     ROTATION_BLOCK + 1, 2 * ROTATION_BLOCK + 3, 5000])
+def test_blocked_from_noise_equals_unblocked_product_bitwise(n_steps):
+    # a last block of one step included: its row of increments @ coeffs would
+    # take other bits as a one-row product of its own
+    rng = np.random.default_rng(n_steps)
+    noise = NoisePath(1e-3, rng.normal(0.0, np.sqrt(1e-3), (n_steps, 7)))
+    for coeffs in (np.eye(7), rng.standard_normal((7, 7))):
+        np.testing.assert_array_equal(RotationFlow.from_noise(coeffs, noise).as_matrix(),
+                                      unblocked_pairwise_product(coeffs, noise.increments))
 
 
 def test_from_noise_without_steps_is_identity():

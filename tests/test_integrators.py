@@ -619,6 +619,15 @@ def test_default_reducer_states_equal_per_path_reference(threads):
     np.testing.assert_array_equal(reduced_ensemble(threads).states, reduced_reference())
 
 
+def test_reduced_result_refuses_states_it_did_not_keep():
+    result = simulate_ensemble(brownian_problem(E[0]), 3, 1, ENSEMBLE_DT,
+                               seed=ENSEMBLE_SEED, reduce=lambda lo, block: None)
+    assert result.states is None
+    for attr in ("n_paths", "final_states"):
+        with pytest.raises(ValueError, match="reduce"):
+            getattr(result, attr)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_reducer_sees_every_path_once_in_fixed_blocks(threads):
     import threading
