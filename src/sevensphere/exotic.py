@@ -41,48 +41,24 @@ def _ramp_parts(t):
     """t clipped into [1e-12, 1 - 1e-12], a = exp(-1/t) and b = exp(-1/(1-t)).
     At either clip edge a or b underflows to 0, so the ramp is exactly 0 or 1
     and its derivative exactly 0 outside (0, 1); NaN stays NaN."""
-    tm = np.clip(np.asarray(t, dtype=float), 1e-12, 1.0 - 1e-12)
+    tm = np.minimum(np.maximum(t, 1e-12), 1.0 - 1e-12)  # np.clip's bits, without its overhead
     return tm, np.exp(-1.0 / tm), np.exp(-1.0 / (1.0 - tm))
-
-
-def _smooth_transition(t):
-    """C-infinity ramp a / (a + b): 0 for t <= 0, 1 for t >= 1."""
-    _, a, b = _ramp_parts(t)
-    return a / (a + b)
-
-
-def _smooth_transition_deriv(t):
-    """Analytic ramp derivative a b (1/t^2 + 1/(1-t)^2) / (a + b)^2; 0 outside (0, 1)."""
-    tm, a, b = _ramp_parts(t)
-    return a * b * (1.0 / tm ** 2 + 1.0 / (1.0 - tm) ** 2) / (a + b) ** 2
 
 
 def _plane_distance(u):
     """sqrt(u3^2 + ... + u8^2): distance-like coordinate off the (z1,z2) circle."""
     u = np.asarray(u, dtype=float)
-    return np.sqrt(np.sum(u[..., 2:] ** 2, axis=-1))
+    return np.sqrt(np.add.reduce(u[..., 2:] ** 2, axis=-1))
 
 
 def _bump(u, kink=False):
-    """The direction's profile: 0 for plane distance <= RHO0, 1 for >= RHO1,
-    the smooth ramp between them, or the linear (C0) ramp when kinked."""
+    """The direction's profile: 0 for plane distance <= RHO0, 1 for >= RHO1, the
+    C-infinity ramp a / (a + b) between them, or the linear (C0) ramp if kinked."""
     t = (_plane_distance(u) - RHO0) / (RHO1 - RHO0)
-    return np.clip(t, 0.0, 1.0) if kink else _smooth_transition(t)
-
-
-def _bump_gradient(u):
-    """Ambient gradient (..., 8) of the smooth bump at unit points u (..., 8)."""
-    u = np.asarray(u, dtype=float)
-    rho = _plane_distance(u)[..., None]
-    t = (rho - RHO0) / (RHO1 - RHO0)
-    dpsi = _smooth_transition_deriv(t) / (RHO1 - RHO0)
-    off_circle = rho > 1e-12
-    grad = np.zeros(u.shape)
-    grad[..., 2:] = np.where(off_circle,
-                             dpsi * u[..., 2:] / np.where(off_circle, rho, 1.0), 0.0)
-    # chain through the normalization u = x/|x| at |x| = 1
-    proj = np.eye(DIM) - u[..., :, None] * u[..., None, :]
-    return (proj @ grad[..., None])[..., 0]
+    if kink:
+        return np.clip(t, 0.0, 1.0)
+    _, a, b = _ramp_parts(t)
+    return a / (a + b)
 
 
 def _scale(eps, z, kink=False) -> np.ndarray:
@@ -91,16 +67,29 @@ def _scale(eps, z, kink=False) -> np.ndarray:
         val = np.where(np.isfinite(z).all(axis=-1), 1.0, np.nan)
     else:
         val = np.asarray(1.0 + eps * _bump(z, kink))
-    if not np.all(val > 0.0):
+    if not (val > 0.0).all():
         raise ValueError("scaling function must stay positive (and not NaN)")
     return val
 
 
-def _scale_gradient(eps, z) -> np.ndarray:
-    """Ambient gradient of the smooth 1 + eps * bump."""
+def _scale_and_gradient(eps, z):
+    """``_scale(eps, z)`` of the smooth bump and its gradient in R^8 (..., 8),
+    not projected onto the sphere, from one plane distance rho and one ramp.
+    The ramp's derivative is analytic, a b (1/t^2 + 1/(1-t)^2) / (a + b)^2;
+    the gradient is 0 on the circle rho = 0, where the bump is flat."""
+    z = np.asarray(z, dtype=float)
     if eps == 0.0:
-        return np.zeros(np.shape(z))
-    return eps * _bump_gradient(z)
+        return _scale(0.0, z), np.zeros(z.shape)
+    rho = _plane_distance(z)
+    tm, a, b = _ramp_parts((rho - RHO0) / (RHO1 - RHO0))
+    val = np.asarray(1.0 + eps * (a / (a + b)))
+    if not (val > 0.0).all():
+        raise ValueError("scaling function must stay positive (and not NaN)")
+    slope = eps * a * b * (1.0 / tm ** 2 + 1.0 / (1.0 - tm) ** 2) / ((a + b) ** 2 * (RHO1 - RHO0))
+    grad = np.zeros(z.shape)
+    # slope is 0 for rho <= RHO0, so the guard rho > 1e-12 leaves 0 on the circle
+    grad[..., 2:] = (slope / np.maximum(rho, 1e-12))[..., None] * z[..., 2:]
+    return val, grad
 
 
 def _unit(x):
@@ -135,33 +124,49 @@ class ExoticMap:
         return _scale(self.eps, u)
 
     def forward(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        zeta = z * self.beta(z)[..., None]
+        zeta = np.asarray(z, dtype=float)
+        if self.beta_eps:  # constant: beta is 1 exactly, and _unit rejects a non-finite z
+            zeta = zeta * self.beta(zeta)[..., None]
         return zeta / self.ray_scale(_unit(zeta)[0])[..., None]
 
     def inverse(self, gamma) -> np.ndarray:
         return _unit(gamma)[0]
 
-    def jacobian(self, z) -> np.ndarray:
-        """d h / d z = r I + z grad(r)^T, shape (..., 8, 8), at sphere points
-        z (..., 8), with r = beta / s and grad r = (s grad beta - beta grad s) / s^2."""
+    def _radius(self, z):
+        """r = beta / s at sphere points z (..., 8) and its ambient gradient
+        (s grad beta - beta grad s) / s^2, shape (..., 8), not yet projected."""
         if self.scaling == "bump-kink":
             raise RegularityError("the kinked scaling is not C1")
+        s, grad_s = _scale_and_gradient(self.eps, z)
+        if not self.beta_eps:  # constant: beta is 1 exactly
+            return 1.0 / s, -grad_s / (s ** 2)[..., None]
+        beta, grad_beta = _scale_and_gradient(self.beta_eps, z)
+        grad_r = (s[..., None] * grad_beta - beta[..., None] * grad_s) / (s ** 2)[..., None]
+        return beta / s, grad_r
+
+    def jacobian(self, z) -> np.ndarray:
+        """d h / d z = r I + z (P grad r)^T, shape (..., 8, 8), at sphere points
+        z (..., 8), with r = beta / s and P grad r = g - <g, z> z the tangential
+        part of its gradient g; ``pushforward_field`` applies it in rank-one form."""
         z = np.asarray(z, dtype=float)
-        beta = self.beta(z)[..., None]
-        s = self.ray_scale(z)[..., None]
-        grad_r = (s * _scale_gradient(self.beta_eps, z)
-                  - beta * _scale_gradient(self.eps, z)) / s ** 2
-        return ((beta / s)[..., None] * np.eye(DIM)
-                + z[..., :, None] * grad_r[..., None, :])
+        if not np.isfinite(z).all():
+            raise ValueError("dh needs finite sphere points")
+        r, g = self._radius(z)
+        g = g - np.vecdot(g, z)[..., None] * z
+        return r[..., None, None] * np.eye(DIM) + z[..., :, None] * g[..., None, :]
 
     def surface_point(self, direction) -> np.ndarray:
-        """The model-surface point on a given ray (directions parameterize it)."""
-        return self.forward(_unit(direction)[0])
+        """h(u) at the unit direction u of ``direction``: the surface point on that ray."""
+        u = _unit(direction)[0]
+        zeta = u * self.beta(u)[..., None] if self.beta_eps else u
+        return zeta / self.ray_scale(u)[..., None]
 
 
 def pushforward_field(V, h: ExoticMap):
-    """The induced field (h_* V)(gamma) = dh(h^{-1}(gamma)) V(h^{-1}(gamma)).
+    """The induced field (h_* V)(gamma) = dh(z) v at z = h^{-1}(gamma) and
+    v = V(z), in the rank-one form r v + <P grad r, v> z with P = I - z z^T,
+    the projection taken inside the product as <grad r, v> - <grad r, z> <z, v>:
+    ``jacobian(z) @ v`` for any v, tangent or not, without the 8x8 matrix.
 
     Requires the scaling function to be C1; with the kinked profile the
     chain-rule factor does not exist and the construction is refused.
@@ -173,7 +178,10 @@ def pushforward_field(V, h: ExoticMap):
 
     def field(gamma):
         z = h.inverse(gamma)
-        return np.einsum("...ij,...j->...i", h.jacobian(z), np.asarray(V(z), dtype=float))
+        v = np.asarray(V(z), dtype=float)
+        r, g = h._radius(z)
+        dot = np.vecdot(g, v) - np.vecdot(g, z) * np.vecdot(z, v)
+        return r[..., None] * v + dot[..., None] * z
 
     return field
 

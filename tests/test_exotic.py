@@ -4,16 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevensphere.density import ANGLE_SPANS, GridSpec, entropy, estimate_density
-from sevensphere.exotic import (MAX_EPS, ExoticMap, RegularityError, _bump,
-                                _bump_gradient, _scale, _scale_gradient,
-                                circle_images, conjugation_gaps, entropy_on_surface,
-                                pushforward_field, write_circles_csv)
+from sevensphere.exotic import (MAX_EPS, RHO0, RHO1, ExoticMap, RegularityError, _bump,
+                                _scale, _scale_and_gradient, circle_images,
+                                conjugation_gaps, entropy_on_surface, pushforward_field,
+                                write_circles_csv)
 from sevensphere.frames import frame_eval_all, frame_field
 from sevensphere.geometry import (central_difference, chart_jacobian, gauss_legendre,
                                   random_cap_point, random_sphere_point, sphere_volume,
                                   to_cartesian, volume_element)
 
 E = np.eye(8)
+SIX_MAPS = [ExoticMap(eps, scaling) for eps in (0.0, 0.2, 0.29)
+            for scaling in ("constant", "bump-smooth")]
 
 
 def bump_map(eps=0.2):
@@ -32,17 +34,29 @@ def circle12(n=181):
 # deformation and the map itself
 # --------------------------------------------------------------------------
 
-def test_smooth_transition_derivative_is_analytic():
-    from sevensphere.exotic import _smooth_transition as ramp
-    from sevensphere.exotic import _smooth_transition_deriv
+def ramp_points(t):
+    """Sphere points cos(a) e1 + sin(a) e3 whose plane distance sin(a) sits at
+    ramp coordinate t, that is at RHO0 + t (RHO1 - RHO0)."""
+    rho = RHO0 + np.asarray(t) * (RHO1 - RHO0)
+    z = np.zeros(rho.shape + (8,))
+    z[..., 0], z[..., 2] = np.sqrt(1.0 - rho ** 2), rho
+    return z
 
+
+def test_smooth_transition_derivative_is_analytic():
+    # the gradient of 1 + eps * bump along e3 is eps psi'(t) / (RHO1 - RHO0):
+    # against a five-point stencil of the scale in t, and 0 outside the ramp
+    eps, width = 0.2, RHO1 - RHO0
     t = np.linspace(0.02, 0.98, 97)
     h = 1e-3
-    five_point = (ramp(t - 2 * h) - 8 * ramp(t - h) + 8 * ramp(t + h)
-                  - ramp(t + 2 * h)) / (12 * h)
-    np.testing.assert_allclose(_smooth_transition_deriv(t), five_point, rtol=0, atol=1e-8)
-    outside = np.array([-1.0, -1e-3, 0.0, 1.0, 1.0 + 1e-3, 2.0])
-    assert np.all(_smooth_transition_deriv(outside) == 0.0)
+    val, grad = _scale_and_gradient(eps, ramp_points(t))
+    np.testing.assert_array_equal(val, _scale(eps, ramp_points(t)))
+    scale = [_scale(eps, ramp_points(t + k * h)) for k in (-2, -1, 1, 2)]
+    five_point = (scale[0] - 8 * scale[1] + 8 * scale[2] - scale[3]) / (12 * h)
+    np.testing.assert_allclose(grad[:, 2] * width, five_point, rtol=0, atol=eps * 1e-8)
+    assert np.all(np.delete(grad, 2, axis=1) == 0.0)
+    outside = np.array([-RHO0 / width, -1e-3, 0.0, 1.0, 1.0 + 1e-3, (1.0 - RHO0) / width])
+    assert np.all(_scale_and_gradient(eps, ramp_points(outside))[1] == 0.0)
 
 
 def test_deformation_origin_rejected():
@@ -158,13 +172,38 @@ def test_pushforward_identity_map(rng):
 
 
 def test_pushforward_on_fixed_circle_matches_field():
-    # the bump vanishes on a neighbourhood of the circle, where h is the
-    # identity map, so the induced field agrees with the original one there
-    h = bump_map()
-    push = pushforward_field(frame_field(1), h)
+    # the bump vanishes on a neighbourhood of the circle, so there r = 1 and
+    # grad r = 0 exactly and the induced field is the original one, bit for
+    # bit; conjugation_gaps' frame:1 paths from e1 never leave this circle,
+    # which is why their gaps cannot see h
     _, pts = circle12(37)
-    for z in pts:
-        np.testing.assert_allclose(push(z), frame_field(1)(z), atol=1e-9)
+    for h in SIX_MAPS:
+        push = pushforward_field(frame_field(1), h)
+        gamma = h.forward(pts)
+        np.testing.assert_array_equal(push(gamma), frame_field(1)(h.inverse(gamma)))
+        for g in gamma[:3]:
+            np.testing.assert_array_equal(push(g), frame_field(1)(h.inverse(g)))
+
+
+@pytest.mark.parametrize("h", SIX_MAPS, ids=lambda h: f"{h.scaling}-{h.eps}")
+def test_pushforward_equals_jacobian_product(rng, h):
+    # the rank-one form r v + <P grad r, v> z against jacobian(z) @ v, for
+    # tangent and non-tangent unit v, at directions in the bump's ramp (where
+    # grad r != 0 and <grad r, z> != 0) and at random sphere points
+    rho = RHO0 + rng.uniform(-0.2, 1.2, (48, 1)) * (RHO1 - RHO0)
+    plane, off = rng.standard_normal((48, 2)), rng.standard_normal((48, 6))
+    plane /= np.linalg.norm(plane, axis=-1, keepdims=True)
+    off /= np.linalg.norm(off, axis=-1, keepdims=True)
+    ramp = np.hstack([np.sqrt(1.0 - rho ** 2) * plane, rho * off])
+    z = np.vstack([ramp, random_sphere_point(rng, 16)])
+    gamma = h.forward(z)
+    u = h.inverse(gamma)
+    w = random_sphere_point(rng, len(u))
+    tangent = w - np.sum(w * u, axis=-1, keepdims=True) * u
+    for v in (tangent / np.linalg.norm(tangent, axis=-1, keepdims=True), w):
+        want = np.einsum("...ij,...j->...i", h.jacobian(u), v)
+        got = pushforward_field(lambda p, v=v: v, h)(gamma)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 def test_pushforward_chain_rule_oracle(rng):
@@ -209,15 +248,19 @@ def test_surface_entropy_nonfinite_sample_rejected(rng, bad):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("route", ["inverse", "surface_point"])
+@pytest.mark.parametrize("route", ["inverse", "surface_point", "forward", "jacobian"])
 def test_map_rejects_nonfinite_point(rng, route, bad):
-    h = bump_map()
-    gammas = h.forward(random_sphere_point(rng, 3))
-    gammas[1, 2] = bad
-    with pytest.raises(ValueError, match="finite"):
-        getattr(h, route)(gammas)
-    with pytest.raises(ValueError, match="finite"):
-        getattr(h, route)(gammas[1])
+    # forward skips beta on the constant scaling, so _unit rejects the point;
+    # on bump-smooth beta's positivity check sees a NaN first; jacobian checks
+    # its points itself
+    for h in (bump_map(), ExoticMap(0.2, "bump-smooth")):
+        gammas = h.forward(random_sphere_point(rng, 3))
+        gammas[1, 2] = bad
+        match = "NaN" if route == "forward" and h.beta_eps and np.isnan(bad) else "finite"
+        with pytest.raises(ValueError, match=match):
+            getattr(h, route)(gammas)
+        with pytest.raises(ValueError, match=match):
+            getattr(h, route)(gammas[1])
 
 
 def test_pushforward_sde_vs_conjugated_flow_refines():
@@ -255,10 +298,6 @@ def gram_volume_density(h, phi):
     m = h.jacobian(to_cartesian(phi)) @ chart_jacobian(phi)
     gram = np.swapaxes(m, -1, -2) @ round_pullback(h.forward(to_cartesian(phi))) @ m
     return np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
-
-
-SIX_MAPS = [ExoticMap(eps, scaling) for eps in (0.0, 0.2, 0.29)
-            for scaling in ("constant", "bump-smooth")]
 
 
 def grid_centers(grid):
@@ -398,9 +437,16 @@ def batch_points(seed):
 def test_batched_jacobians_equal_rowwise(h, seed):
     z = batch_points(seed)
     gamma = h.forward(z)
-    checks = [(_bump_gradient, z),
-              (lambda p: _scale_gradient(h.beta_eps, p), z),
-              (lambda p: _scale_gradient(h.eps, p), z),
+
+    def scale_and_gradient(eps):  # eps = 1: the bump's own gradient
+        def fn(p):
+            val, grad = _scale_and_gradient(eps, p)
+            return np.concatenate([val[..., None], grad], axis=-1)
+        return fn
+
+    checks = [(scale_and_gradient(1.0), z),
+              (scale_and_gradient(h.beta_eps), z),
+              (scale_and_gradient(h.eps), z),
               (h.jacobian, z),
               (pushforward_field(frame_field(1), h), gamma)]
     tol = 4 * np.finfo(float).eps

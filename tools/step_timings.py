@@ -1,6 +1,7 @@
-"""Print the per-call time of each ensemble step function, and of keying one
-path's noise generator, of one checkout of this repository, in microseconds,
-the best of several timeit rounds.
+"""Print the per-call time of each ensemble step function, of keying one
+path's noise generator, and of the model surface's field pushforward and
+surface point, of one checkout of this repository, in microseconds, the best
+of several timeit rounds.
 
     python3 tools/step_timings.py /path/to/checkout [--repeat 31]
 
@@ -22,7 +23,13 @@ and the best time per call:
   in C order;
 - ``path_generator`` per path: building a new generator
   (``path_generator(seed, i)``), and re-keying an existing one in place
-  (``into=``) where the checkout has it.
+  (``into=``) where the checkout has it;
+- the field of ``exotic.pushforward_field`` (the ``frame:1`` field pushed
+  through h) and ``ExoticMap.surface_point`` (at those points moved one
+  predictor step off the surface), for the ``constant`` scaling and for
+  ``bump-smooth``, both at eps 0.2, at 8 points in C order: on the fixed
+  (z1, z2) circle, where the conjugation gaps of exotic-compare run them
+  (layout ``circle``), and at random sphere points off it (``off-circle``).
 
 At 1024 points glibc may return a step's half-megabyte temporaries to the
 system between calls, and back-to-back calls then pay page faults that an
@@ -56,6 +63,27 @@ def layouts(n_points):
     if n_points == 1:
         return [("-", lambda x: x[0])]
     return [("C", np.ascontiguousarray), ("points-last", points_last)]
+
+
+def exotic_cases(sexo, sfr):
+    """(name, points, layout, call) for the pushforward and surface points."""
+    rng = np.random.default_rng(1)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 8)
+    circle = np.zeros((8, 8))
+    circle[:, 0], circle[:, 1] = np.cos(theta), np.sin(theta)
+    off = rng.standard_normal((8, 8))
+    off /= np.linalg.norm(off, axis=-1, keepdims=True)
+    out = []
+    for scaling in ("constant", "bump-smooth"):
+        h = sexo.ExoticMap(0.2, scaling)
+        push = sexo.pushforward_field(sfr.frame_field(1), h)
+        for layout, z in (("circle", circle), ("off-circle", off)):
+            gamma = h.forward(z)
+            moved = gamma + np.sqrt(DT) * push(gamma)
+            out += [(f"pushforward {scaling}", 8, layout, lambda g=gamma, f=push: f(g)),
+                    (f"surface_point {scaling}", 8, layout,
+                     lambda m=moved, h=h: h.surface_point(m))]
+    return out
 
 
 def cases(sint, sfr):
@@ -124,12 +152,13 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
     sys.path.insert(0, str(src))
+    from sevensphere import exotic as sexo
     from sevensphere import frames as sfr
     from sevensphere import integrators as sint
 
-    print(f"{'step':<30} {'points':>6}  {'layout':<11} {'best_us':>9}")
-    for name, n_points, layout, call in cases(sint, sfr):
-        print(f"{name:<30} {n_points:>6}  {layout:<11} {best_us(call, args.repeat):9.1f}",
+    print(f"{'step':<32} {'points':>6}  {'layout':<11} {'best_us':>9}")
+    for name, n_points, layout, call in cases(sint, sfr) + exotic_cases(sexo, sfr):
+        print(f"{name:<32} {n_points:>6}  {layout:<11} {best_us(call, args.repeat):9.1f}",
               flush=True)
     return 0
 
