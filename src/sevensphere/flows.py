@@ -89,9 +89,9 @@ class IntegratedFlow:
         self.t = float(s + noise.n_steps * noise.dt)
 
     def apply(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
+        z, problem = np.asarray(z, dtype=float), self.problem
         for dw in self.noise.increments:
-            z, _ = sint.heun_stratonovich_step(self.problem, z, dw)
+            z, _ = sint.heun_stratonovich_step(problem, z, dw)  # the module attribute, as traced
         return z
 
     def invert(self) -> "IntegratedFlow":

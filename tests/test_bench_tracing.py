@@ -79,6 +79,21 @@ metrics = tracer.layer_metrics(1.0)
 got = (metrics["density.fp_residual.calls"], metrics["density.angular_fields.calls"])
 if got != (1, 2):
     sys.exit(f"traced residual and angular_fields calls: {got}, expected (1, 2)")
+
+# a re-integrated flow takes each of its steps through the traced module
+# attribute, for frame-coefficient and state-dependent fields alike
+from sevensphere import flows, frames
+
+noise = integrators.sample_brownian(6, 0.01, 1, seed=3)
+for fields in ((frames.frame_field(1),),
+               (frames.CombinedField(lambda z: np.repeat(z[..., :1], 7, axis=-1)),)):
+    before = tracer.layer_metrics(1.0)
+    flows.IntegratedFlow(integrators.SdeProblem(fields, np.eye(8)[0]), noise).apply(np.eye(8))
+    after = tracer.layer_metrics(1.0)
+    got = tuple(after[k] - before[k]
+                for k in ("integrators.step.heun.calls", "flows.integrated.steps"))
+    if got != (6, 6):
+        sys.exit(f"traced heun calls and integrated steps of one apply: {got}, expected (6, 6)")
 """
 
 

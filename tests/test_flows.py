@@ -7,6 +7,7 @@ from sevensphere.frames import CombinedField
 from sevensphere.geometry import random_sphere_point
 from sevensphere.integrators import (NoisePath, SdeProblem, frame_rotation_matrix,
                                      sample_brownian, single_frame_problem)
+from conftest import bent_assigned
 
 E = np.eye(8)
 
@@ -176,6 +177,15 @@ def test_heun_frame_roundtrip_is_exact(rng):
     flow = IntegratedFlow(brownian_problem(E[0]), noise)
     back = flow.invert().apply(flow.apply(pts))
     assert np.max(np.linalg.norm(back - pts, axis=-1)) < 1e-12
+
+
+def test_apply_rejects_noise_of_another_channel_count(rng):
+    """Three noise channels for one state-dependent field: the steps' einsum
+    summed them."""
+    problem = SdeProblem((CombinedField(bent_assigned),), E[0])
+    flow = IntegratedFlow(problem, sample_brownian(4, 0.01, 3, seed=1))
+    with pytest.raises(ValueError, match=r"shape \(3,\).* 1 channel"):
+        flow.apply(random_sphere_point(rng, 8))
 
 
 def test_one_point_motion_matches_ensemble_mean():

@@ -5,7 +5,9 @@ from sevensphere.frames import (CombinedField, FRAME_GENERATORS,
                                 frame_eval, frame_eval_all, frame_field,
                                 generator_matrix, killing_residual,
                                 lie_derivative_metric, plane_generator)
-from conftest import unit_vector
+from sevensphere.geometry import random_sphere_point
+from conftest import (assert_same_bits, bent_assigned, points_last, reference_combined,
+                      swirl, unit_vector)
 
 E = np.eye(8)
 
@@ -130,6 +132,46 @@ def test_combined_field_tangent(rng):
     for _ in range(50):
         z = unit_vector(rng)
         assert abs(np.dot(field(z), z)) <= 1e-12
+
+
+@pytest.mark.parametrize("layout", ["C", "points-last"])
+@pytest.mark.parametrize("n_points", [1, 8, 1024])
+@pytest.mark.parametrize("coeffs", [bent_assigned, swirl], ids=["bent", "swirl"])
+def test_combined_field_equals_reference_bitwise(rng, coeffs, n_points, layout):
+    """Off the sphere too: the coefficients are read at z/|z|.  One point is
+    also taken as a single 8-vector."""
+    lay = points_last if layout == "points-last" else np.asarray
+    field, reference = CombinedField(coeffs), reference_combined(coeffs)
+    z = 1.25 * random_sphere_point(rng, n_points)
+    assert_same_bits(field(lay(z)), reference(z))
+    if n_points == 1:
+        assert_same_bits(field(z[0]), reference(z[0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_combined_field_rejects_non_finite_coefficients(rng, bad):
+    """One bad coefficient, the last of the batch, is enough."""
+    def coeffs(z):
+        a = bent_assigned(z)
+        a[-1, -1] = bad
+        return a
+
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        CombinedField(coeffs)(random_sphere_point(rng, 8))
+
+
+def test_combined_field_takes_an_empty_batch():
+    field = CombinedField(bent_assigned)
+    assert field(np.empty((0, 8))).shape == (0, 8)
+
+
+@pytest.mark.parametrize("shape", [(8, 6), (7,), (1, 7), (8, 7, 1)],
+                         ids=["8x6", "7", "1x7", "8x7x1"])
+def test_combined_field_rejects_coefficients_of_another_shape(rng, shape):
+    """(7,) and (1, 7) would broadcast over 8 points without the check."""
+    field = CombinedField(lambda z: np.ones(shape))
+    with pytest.raises(ValueError, match="shape"):
+        field(random_sphere_point(rng, 8))
 
 
 def test_killing_residual_constant_coefficients(rng):

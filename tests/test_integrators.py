@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from sevensphere.integrators import (CHUNK, NOISE_BLOCK, REDUCE_BLOCK, NoisePath
                                      heun_stratonovich_step, ito_euler_step,
                                      path_generator, sample_brownian, simulate_ensemble,
                                      single_frame_problem, write_trajectories_csv)
-from conftest import unit_vector
+from conftest import (assert_same_bits, bent_assigned, points_last, reference_combined,
+                      swirl, unit_vector)
 
 E = np.eye(8)
 
@@ -779,30 +781,8 @@ def reference_ito_euler_rotation(problem, z, dw, dt):
 CLOSED_FORM_ULPS = 2
 
 
-def reference_combined(coeffs):
-    """CombinedField's value with np.linalg.norm and the frame table product."""
-    def field(z):
-        z = np.asarray(z, dtype=float)
-        a = coeffs(z / np.linalg.norm(z, axis=-1, keepdims=True))
-        u = (z @ FRAME_GENERATORS.reshape(56, 8).T).reshape(z.shape[:-1] + (7, 8))
-        return np.einsum("...m,...mi->...i", a, u)
-    return field
-
-
 def bent_stacked(z):  # z1 times the first frame field, stacked column by column
     return np.stack([z[..., 0]] + [np.zeros_like(z[..., 0])] * 6, axis=-1)
-
-
-def bent_assigned(z):  # the same coefficients written into zeros
-    a = np.zeros(z.shape[:-1] + (7,))
-    a[..., 0] = z[..., 0]
-    return a
-
-
-def swirl(z):  # a second state-dependent coefficient field
-    return np.stack([z[..., 1] * z[..., 2], np.zeros_like(z[..., 0]), z[..., 3],
-                     np.zeros_like(z[..., 0]), -z[..., 0], z[..., 5] ** 2,
-                     np.ones_like(z[..., 0])], axis=-1)
 
 
 STEP_CASES = {
@@ -818,18 +798,6 @@ STEP_CASES = {
 
 
 LINEAR_CASES = ("brownian", "frame3", "combo")  # the fields ito_euler takes
-
-
-def points_last(x):
-    """x as the transposed view of a C-order array: the points axis innermost,
-    the layout of the ensemble's state and noise."""
-    return np.ascontiguousarray(x.T).T
-
-
-def assert_same_bits(got, want):
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
-                                  np.ascontiguousarray(want).view(np.uint64))
 
 
 # the layout in the id only where it is not C order, so the C-order ids stay
@@ -871,6 +839,57 @@ def test_steps_equal_reference_formulas_bitwise(rng, scheme, case, n_points, lay
         if layout is points_last and n_points > 1 and linear:
             assert got[0].flags.f_contiguous  # linear fields keep an ensemble chunk points-last
         z = want[0]
+
+
+def test_one_field_step_keeps_the_einsum_signed_zeros(rng):
+    """At -e1, whose other coordinates are -0.0, the bent field is +0.0 off
+    its one moving coordinate.  Times a negative dw those zeros are -0.0 as a
+    plain product but +0.0 from the einsum over channels, and added to z's
+    -0.0 they leave -0.0 and +0.0: the step must take the einsum's bits."""
+    problem, reference = STEP_CASES["bent"](rng, E[0])
+    for z in (-E[0], -E[:3]):
+        for sign in (-1.0, 1.0):
+            dw = np.full(z.shape[:-1] + (1,), sign * 0.1)
+            got = heun_stratonovich_step(problem, z, dw)
+            want = reference_heun(reference, z, dw)
+            assert_same_bits(got[0], want[0])
+            assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("row", [0, 5, 7])
+def test_renorm_defect_is_nan_when_a_point_is(rng, row):
+    """The defect is the first NaN of the batch, not the largest of the
+    finite rows, wherever the NaN row sits."""
+    problem, reference = STEP_CASES["brownian"](rng, E[0])
+    z = random_sphere_point(rng, 8)
+    z[row] = np.nan
+    dw = rng.normal(0.0, 0.1, (8, 7))
+    for got in (heun_stratonovich_step(problem, z, dw), ito_euler_step(problem, z, dw, 0.01)):
+        assert np.isnan(got[1])
+        assert np.isnan(got[0][row]).all() and np.isfinite(np.delete(got[0], row, 0)).all()
+
+
+@pytest.mark.parametrize("scheme, fields, n_points, dw_shape", [
+    ("heun", ("bent",), 1, (3,)),          # the channels' sum drove the field
+    ("heun", ("bent",), 8, (8, 8)),        # likewise per point
+    ("ito_euler", ("frame1",), 1, (3,)),   # likewise
+    ("heun", ("bent", "swirl"), 1, (1,)),  # one increment drove both fields
+    ("heun", ("frame1",), 1, ()),          # no channel axis at all
+], ids=["bent-1", "bent-8", "ito-frame1", "two-field", "scalar"])
+def test_steps_reject_noise_of_another_channel_count(rng, scheme, fields, n_points, dw_shape):
+    """einsum broadcasts a size-1 channel axis, so each of these stepped
+    without an error before the steps checked dw against the fields."""
+    make = {"bent": lambda: CombinedField(bent_assigned), "swirl": lambda: CombinedField(swirl),
+            "frame1": lambda: frame_field(1)}
+    problem = SdeProblem(tuple(make[f]() for f in fields), E[0])
+    z = random_sphere_point(rng, n_points)
+    z = z[0] if n_points == 1 else z
+    dw = np.full(dw_shape, 0.1)
+    with pytest.raises(ValueError, match=rf"shape {re.escape(str(dw_shape))}.* {len(fields)} channel"):
+        if scheme == "heun":
+            heun_stratonovich_step(problem, z, dw)
+        else:
+            ito_euler_step(problem, z, dw, 0.01)
 
 
 def reference_rotation_apply(a, z):

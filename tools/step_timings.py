@@ -20,7 +20,10 @@ and the best time per call:
   points-last;
 - ``heun_stratonovich_step`` on the bent ``CombinedField`` (z1 times the
   first frame field, the state-dependent field of flow-check) at 8 points,
-  in C order;
+  in C order, and the field's own ``CombinedField.__call__`` there;
+- one ``flows.heun_refinement_residuals`` call on 8 points for each problem
+  of flow-check, the Brownian and the bent one (about 10^4 Heun steps each,
+  so these lines take at most FLOW_REPEAT rounds of one call);
 - ``path_generator`` per path: building a new generator
   (``path_generator(seed, i)``), and re-keying an existing one in place
   (``into=``) where the checkout has it;
@@ -51,6 +54,14 @@ import numpy as np
 
 DT = 0.01
 SEED, PATH = 11, 1500  # the path's key block is cached after the first call
+FLOW_REPEAT = 5  # rounds of each heun_refinement_residuals line
+
+
+def bent_coefficients(z):
+    """flow-check's bent field: z1 times the first frame field."""
+    a = np.zeros(z.shape[:-1] + (7,))
+    a[..., 0] = z[..., 0]
+    return a
 
 
 def points_last(x):
@@ -92,12 +103,6 @@ def cases(sint, sfr):
     brownian = sint.brownian_problem(np.eye(8)[0])
     frame3 = sint.single_frame_problem(3, np.eye(8)[0])
     coefficients = np.eye(7)
-
-    def bent_coefficients(z):
-        a = np.zeros(z.shape[:-1] + (7,))
-        a[..., 0] = z[..., 0]
-        return a
-
     bent = sint.SdeProblem((sfr.CombinedField(bent_coefficients),), np.eye(8)[0])
     out = []
     for n_points in (1, 8, 1024):
@@ -123,14 +128,28 @@ def cases(sint, sfr):
                  lambda zl=zl, dwl=dwl: sint.ito_euler_step(frame3, zl, dwl, DT)),
             ]
         if n_points == 8:
-            out.append(("heun_stratonovich_step bent", n_points, "C",
-                        lambda z=z, dw=dw[:, :1]: sint.heun_stratonovich_step(bent, z, dw)))
+            out += [("heun_stratonovich_step bent", n_points, "C",
+                     lambda z=z, dw=dw[:, :1]: sint.heun_stratonovich_step(bent, z, dw)),
+                    ("CombinedField bent", n_points, "C",
+                     lambda z=z, f=bent.diffusion_fields[0]: f(z))]
     out.append(("path_generator new", 1, "-", lambda: sint.path_generator(SEED, PATH)))
     if "into" in inspect.signature(sint.path_generator).parameters:
         rng = sint.path_generator(SEED, 0)
         out.append(("path_generator into", 1, "-",
                     lambda: sint.path_generator(SEED, PATH, into=rng)))
     return out
+
+
+def flow_cases(sint, sfr, sflow):
+    """(name, points, layout, call): one refinement per flow-check problem."""
+    rng = np.random.default_rng(2)
+    z = rng.standard_normal((8, 8))
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    return [(f"heun_refinement_residuals {name}", 8, "C",
+             lambda p=problem: sflow.heun_refinement_residuals(p, z, SEED))
+            for name, problem in (
+                ("brownian", sint.brownian_problem(z[0])),
+                ("bent", sint.SdeProblem((sfr.CombinedField(bent_coefficients),), z[0])))]
 
 
 def best_us(call, repeat):
@@ -153,12 +172,15 @@ def main(argv=None) -> int:
         parser.error("--repeat must be >= 1")
     sys.path.insert(0, str(src))
     from sevensphere import exotic as sexo
+    from sevensphere import flows as sflow
     from sevensphere import frames as sfr
     from sevensphere import integrators as sint
 
-    print(f"{'step':<32} {'points':>6}  {'layout':<11} {'best_us':>9}")
-    for name, n_points, layout, call in cases(sint, sfr) + exotic_cases(sexo, sfr):
-        print(f"{name:<32} {n_points:>6}  {layout:<11} {best_us(call, args.repeat):9.1f}",
+    lines = [(case, args.repeat) for case in cases(sint, sfr) + exotic_cases(sexo, sfr)]
+    lines += [(case, min(args.repeat, FLOW_REPEAT)) for case in flow_cases(sint, sfr, sflow)]
+    print(f"{'step':<36} {'points':>6}  {'layout':<11} {'best_us':>9}")
+    for (name, n_points, layout, call), repeat in lines:
+        print(f"{name:<36} {n_points:>6}  {layout:<11} {best_us(call, repeat):9.1f}",
               flush=True)
     return 0
 
