@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrators as sint
-from .geometry import (ANGLE_UPPER as ANGLE_SPANS, N_ANGLES, chart_jacobian,
+from .frames import frame_eval_all
+from .geometry import (ANGLE_UPPER as ANGLE_SPANS, N_ANGLES, chart_jacobian, row_norms,
                        sin_power_integral, sphere_volume, to_cartesian, to_spherical,
                        volume_element)
 
@@ -232,13 +233,22 @@ class WeakCheckReport:
 
 def _generator_apply(problem: sint.SdeProblem, f, states, h: float = 1e-4):
     """(L f)(z) for a batch of points via second differences along the
-    channel flows."""
+    channel flows.
+
+    The frame values and f(z) are taken once per batch.  Each channel's pair
+    z +- = cos|a| z +- sinc(|a|/pi) K z, a = h c, has the bits of
+    ``frame_rotation_apply(+-a, z)``: negating a negates K z exactly and
+    keeps |a|."""
     states = np.asarray(states, dtype=float)
+    u = frame_eval_all(states)
+    f0 = 2.0 * f(states)
     out = np.zeros(states.shape[:-1])
     for c in problem.frame_coefficients:
-        zp = sint.frame_rotation_apply(h * c, states)
-        zm = sint.frame_rotation_apply(-h * c, states)
-        out = out + (f(zp) - 2.0 * f(states) + f(zm)) / h ** 2
+        a = h * c
+        kz = np.einsum("...m,...mi->...i", a, u)
+        w = row_norms(a)
+        cz, skz = np.cos(w) * states, np.sinc(w / np.pi) * kz
+        out = out + (f(cz + skz) - f0 + f(cz - skz)) / h ** 2
     return 0.5 * out
 
 

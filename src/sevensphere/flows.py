@@ -80,9 +80,15 @@ class RotationFlow:
 
 
 class IntegratedFlow:
-    """Flow over [s, t] evaluated by Heun re-integration of a stored noise path."""
+    """Flow over [s, t] evaluated by Heun re-integration of a stored noise path
+    of at least one step, one channel per field of the problem."""
 
     def __init__(self, problem: SdeProblem, noise: NoisePath, s: float = 0.0):
+        if noise.n_channels != problem.n_channels:
+            raise ValueError(f"noise has {noise.n_channels} channel(s), the problem "
+                             f"{problem.n_channels}")
+        if noise.n_steps < 1:
+            raise ValueError("noise must have at least one step")
         self.problem = problem
         self.noise = noise
         self.s = float(s)

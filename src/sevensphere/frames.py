@@ -147,23 +147,25 @@ def killing_residual(field: CombinedField, z, h: float = 1e-5) -> np.ndarray:
 
 def lie_derivative_metric(V, z, h: float = 1e-5) -> np.ndarray:
     """Finite-difference Lie derivative of the flat metric along V, restricted
-    to the tangent plane at z.
+    to the tangent plane at z; (..., 8, 8) for points z (..., 8).
 
-    V must be tangent at z (rejected otherwise).  Off-sphere values are read
-    at normalized points; the symmetrized ambient Jacobian is then compressed
-    with the tangent projector, which removes the spurious radial terms of
-    that extension.  Zero (up to finite-difference noise) iff V is Killing.
+    V must be tangent at every z (rejected otherwise).  Off-sphere values are
+    read at normalized points; the symmetrized ambient Jacobian is then
+    compressed with the tangent projector, which removes the spurious radial
+    terms of that extension.  Zero (up to finite-difference noise) iff V is
+    Killing.  Each point's matrix has the bits of a call at that point alone:
+    sqrt(vecdot) is np.linalg.norm's arithmetic on one 8-vector.
     """
     z = np.asarray(z, dtype=float)
     v0 = np.asarray(V(z), dtype=float)
     if not np.all(np.isfinite(v0)):
         raise FloatingPointError("vector field returned non-finite values")
-    radial = abs(float(np.dot(v0, z)))
+    radial = float(np.max(np.abs(np.vecdot(v0, z))))
     if radial > 1e-8:
         raise ValueError(f"field is not tangent at z: <z, V(z)> = {radial:.3e}")
-    jac = central_difference(lambda y: V(y / np.linalg.norm(y)), z, h)
-    sym = jac + jac.T
-    proj = np.eye(DIM) - np.outer(z, z)
+    jac = central_difference(lambda y: V(y / np.sqrt(np.vecdot(y, y))[..., None]), z, h)
+    sym = jac + np.swapaxes(jac, -1, -2)
+    proj = np.eye(DIM) - z[..., :, None] * z[..., None, :]
     return proj @ sym @ proj
 
 

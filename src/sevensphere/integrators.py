@@ -275,6 +275,8 @@ class SdeProblem:
 
     def __post_init__(self):
         self.diffusion_fields = tuple(self.diffusion_fields)
+        if not self.diffusion_fields:
+            raise ValueError("an SDE problem needs at least one diffusion field")
         self.initial = np.asarray(self.initial, dtype=float)
         if self.initial.shape != (DIM,):
             raise ValueError("initial point must be an 8-vector")
@@ -324,7 +326,7 @@ def _stack(fields, attr):
     """The array attribute ``attr`` of every field, stacked along a new first
     axis; None when any field lacks it."""
     vals = [getattr(f, attr, None) for f in fields]
-    if not vals or any(v is None for v in vals):
+    if any(v is None for v in vals):
         return None
     return np.array(vals, dtype=float)
 
@@ -537,9 +539,10 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
     regardless of ``threads``.
 
     ``initial_points`` (n_paths, 8) overrides the problem's single initial
-    point.  The exact rotation scheme requires every field to carry constant
-    frame ``coefficients`` and the Ito-Euler scheme a ``generator``; both
-    reject state-dependent problems.
+    point; like it, each row must be finite and on the unit sphere to 1e-10.
+    The exact rotation scheme requires every field to carry constant frame
+    ``coefficients`` and the Ito-Euler scheme a ``generator``; both reject
+    state-dependent problems.
 
     Without ``reduce`` the work items are the fixed path ranges
     lo + [0, CHUNK), each writing its slice of the returned ``states``.
@@ -573,6 +576,12 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
         initial_points = np.asarray(initial_points, dtype=float)
         if initial_points.shape != (n_paths, DIM):
             raise ValueError("initial_points must have shape (n_paths, 8)")
+        for lo in range(0, n_paths, CHUNK):  # SdeProblem.initial's rule, a CHUNK at a time
+            on = np.abs(row_norms(initial_points[lo:lo + CHUNK]) - 1.0) <= 1e-10  # NaN: False
+            if not on.all():
+                i = lo + int(np.argmin(on))
+                raise ValueError(f"initial_points row {i} is not a finite point on the unit "
+                                 f"sphere: {initial_points[i]}")
     save_idx, times = _save_indices(n_steps, dt, save_times)
     saved = (len(save_idx), DIM)
     states = np.empty((n_paths, *saved)) if reduce is None else None

@@ -9,8 +9,10 @@ from sevensphere.density import (SIN_POWERS, WEAK_SAVES, WEAK_SLICE, GridSpec,
 from sevensphere.geometry import (ANGLE_UPPER, chart_jacobian, random_cap_point,
                                   random_sphere_point, sin_power_integral, sphere_volume,
                                   to_cartesian, to_spherical)
-from sevensphere.integrators import (REDUCE_BLOCK, brownian_problem, simulate_ensemble,
+from sevensphere.integrators import (REDUCE_BLOCK, brownian_problem, combination_problem,
+                                     frame_rotation_apply, simulate_ensemble,
                                      single_frame_problem)
+from conftest import assert_same_bits
 
 E = np.eye(8)
 
@@ -435,6 +437,38 @@ def test_streamed_weak_check_equals_kept_states_bitwise(threads):
         problem, f, 0.01, WEAK_STREAM_PATHS, 1e-3, 41)
 
 
+def reference_generator_apply(problem, f, states, h=1e-4):
+    """(L f)(z) by the per-channel second difference along
+    frame_rotation_apply(+-h c), the form _generator_apply takes in one
+    frame product per batch."""
+    out = np.zeros(states.shape[:-1])
+    for c in problem.frame_coefficients:
+        zp = frame_rotation_apply(h * c, states)
+        zm = frame_rotation_apply(-h * c, states)
+        out = out + (f(zp) - 2.0 * f(states) + f(zm)) / h ** 2
+    return 0.5 * out
+
+
+@pytest.mark.parametrize("problem", [
+    brownian_problem(E[0]), single_frame_problem(3, E[0]),
+    combination_problem(np.array([0.5, -1.0, 0, 2.0, 0, 0, 0.25]), E[0])],
+    ids=["full", "frame:3", "combo"])
+def test_generator_apply_equals_per_channel_rotations_bitwise(problem):
+    rng = np.random.default_rng(43)
+    states = random_sphere_point(rng, WEAK_SLICE * WEAK_SAVES).reshape(
+        WEAK_SLICE, WEAK_SAVES, 8)
+    states[:5] = E[0]  # rows at e_1, where every path starts
+
+    def f(z):
+        return z[..., 0] * z[..., 1] + z[..., 2] ** 2 - z[..., 0]
+
+    assert_same_bits(_generator_apply(problem, f, states),
+                     reference_generator_apply(problem, f, states))
+    at_e1 = states[:5]
+    assert_same_bits(_generator_apply(problem, f, at_e1),
+                     reference_generator_apply(problem, f, at_e1))
+
+
 def test_weak_check_quadratic_single_field_vs_gaussian_oracle():
     # f = (z1)^2 under the single rotation field: exact value by averaging the
     # closed-form rotation over the 1D Gaussian increment (quadrature oracle)
@@ -445,7 +479,6 @@ def test_weak_check_quadratic_single_field_vs_gaussian_oracle():
     rep = generator_weak_check(problem, lambda z: np.asarray(z)[..., 0] ** 2,
                                t=t, n_paths=20000, dt=2.5e-3, seed=31)
     assert abs(rep.martingale_mean) <= 3.0 * rep.stderr
-    from sevensphere.integrators import frame_rotation_apply
     nodes, weights = np.polynomial.hermite_e.hermegauss(61)
     w = nodes * np.sqrt(t)
     coeff = np.zeros((len(w), 7))

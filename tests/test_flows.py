@@ -179,13 +179,19 @@ def test_heun_frame_roundtrip_is_exact(rng):
     assert np.max(np.linalg.norm(back - pts, axis=-1)) < 1e-12
 
 
-def test_apply_rejects_noise_of_another_channel_count(rng):
+def test_construction_rejects_noise_of_another_channel_count():
     """Three noise channels for one state-dependent field: the steps' einsum
-    summed them."""
+    summed them, and with no steps the flow applied as the identity."""
     problem = SdeProblem((CombinedField(bent_assigned),), E[0])
-    flow = IntegratedFlow(problem, sample_brownian(4, 0.01, 3, seed=1))
-    with pytest.raises(ValueError, match=r"shape \(3,\).* 1 channel"):
-        flow.apply(random_sphere_point(rng, 8))
+    for n_steps in (4, 0):
+        noise = NoisePath(0.01, np.ones((n_steps, 3)))
+        with pytest.raises(ValueError, match=r"noise has 3 channel\(s\), the problem 1"):
+            IntegratedFlow(problem, noise)
+
+
+def test_construction_rejects_noise_without_steps():
+    with pytest.raises(ValueError, match="at least one step"):
+        IntegratedFlow(single_frame_problem(1, E[0]), NoisePath(0.01, np.zeros((0, 1))))
 
 
 def test_one_point_motion_matches_ensemble_mean():

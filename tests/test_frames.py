@@ -5,7 +5,7 @@ from sevensphere.frames import (CombinedField, FRAME_GENERATORS,
                                 frame_eval, frame_eval_all, frame_field,
                                 generator_matrix, killing_residual,
                                 lie_derivative_metric, plane_generator)
-from sevensphere.geometry import random_sphere_point
+from sevensphere.geometry import central_difference, random_sphere_point
 from conftest import (assert_same_bits, bent_assigned, points_last, reference_combined,
                       swirl, unit_vector)
 
@@ -222,6 +222,38 @@ def test_lie_derivative_additive_combination(rng):
     for _ in range(20):
         z = unit_vector(rng)
         assert np.max(np.abs(lie_derivative_metric(two, z))) < 1e-6
+
+
+def reference_lie_derivative(V, z, h=1e-5):
+    """The single-point formula the batched form keeps, bit for bit."""
+    jac = central_difference(lambda y: V(y / np.linalg.norm(y)), z, h)
+    proj = np.eye(8) - np.outer(z, z)
+    return proj @ (jac + jac.T) @ proj
+
+
+def test_batched_lie_derivative_equals_single_point_calls_bitwise(rng):
+    fields = [frame_field(mu) for mu in range(1, 8)]
+    fields.append(CombinedField.constant(rng.standard_normal(7)))
+    pts = random_sphere_point(rng, 25)
+    for field in fields:
+        batch = lie_derivative_metric(field, pts)
+        assert_same_bits(batch, np.stack([lie_derivative_metric(field, z) for z in pts]))
+        assert_same_bits(batch, np.stack([reference_lie_derivative(field, z) for z in pts]))
+
+
+def test_batched_lie_derivative_rejects_one_non_tangent_row(rng):
+    """V = J_1 z + z_1 z is tangent where z_1 = 0: every row but one."""
+    pts = random_sphere_point(rng, 25)
+    pts[:, 0] = 0.0
+    pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+    pts[17] = E[0]
+
+    def field(z):
+        return frame_eval(1, z) + z[..., :1] * z
+
+    lie_derivative_metric(field, np.delete(pts, 17, axis=0))
+    with pytest.raises(ValueError, match="not tangent"):
+        lie_derivative_metric(field, pts)
 
 
 def test_lie_derivative_rejects_radial(rng):

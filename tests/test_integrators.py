@@ -466,6 +466,28 @@ def test_ensemble_rejects_bad_sizes_before_any_work(bad):
         simulate_ensemble(single_frame_problem(1, E[0]), seed=1, **sizes)
 
 
+@pytest.mark.parametrize("row, start", [
+    (0, np.full(8, np.nan)), (CHUNK + 5, np.full(8, 2.0)), (CHUNK + 5, np.r_[np.inf, np.zeros(7)]),
+    (3, (1.0 + 2e-10) * E[0])], ids=["nan", "norm-5.66", "inf", "norm-1+2e-10"])
+def test_ensemble_rejects_start_points_off_the_sphere(row, start):
+    """At SdeProblem.initial's 1e-10: NaN starts had run to NaN states and
+    all-2 starts to states of norm 5.66, without an error."""
+    starts = random_sphere_point(np.random.default_rng(9), CHUNK + 8)
+    starts[row] = start
+    with pytest.raises(ValueError, match=f"initial_points row {row} is not a finite point"):
+        simulate_ensemble(single_frame_problem(1, E[0]), CHUNK + 8, 2, 0.01, seed=1,
+                          initial_points=starts)
+    starts[row] = (1.0 + 5e-11) * E[0]  # within the rule
+    result = simulate_ensemble(single_frame_problem(1, E[0]), CHUNK + 8, 2, 0.01, seed=1,
+                               initial_points=starts)
+    assert np.isfinite(result.states).all()
+
+
+def test_problem_rejects_empty_field_tuple():
+    with pytest.raises(ValueError, match="at least one diffusion field"):
+        SdeProblem((), E[0])
+
+
 def test_shared_channel_combination_matches_single_generator(rng):
     c = np.array([0.6, 0, 0, 0.8, 0, 0, 0])
     z0 = unit_vector(rng)
