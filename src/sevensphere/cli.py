@@ -244,7 +244,7 @@ def _run_frame_verify(cfg, outdir, summary):
 
 
 def _run_simulate(cfg, outdir, summary):
-    initial = _e1()
+    initial = np.eye(8)[0]
     problem = _problem_from_field(cfg.field, initial)
     n_steps = cfg.n_steps
     save = np.linspace(0.0, n_steps * cfg.dt, min(n_steps + 1, 11))
@@ -266,6 +266,17 @@ def _run_simulate(cfg, outdir, summary):
     path = f"{outdir}/trajectories.csv"
     sint.write_trajectories_csv(result, path)
     summary.artifacts.append(path)
+
+
+_J1_T, _ZERO = sfr.generator_matrix(1).T, np.array(0.0)  # 0.0 as 0-d: no conversion per call
+
+
+def bent_field(z):
+    """flow-check's state-dependent field (z1/|z|) U_1(z), with the bits of
+    CombinedField over the coefficients (z1, 0, ..., 0): U_1 z is a signed
+    permutation, the six 0 * U_mu terms are signed zeros, and + 0.0 turns
+    -0.0 to +0.0 as that einsum's sum from +0.0 does."""
+    return z[..., :1] / sgeo.row_norms(z) * (z @ _J1_T) + _ZERO
 
 
 def _run_flow_check(cfg, outdir, summary):
@@ -297,14 +308,8 @@ def _run_flow_check(cfg, outdir, summary):
     dec = max(residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1))
     summary.add("heun_compose_refinement_ratio", dec, 1.0)
 
-    def bent_coefficients(z):  # z1 times the first frame field
-        a = np.zeros(z.shape[:-1] + (7,))
-        a[..., 0] = z[..., 0]
-        return a
-
-    bent = sfr.CombinedField(bent_coefficients)
-    state_dep = sint.SdeProblem((bent,), pts[0])
-    _, roundtrips = sflow.heun_refinement_residuals(state_dep, pts[:8], cfg.seed)
+    _, roundtrips = sflow.heun_refinement_residuals(
+        sint.SdeProblem((bent_field,), pts[0]), pts[:8], cfg.seed)
     dec_rt = max(roundtrips[i + 1] / roundtrips[i] for i in range(len(roundtrips) - 1))
     summary.add("heun_roundtrip_refinement_ratio", dec_rt, 1.0)
     path = f"{outdir}/flow_residuals.csv"
@@ -329,7 +334,7 @@ def entropy_grid_bins(n_samples: int) -> int:
 
 def _run_entropy(cfg, outdir, summary):
     rng = np.random.default_rng(cfg.seed)
-    center = _e1()
+    center = np.eye(8)[0]
     starts = sgeo.random_cap_point(rng, center, 0.1, cfg.n_paths)
     problem = sint.brownian_problem(center)
     grid = sdens.GridSpec.uniform(cfg.grid_bins or entropy_grid_bins(cfg.n_paths))
@@ -368,14 +373,14 @@ def _run_entropy(cfg, outdir, summary):
 def _run_fp_check(cfg, outdir, summary):
     rng = np.random.default_rng(cfg.seed)
     p_uniform = sdens.uniform_density()
-    names = {"frame:1": sint.single_frame_problem(1, _e1()),
-             "full": sint.brownian_problem(_e1())}
+    names = {"frame:1": sint.single_frame_problem(1, np.eye(8)[0]),
+             "full": sint.brownian_problem(np.eye(8)[0])}
     points = _interior_points(rng, 12)
     for label, problem in names.items():
         res = max(abs(sdens.fokker_planck_residual(p_uniform, problem, phi))
                   for phi in points)
         summary.add(f"fp_uniform_residual_{label.replace(':', '')}", res, 1e-3)
-    report = sdens.generator_weak_check(sint.brownian_problem(_e1()),
+    report = sdens.generator_weak_check(sint.brownian_problem(np.eye(8)[0]),
                                         lambda z: np.asarray(z)[..., 0],
                                         t=0.1, n_paths=cfg.n_paths, dt=1e-3,
                                         seed=cfg.seed, threads=cfg.threads)
@@ -390,12 +395,6 @@ def _run_fp_check(cfg, outdir, summary):
                       [abs(sdens.fokker_planck_residual(p_uniform, names["full"], phi))
                        for phi in points]])
     summary.artifacts.append(path)
-
-
-def _e1():
-    e = np.zeros(8)
-    e[0] = 1.0
-    return e
 
 
 def _circle12(thetas):
@@ -423,7 +422,7 @@ def _run_exotic_compare(cfg, outdir, summary):
                 float(np.max(sgeo.row_norms(h.forward(circle) - circle))),
                 1e-12)
     # paired entropy: the sides differ only where h^{-1}(h(z)) rounds across a bin edge
-    center = _e1()
+    center = np.eye(8)[0]
     starts = sgeo.random_cap_point(rng, center, 0.5, cfg.n_paths)
     problem = sint.brownian_problem(center)
     result = sint.simulate_ensemble(problem, cfg.n_paths, cfg.n_steps, cfg.dt, cfg.seed,

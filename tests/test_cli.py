@@ -9,6 +9,11 @@ import numpy as np
 import pytest
 
 from sevensphere import cli
+from sevensphere.flows import heun_refinement_residuals
+from sevensphere.frames import CombinedField
+from sevensphere.geometry import random_sphere_point
+from sevensphere.integrators import SdeProblem, heun_stratonovich_step
+from conftest import assert_same_bits, bent_assigned, points_last
 
 
 def write_config(tmp_path, text):
@@ -299,9 +304,9 @@ def entropy_config(n_paths, grid_bins, threads, dt=0.05):
 
 def entropy_from_stored_states(cfg):
     """The entropy series binned from the whole ensemble's stored states."""
-    starts = cli.sgeo.random_cap_point(np.random.default_rng(cfg.seed), cli._e1(), 0.1,
+    starts = cli.sgeo.random_cap_point(np.random.default_rng(cfg.seed), np.eye(8)[0], 0.1,
                                        cfg.n_paths)
-    result = cli.sint.simulate_ensemble(cli.sint.brownian_problem(cli._e1()), cfg.n_paths,
+    result = cli.sint.simulate_ensemble(cli.sint.brownian_problem(np.eye(8)[0]), cfg.n_paths,
                                         cfg.n_steps, cfg.dt, cfg.seed,
                                         scheme="exact_rotation",
                                         save_times=np.array(cli.ENTROPY_TIMES),
@@ -378,3 +383,62 @@ def test_streamed_entropy_memory_does_not_grow_with_paths(tmp_path):
             tracemalloc.stop()
     slack = 16 * cli.sint.CHUNK * 16 + len(cli.ENTROPY_TIMES) * 3 ** 7 * 16
     assert peaks[16384] - peaks[4096] < 64 * (16384 - 4096) + slack, peaks
+
+
+# --------------------------------------------------------------------------
+# flow-check's bent field
+# --------------------------------------------------------------------------
+
+E = np.eye(8)
+BENT_LAYOUTS = pytest.mark.parametrize("n_points, layout", [
+    (1, "C"), (8, "C"), (1024, "C"), (8, "points-last"), (1024, "points-last")])
+
+
+def bent_points(rng, n_points):
+    """Random sphere points; a batch has rows at e1 and -e1, where the
+    field's zero coordinates come out as +0.0 and -0.0 before its + 0.0."""
+    z = random_sphere_point(rng, n_points)
+    if n_points > 1:
+        z[:2] = E[0], -E[0]
+    return z
+
+
+@BENT_LAYOUTS
+def test_bent_field_equals_combined_field_bitwise(n_points, layout):
+    """On the sphere and at the off-sphere predictor points z + V(z) dw that
+    the Heun step evaluates it at; one point also as a single 8-vector."""
+    rng = np.random.default_rng(n_points)
+    lay = points_last if layout == "points-last" else np.asarray
+    reference = CombinedField(bent_assigned)
+    z = bent_points(rng, n_points)
+    moved = z + reference(z) * rng.normal(0.0, 0.3, (n_points, 1)) + 0.0
+    for pts in (z, moved, -z):
+        assert_same_bits(cli.bent_field(lay(pts)), reference(pts))
+    if n_points == 1:
+        for pt in (z[0], moved[0], E[0], -E[0]):
+            assert_same_bits(cli.bent_field(pt), reference(pt))
+
+
+@BENT_LAYOUTS
+def test_bent_heun_steps_equal_combined_field_steps_bitwise(n_points, layout):
+    rng = np.random.default_rng(100 + n_points)
+    lay = points_last if layout == "points-last" else np.asarray
+    problem = SdeProblem((cli.bent_field,), E[0])
+    reference = SdeProblem((CombinedField(bent_assigned),), E[0])
+    z = bent_points(rng, n_points)
+    for _ in range(4):
+        dw = rng.normal(0.0, 0.1, (n_points, 1))
+        got = heun_stratonovich_step(problem, lay(z), lay(dw))
+        want = heun_stratonovich_step(reference, z, dw)
+        assert_same_bits(got[0], want[0])
+        assert got[1] == want[1]
+        z = want[0]
+
+
+def test_bent_refinement_residuals_equal_combined_field_ones():
+    """flow-check's round-trip residuals, every Heun step of them."""
+    pts = random_sphere_point(np.random.default_rng(7), 8)
+    got = heun_refinement_residuals(SdeProblem((cli.bent_field,), pts[0]), pts, 11)
+    want = heun_refinement_residuals(SdeProblem((CombinedField(bent_assigned),), pts[0]),
+                                     pts, 11)
+    assert got == want

@@ -173,15 +173,28 @@ def exact_step_mean_factor(dt):
     return np.exp(-dt / 2) * (1.0 - 3.0 * dt + dt ** 2 - dt ** 3 / 15.0)
 
 
-@pytest.mark.parametrize("dt", [1e-3, 1e-2, 5e-2])
+@pytest.mark.parametrize("dt", [1e-3, 1e-2, 0.02, 5e-2, 0.1])
 def test_exact_step_mean_factor_matches_quadrature(dt):
-    # the step angle over seven channels is sqrt(dt) chi_7
+    # the step angle over seven channels is sqrt(dt) chi_7; measured
+    # agreement is within 4e-16 at every dt here
     def integrand(r):
         return (np.cos(np.sqrt(dt) * r) * r ** 6 * np.exp(-r * r / 2)
                 / (2 ** 2.5 * special.gamma(3.5)))
 
     quad, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
-    assert abs(quad - exact_step_mean_factor(dt)) < 1e-12
+    assert abs(quad - exact_step_mean_factor(dt)) < 1e-14
+
+
+def test_exact_step_ensemble_mean_contracts_by_the_stated_factor():
+    """Five full-frame steps at dt 0.1 from e1: the mean of z1 is the
+    docstring's factor to the fifth, 0.1405, not the continuous law's
+    e^{-7t/2} = 0.1738 at t = 0.5, which lies 12-15 SE away at this size."""
+    result = simulate_ensemble(brownian_problem(E[0]), 20000, 5, 0.1, seed=1,
+                               scheme="exact_rotation")
+    z1 = result.final_states[:, 0]
+    mean, se = z1.mean(), z1.std(ddof=1) / np.sqrt(z1.size)
+    assert abs(mean - exact_step_mean_factor(0.1) ** 5) <= 4.0 * se
+    assert abs(mean - np.exp(-3.5 * 0.5)) > 4.0 * se
 
 
 @pytest.mark.parametrize("dt, rel_err", [(1e-2, -0.0350), (1e-3, -0.0035)])

@@ -18,9 +18,11 @@ and the best time per call:
 - ``heun_stratonovich_step`` and ``ito_euler_step`` on the single-channel
   ``frame:3`` problem (an 8-column generator table) at 8 and 1024 points,
   points-last;
-- ``heun_stratonovich_step`` on the bent ``CombinedField`` (z1 times the
-  first frame field, the state-dependent field of flow-check) at 8 points,
-  in C order, and the field's own ``CombinedField.__call__`` there;
+- ``heun_stratonovich_step`` on flow-check's bent field (z1 times the
+  first frame field) at 8 points, in C order, and the field's own call
+  there: ``cli.bent_field``, or in a checkout without it the
+  ``CombinedField`` its flow-check built; and, as the library reference,
+  the same field through ``CombinedField`` with a coefficient function;
 - one ``flows.heun_refinement_residuals`` call on 8 points for each problem
   of flow-check, the Brownian and the bent one (about 10^4 Heun steps each,
   so these lines take at most FLOW_REPEAT rounds of one call);
@@ -57,11 +59,16 @@ SEED, PATH = 11, 1500  # the path's key block is cached after the first call
 FLOW_REPEAT = 5  # rounds of each heun_refinement_residuals line
 
 
-def bent_coefficients(z):
-    """flow-check's bent field: z1 times the first frame field."""
+def first_coordinate(z):
+    """Coefficients (z1, 0, ..., 0): z1 times the first frame field."""
     a = np.zeros(z.shape[:-1] + (7,))
     a[..., 0] = z[..., 0]
     return a
+
+
+def bent_field(scli, sfr):
+    """flow-check's bent field as the checkout builds it."""
+    return getattr(scli, "bent_field", None) or sfr.CombinedField(first_coordinate)
 
 
 def points_last(x):
@@ -97,13 +104,14 @@ def exotic_cases(sexo, sfr):
     return out
 
 
-def cases(sint, sfr):
+def cases(sint, sfr, scli):
     """(step name, points, layout, zero-argument call) for every line."""
     rng = np.random.default_rng(0)
     brownian = sint.brownian_problem(np.eye(8)[0])
     frame3 = sint.single_frame_problem(3, np.eye(8)[0])
     coefficients = np.eye(7)
-    bent = sint.SdeProblem((sfr.CombinedField(bent_coefficients),), np.eye(8)[0])
+    bent = sint.SdeProblem((bent_field(scli, sfr),), np.eye(8)[0])
+    library = sfr.CombinedField(first_coordinate)
     out = []
     for n_points in (1, 8, 1024):
         z = rng.standard_normal((n_points, 8))
@@ -130,8 +138,9 @@ def cases(sint, sfr):
         if n_points == 8:
             out += [("heun_stratonovich_step bent", n_points, "C",
                      lambda z=z, dw=dw[:, :1]: sint.heun_stratonovich_step(bent, z, dw)),
-                    ("CombinedField bent", n_points, "C",
-                     lambda z=z, f=bent.diffusion_fields[0]: f(z))]
+                    ("bent field", n_points, "C",
+                     lambda z=z, f=bent.diffusion_fields[0]: f(z)),
+                    ("CombinedField z1 U1", n_points, "C", lambda z=z: library(z))]
     out.append(("path_generator new", 1, "-", lambda: sint.path_generator(SEED, PATH)))
     if "into" in inspect.signature(sint.path_generator).parameters:
         rng = sint.path_generator(SEED, 0)
@@ -140,7 +149,7 @@ def cases(sint, sfr):
     return out
 
 
-def flow_cases(sint, sfr, sflow):
+def flow_cases(sint, sfr, sflow, scli):
     """(name, points, layout, call): one refinement per flow-check problem."""
     rng = np.random.default_rng(2)
     z = rng.standard_normal((8, 8))
@@ -149,7 +158,7 @@ def flow_cases(sint, sfr, sflow):
              lambda p=problem: sflow.heun_refinement_residuals(p, z, SEED))
             for name, problem in (
                 ("brownian", sint.brownian_problem(z[0])),
-                ("bent", sint.SdeProblem((sfr.CombinedField(bent_coefficients),), z[0])))]
+                ("bent", sint.SdeProblem((bent_field(scli, sfr),), z[0])))]
 
 
 def best_us(call, repeat):
@@ -171,13 +180,15 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
     sys.path.insert(0, str(src))
+    from sevensphere import cli as scli
     from sevensphere import exotic as sexo
     from sevensphere import flows as sflow
     from sevensphere import frames as sfr
     from sevensphere import integrators as sint
 
-    lines = [(case, args.repeat) for case in cases(sint, sfr) + exotic_cases(sexo, sfr)]
-    lines += [(case, min(args.repeat, FLOW_REPEAT)) for case in flow_cases(sint, sfr, sflow)]
+    lines = [(case, args.repeat) for case in cases(sint, sfr, scli) + exotic_cases(sexo, sfr)]
+    lines += [(case, min(args.repeat, FLOW_REPEAT))
+              for case in flow_cases(sint, sfr, sflow, scli)]
     print(f"{'step':<36} {'points':>6}  {'layout':<11} {'best_us':>9}")
     for (name, n_points, layout, call), repeat in lines:
         print(f"{name:<36} {n_points:>6}  {layout:<11} {best_us(call, repeat):9.1f}",
