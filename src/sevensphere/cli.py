@@ -356,6 +356,7 @@ def _run_entropy(cfg, outdir, summary):
     summary.counters["max_renorm_defect"] = result.max_renorm_defect
     reports = [sdens.entropy(sdens.counted_density(grid, *counts, cfg.n_paths), t=t)
                for counts, t in zip(binned, ENTROPY_TIMES)]
+    summary.counters["n_occupied"] = [r.n_occupied for r in reports]  # per ENTROPY_TIMES
     worst_drop = 0.0
     for a, b in zip(reports, reports[1:]):
         band = 2.0 * np.hypot(a.stderr, b.stderr)
@@ -433,6 +434,8 @@ def _run_exotic_compare(cfg, outdir, summary):
     grid = sdens.GridSpec.uniform(cfg.grid_bins or entropy_grid_bins(cfg.n_paths))
     sphere_side = sdens.entropy(sdens.estimate_density(samples, grid))
     surface_side = sexo.entropy_on_surface(h.forward(samples), grid)
+    summary.counters["n_occupied_sphere"] = sphere_side.n_occupied
+    summary.counters["n_occupied_surface"] = surface_side.n_occupied
     gap = abs(sphere_side.S - surface_side.S)
     band = 2.0 * max(np.hypot(sphere_side.stderr, surface_side.stderr), 1e-3)
     summary.add("paired_entropy_gap_over_band", gap / band, 1.0)

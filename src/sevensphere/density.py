@@ -262,6 +262,8 @@ def generator_weak_check(problem: sint.SdeProblem, f, t: float, n_paths: int,
     keeps only f(z_t) and the integral per path, each written to the path's
     own slot, so no saved state outlives its block.
     """
+    if n_paths < 2:
+        raise ValueError(f"the weak check's standard error needs n_paths >= 2, got {n_paths}")
     n_steps = int(round(t / dt))
     save = np.linspace(0.0, n_steps * dt, WEAK_SAVES)
     save = np.round(save / dt) * dt

@@ -174,6 +174,10 @@ def random_cap_point(rng: np.random.Generator, center, radius: float, size=None)
     The points cos(r) center + sin(r) v are built in place in v, CAP_BLOCK rows
     at a time, so no temporary grows with the point count."""
     center = np.asarray(center, dtype=float)
+    if not abs(np.linalg.norm(center) - 1.0) <= 1e-10:  # NaN: rejected
+        raise ValueError(f"cap center must be a point of the unit sphere, got {center}")
+    if not 0.0 <= radius <= np.pi:
+        raise ValueError(f"cap radius must lie in [0, pi], got {radius}")
     n = 1 if size is None else size
     v = rng.standard_normal((n, DIM))
     r = rng.random(n)

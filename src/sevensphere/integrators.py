@@ -59,7 +59,7 @@ class NoisePath:
             raise ValueError("coarsening level must be >= 1")
         inc = self.increments
         n_full = inc.shape[0] // level
-        head = inc[: n_full * level].reshape(n_full, level, -1).sum(axis=1)
+        head = inc[: n_full * level].reshape(n_full, level, inc.shape[1]).sum(axis=1)
         tail = inc[n_full * level:]
         if tail.shape[0]:
             head = np.vstack([head, tail.sum(axis=0, keepdims=True)])
@@ -350,10 +350,15 @@ def _increment(problem: SdeProblem, z, dw):
 
 
 def _renormalize(z):
-    """z projected back onto the sphere, and the largest norm defect absorbed."""
+    """z projected back onto the sphere, and the norms (..., 1) it was divided by."""
     norms = row_norms(z)
-    defect = np.abs(norms - _ONE)  # argmax: the max or the first NaN, without a reduce's set-up
-    return z / norms, float(defect.flat[defect.argmax()])
+    return z / norms, norms
+
+
+def _norm_defect(norms) -> float:
+    """The largest renormalization defect |norms - 1| of a step."""
+    d = np.abs(norms - _ONE)  # argmax: the max or the first NaN, without a reduce's set-up
+    return float(d.flat[d.argmax()])
 
 
 def _rotation_step(problem: SdeProblem, z, dw, c):
@@ -365,13 +370,13 @@ def heun_stratonovich_step(problem: SdeProblem, z, dw):
     """One predictor-corrector Stratonovich step followed by renormalization.
 
     ``z`` is (..., 8), ``dw`` is (..., n_channels).  Returns the new points and
-    the largest norm defect absorbed by the renormalization.  Without a drift
-    the step sees the time step only through ``dw``.
+    the norms (..., 1) the renormalization divided by; its defect is
+    |norms - 1|.  Without a drift the step sees the time step only through ``dw``.
 
     On frame-coefficient fields K = sum_c dw_c J_c has K^2 = -|a|^2 I with
     a = dw @ C, so the step (I + K + K^2/2) z is taken as (1 - |a|^2/2) z + K z:
     it turns every point by theta = atan2(|a|, 1 - |a|^2/2), so the flow is an
-    exact isometry, and the defect is sqrt(1 + max|a|^4/4) - 1.
+    exact isometry, and the norms are sqrt(1 + |a|^4/4).
     """
     z = np.asarray(z, dtype=float)
     dw = _checked_dw(problem, dw)
@@ -397,8 +402,7 @@ def ito_euler_step(problem: SdeProblem, z, dw, dt: float):
     linear fields only (see ``SdeProblem.ito_drift``).  As h = -|C|_F^2 z, the
     step is c z + K z with c = 1 - dt |C|_F^2 / 2 (K and a as for Heun): it
     turns every point by theta = atan2(|a|, c), so the flow is an exact
-    isometry, and the defect is max |sqrt(c^2 + |a|^2) - 1|, in an ensemble
-    sqrt(c^2 + max|a|^2) - 1."""
+    isometry, and the norms it returns, as Heun's, are sqrt(c^2 + |a|^2)."""
     if problem.ito_drift is None:
         raise ValueError(_LINEAR_ONLY)
     c = problem.frame_coefficients
@@ -521,12 +525,10 @@ def _simulate_chunk(problem, scheme, out, path_lo, n_steps, dt, seed, save_idx,
         dw[...] = block[:, step % NOISE_BLOCK]
         if scheme == "exact_rotation":
             z = exact_rotation_step(problem.frame_coefficients, z, dw)
-        elif scheme == "heun":
-            z, d = heun_stratonovich_step(problem, z, dw)
-            defect = max(defect, d)
         else:
-            z, d = ito_euler_step(problem, z, dw, dt)
-            defect = max(defect, d)
+            z, norms = (heun_stratonovich_step(problem, z, dw) if scheme == "heun"
+                        else ito_euler_step(problem, z, dw, dt))
+            defect = max(defect, _norm_defect(norms))
         if step + 1 in save_pos:
             out[:, save_pos[step + 1], :] = z[:, None, :]
     return defect
@@ -562,6 +564,8 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    if n_paths < 0:
+        raise ValueError(f"n_paths must be >= 0, got {n_paths}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if scheme not in SCHEMES:

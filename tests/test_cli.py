@@ -338,6 +338,29 @@ def test_streamed_entropy_equals_stored_states(tmp_path, monkeypatch, n_paths, t
             assert getattr(got, name) == getattr(want, name), (got.t, name)
 
 
+def test_entropy_counts_occupied_bins_per_saved_time(tmp_path):
+    cfg = entropy_config(2500, 3, 1)
+    expected = entropy_from_stored_states(cfg)
+    cli.run(cfg, str(tmp_path))
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert doc["counters"]["n_occupied"] == [r.n_occupied for r in expected]
+    assert 0 < expected[0].n_occupied < expected[-1].n_occupied  # the cap spreads out
+
+
+def test_exotic_compare_counts_occupied_bins_per_side(tmp_path, monkeypatch):
+    reports = {}
+    for owner, name in ((cli.sdens, "entropy"), (cli.sexo, "entropy_on_surface")):
+        def spy(*args, fn=getattr(owner, name), name=name, **kwargs):
+            reports[name] = fn(*args, **kwargs)
+            return reports[name]
+        monkeypatch.setattr(owner, name, spy)
+    cfg = write_config(tmp_path, "experiment = exotic-compare\nseed = 2\nn_paths = 200\n")
+    cli.main(["--config", cfg, "--output", str(tmp_path / "out")])
+    counters = json.loads((tmp_path / "out" / "summary.json").read_text())["counters"]
+    assert counters["n_occupied_sphere"] == reports["entropy"].n_occupied > 0
+    assert counters["n_occupied_surface"] == reports["entropy_on_surface"].n_occupied > 0
+
+
 def test_streamed_entropy_merge_under_thread_switching(tmp_path, monkeypatch):
     # more workers than cores, switching threads every microsecond: a lost
     # merge would drop a block's counts from some saved time
@@ -431,7 +454,7 @@ def test_bent_heun_steps_equal_combined_field_steps_bitwise(n_points, layout):
         got = heun_stratonovich_step(problem, lay(z), lay(dw))
         want = heun_stratonovich_step(reference, z, dw)
         assert_same_bits(got[0], want[0])
-        assert got[1] == want[1]
+        assert_same_bits(got[1], want[1])
         z = want[0]
 
 

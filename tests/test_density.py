@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -402,6 +404,19 @@ def test_weak_check_constant_function():
                                t=0.1, n_paths=100, dt=1e-3, seed=5)
     assert rep.lhs == pytest.approx(0.0, abs=1e-14)
     assert rep.rhs == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n_paths", [1, 0])
+def test_weak_check_rejects_fewer_than_two_paths(n_paths):
+    """One path gave stderr = nan and two RuntimeWarnings from std(ddof=1)."""
+    with pytest.raises(ValueError, match=f"n_paths >= 2, got {n_paths}"):
+        generator_weak_check(brownian_problem(E[0]), lambda z: np.asarray(z)[..., 0],
+                             t=0.01, n_paths=n_paths, dt=1e-3, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = generator_weak_check(brownian_problem(E[0]), lambda z: np.asarray(z)[..., 0],
+                                   t=0.01, n_paths=2, dt=1e-3, seed=5)
+    assert np.isfinite(rep.stderr) and rep.stderr > 0.0
 
 
 def kept_states_weak_check(problem, f, t, n_paths, dt, seed):

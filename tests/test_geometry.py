@@ -200,3 +200,20 @@ def test_random_cap_point_equals_reference_bitwise(rng, size):
     want = cap_points_reference(np.random.default_rng(seed), center, 0.7, size)
     assert got.shape == want.shape
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("center, radius, match", [
+    (2.0 * E[0], 0.1, "center"), ((1.0 + 2e-10) * E[0], 0.1, "center"),
+    (np.full(8, np.nan), 0.1, "center"), (E[0], -0.1, "radius"),
+    (E[0], np.pi + 1e-9, "radius"), (E[0], np.nan, "radius")],
+    ids=["norm-2", "norm-1+2e-10", "nan", "negative", "past-pi", "nan-radius"])
+def test_random_cap_point_rejects_bad_caps(center, radius, match):
+    """A center of norm 2 gave points of norm 1.93-1.99 without an error."""
+    with pytest.raises(ValueError, match=f"cap {match}"):
+        random_cap_point(np.random.default_rng(1), center, radius, 5)
+
+
+@pytest.mark.parametrize("radius", [0.0, np.pi])
+def test_random_cap_point_accepts_the_closed_radius_range(radius):
+    pts = random_cap_point(np.random.default_rng(1), (1.0 + 5e-11) * E[0], radius, 5)
+    np.testing.assert_allclose(row_norms(pts), 1.0, atol=1e-10)

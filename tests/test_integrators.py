@@ -9,7 +9,8 @@ from scipy.linalg import expm
 from sevensphere import integrators
 from sevensphere.frames import (FRAME_GENERATORS, CombinedField, frame_field,
                                 generator_matrix)
-from sevensphere.geometry import central_difference, geodesic_distance, random_sphere_point
+from sevensphere.geometry import (central_difference, geodesic_distance, random_sphere_point,
+                                  row_norms)
 from sevensphere.integrators import (CHUNK, NOISE_BLOCK, REDUCE_BLOCK, NoisePath, SdeProblem,
                                      brownian_problem, combination_problem,
                                      exact_rotation_step, frame_rotation_apply,
@@ -69,6 +70,17 @@ def test_noise_coarsening_conserves_sum():
     np.testing.assert_allclose(coarse.increments.sum(axis=0),
                                path.increments.sum(axis=0), atol=1e-15)
     assert coarse.dt == 0.04
+
+
+@pytest.mark.parametrize("extra", [1, 5], ids=["n_steps+1", "2*n_steps"])
+def test_noise_coarsening_past_the_path_keeps_one_remainder_step(extra):
+    """A level beyond the path leaves no full group: the one step is the sum
+    (numpy could not reshape the empty head by -1 before)."""
+    path = sample_brownian(5, 0.01, 2, seed=1)
+    coarse = path.coarsened(path.n_steps + extra)
+    assert coarse.increments.shape == (1, 2)
+    np.testing.assert_array_equal(coarse.increments[0], path.increments.sum(axis=0))
+    assert coarse.dt == 0.01 * (path.n_steps + extra)
 
 
 # --------------------------------------------------------------------------
@@ -223,9 +235,9 @@ def test_rotation_matrix_batch_matches_rows(rng):
 def test_heun_zero_increment_fixed_point(rng):
     z = unit_vector(rng)
     problem = single_frame_problem(1, z)
-    out, defect = heun_stratonovich_step(problem, z, np.zeros(1))
+    out, norms = heun_stratonovich_step(problem, z, np.zeros(1))
     np.testing.assert_allclose(out, z, atol=1e-15)
-    assert defect <= 1e-15
+    assert np.abs(norms - 1.0).max() <= 1e-15
 
 
 def test_heun_output_unit_norm(rng):
@@ -472,7 +484,7 @@ def test_save_times_validated():
 
 @pytest.mark.parametrize("bad", [
     {"dt": -0.01}, {"dt": float("nan")}, {"dt": float("inf")}, {"dt": 0.0},
-    {"n_steps": -3}, {"threads": 0}], ids=lambda bad: "%s=%s" % next(iter(bad.items())))
+    {"n_steps": -3}, {"n_paths": -1}, {"threads": 0}], ids=lambda bad: "%s=%s" % next(iter(bad.items())))
 def test_ensemble_rejects_bad_sizes_before_any_work(bad):
     sizes = dict(n_paths=4, n_steps=5, dt=0.01, threads=1) | bad
     with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
@@ -779,8 +791,9 @@ def reference_increment(problem, z, dw):
 
 
 def reference_renormalize(z):
+    """z / |z|, |z| and z itself, the point before renormalization."""
     norms = np.linalg.norm(z, axis=-1, keepdims=True)
-    return z / norms, float(np.max(np.abs(norms - 1.0)))
+    return z / norms, norms, z
 
 
 def reference_heun(problem, z, dw):
@@ -812,7 +825,7 @@ def reference_ito_euler_rotation(problem, z, dw, dt):
 
 # The closed form differs from the predictor-corrector and drift formulas
 # only by rounding: measured at most 1.5 units in the last place of 1 per
-# coordinate and in the defect, over 40 seeds at dt 1e-2 and 1e-4.
+# coordinate and in the norm, over 40 seeds at dt 1e-2 and 1e-4.
 CLOSED_FORM_ULPS = 2
 
 
@@ -867,10 +880,10 @@ def test_steps_equal_reference_formulas_bitwise(rng, scheme, case, n_points, lay
             formula = reference_ito_euler(reference, z, dw, dt)
             want = reference_ito_euler_rotation(reference, z, dw, dt)
         assert_same_bits(got[0], want[0])
-        assert got[1] == want[1]
+        assert_same_bits(got[1], want[1])
         bound = CLOSED_FORM_ULPS * np.spacing(1.0)
         assert np.max(np.abs(got[0] - formula[0])) <= bound
-        assert abs(got[1] - formula[1]) <= bound
+        assert np.max(np.abs(got[1] - formula[1])) <= bound
         if layout is points_last and n_points > 1 and linear:
             assert got[0].flags.f_contiguous  # linear fields keep an ensemble chunk points-last
         z = want[0]
@@ -888,19 +901,69 @@ def test_one_field_step_keeps_the_einsum_signed_zeros(rng):
             got = heun_stratonovich_step(problem, z, dw)
             want = reference_heun(reference, z, dw)
             assert_same_bits(got[0], want[0])
-            assert got[1] == want[1]
+            assert_same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("scheme, case", [
+    ("heun", "brownian"), ("heun", "combo"), ("heun", "two-field"), ("heun", "bent"),
+    ("ito_euler", "brownian"), ("ito_euler", "frame3")])
+def test_steps_return_the_norms_they_divide_by(rng, scheme, case):
+    """The second value of a step is row_norms of its point before
+    renormalization, bit for bit, and the new points are that point over it."""
+    problem, reference = STEP_CASES[case](rng, E[0])
+    z = random_sphere_point(rng, 8)
+    for _ in range(3):
+        dw = rng.normal(0.0, 0.1, (8, problem.n_channels))
+        if scheme == "heun":
+            got = heun_stratonovich_step(problem, z, dw)
+            want = (reference_heun_rotation(reference, z, dw) if problem.generators is not None
+                    else reference_heun(reference, z, dw))
+        else:
+            got = ito_euler_step(problem, z, dw, 0.01)
+            want = reference_ito_euler_rotation(reference, z, dw, 0.01)
+        assert got[1].shape == (8, 1)
+        assert_same_bits(got[1], row_norms(want[2]))
+        assert_same_bits(got[0], want[2] / got[1])
+        z = got[0]
+
+
+@pytest.mark.parametrize("scheme, case", [
+    ("heun", "brownian"), ("heun", "bent"), ("ito_euler", "brownian"), ("ito_euler", "combo")])
+def test_ensemble_defect_folds_the_steps_norms(rng, scheme, case):
+    """max_renorm_defect is the largest |norms - 1| of every step of every
+    path, folded as before the steps returned their norms: per step the
+    argmax of |norms - 1|, across steps and path chunks Python's max."""
+    problem = STEP_CASES[case](rng, E[0])[0]
+    n_paths, n_steps, dt, seed = CHUNK + 40, 12, 0.01, 8  # two path chunks
+    result = simulate_ensemble(problem, n_paths, n_steps, dt, seed=seed, scheme=scheme)
+    dw = np.stack([seed_sequence_generator(seed, i).normal(
+        0.0, np.sqrt(dt), size=(n_steps, problem.n_channels)) for i in range(n_paths)])
+    want = 0.0
+    for chunk in (slice(0, CHUNK), slice(CHUNK, n_paths)):
+        z = np.tile(E[0], (len(dw[chunk]), 1))
+        for step in range(n_steps):
+            if scheme == "heun":
+                z, norms = heun_stratonovich_step(problem, z, dw[chunk, step])
+            else:
+                z, norms = ito_euler_step(problem, z, dw[chunk, step], dt)
+            defect = np.abs(norms - 1.0)
+            want = max(want, float(defect.flat[defect.argmax()]))
+        np.testing.assert_array_equal(result.states[chunk, -1], z)
+    assert want > 0.0
+    assert result.max_renorm_defect == want
 
 
 @pytest.mark.parametrize("row", [0, 5, 7])
 def test_renorm_defect_is_nan_when_a_point_is(rng, row):
-    """The defect is the first NaN of the batch, not the largest of the
-    finite rows, wherever the NaN row sits."""
+    """The defect of a step's norms is the first NaN of the batch, not the
+    largest of the finite rows, wherever the NaN row sits."""
     problem, reference = STEP_CASES["brownian"](rng, E[0])
     z = random_sphere_point(rng, 8)
     z[row] = np.nan
     dw = rng.normal(0.0, 0.1, (8, 7))
     for got in (heun_stratonovich_step(problem, z, dw), ito_euler_step(problem, z, dw, 0.01)):
-        assert np.isnan(got[1])
+        assert np.isnan(integrators._norm_defect(got[1]))
+        assert np.isnan(got[1][row]).all() and np.isfinite(np.delete(got[1], row, 0)).all()
         assert np.isnan(got[0][row]).all() and np.isfinite(np.delete(got[0], row, 0)).all()
 
 

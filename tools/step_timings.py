@@ -26,6 +26,9 @@ and the best time per call:
 - one ``flows.heun_refinement_residuals`` call on 8 points for each problem
   of flow-check, the Brownian and the bent one (about 10^4 Heun steps each,
   so these lines take at most FLOW_REPEAT rounds of one call);
+- ``IntegratedFlow.apply`` on 8 points for the same two problems, over
+  APPLY_STEPS noise steps at flow-check's fine dt, given per step: the Heun
+  step as flow-check's flows take it, with the flow's loop around it;
 - ``path_generator`` per path: building a new generator
   (``path_generator(seed, i)``), and re-keying an existing one in place
   (``into=``) where the checkout has it;
@@ -57,6 +60,7 @@ import numpy as np
 DT = 0.01
 SEED, PATH = 11, 1500  # the path's key block is cached after the first call
 FLOW_REPEAT = 5  # rounds of each heun_refinement_residuals line
+APPLY_STEPS = 64  # noise steps of each IntegratedFlow.apply line, which prints per step
 
 
 def first_coordinate(z):
@@ -149,16 +153,34 @@ def cases(sint, sfr, scli):
     return out
 
 
-def flow_cases(sint, sfr, sflow, scli):
-    """(name, points, layout, call): one refinement per flow-check problem."""
+def flow_problems(sint, sfr, scli):
+    """8 sphere points and flow-check's (name, problem) pairs: the Brownian
+    and the bent one."""
     rng = np.random.default_rng(2)
     z = rng.standard_normal((8, 8))
     z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    return z, (("brownian", sint.brownian_problem(z[0])),
+               ("bent", sint.SdeProblem((bent_field(scli, sfr),), z[0])))
+
+
+def flow_cases(sint, sfr, sflow, scli):
+    """(name, points, layout, call): one refinement per flow-check problem."""
+    z, problems = flow_problems(sint, sfr, scli)
     return [(f"heun_refinement_residuals {name}", 8, "C",
              lambda p=problem: sflow.heun_refinement_residuals(p, z, SEED))
-            for name, problem in (
-                ("brownian", sint.brownian_problem(z[0])),
-                ("bent", sint.SdeProblem((bent_field(scli, sfr),), z[0])))]
+            for name, problem in problems]
+
+
+def apply_cases(sint, sfr, sflow, scli):
+    """(name, points, layout, call): IntegratedFlow.apply for each
+    flow-check problem, one call of APPLY_STEPS steps."""
+    z, problems = flow_problems(sint, sfr, scli)
+    out = []
+    for name, problem in problems:
+        noise = sint.sample_brownian(APPLY_STEPS, sflow.REFINE_DT, problem.n_channels, SEED)
+        flow = sflow.IntegratedFlow(problem, noise)
+        out.append((f"IntegratedFlow.apply {name} /step", 8, "C", lambda f=flow: f.apply(z)))
+    return out
 
 
 def best_us(call, repeat):
@@ -186,12 +208,14 @@ def main(argv=None) -> int:
     from sevensphere import frames as sfr
     from sevensphere import integrators as sint
 
-    lines = [(case, args.repeat) for case in cases(sint, sfr, scli) + exotic_cases(sexo, sfr)]
-    lines += [(case, min(args.repeat, FLOW_REPEAT))
+    lines = [(case, args.repeat, 1)
+             for case in cases(sint, sfr, scli) + exotic_cases(sexo, sfr)]
+    lines += [(case, args.repeat, APPLY_STEPS) for case in apply_cases(sint, sfr, sflow, scli)]
+    lines += [(case, min(args.repeat, FLOW_REPEAT), 1)
               for case in flow_cases(sint, sfr, sflow, scli)]
     print(f"{'step':<36} {'points':>6}  {'layout':<11} {'best_us':>9}")
-    for (name, n_points, layout, call), repeat in lines:
-        print(f"{name:<36} {n_points:>6}  {layout:<11} {best_us(call, repeat):9.1f}",
+    for (name, n_points, layout, call), repeat, per in lines:
+        print(f"{name:<36} {n_points:>6}  {layout:<11} {best_us(call, repeat) / per:9.1f}",
               flush=True)
     return 0
 
