@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrators as sint
-from .frames import frame_eval_all
 from .geometry import (ANGLE_UPPER as ANGLE_SPANS, N_ANGLES, chart_jacobian, row_norms,
                        sin_power_integral, sphere_volume, to_cartesian, to_spherical,
                        volume_element)
@@ -235,19 +234,17 @@ def _generator_apply(problem: sint.SdeProblem, f, states, h: float = 1e-4):
     """(L f)(z) for a batch of points via second differences along the
     channel flows.
 
-    The frame values and f(z) are taken once per batch.  Each channel's pair
-    z +- = cos|a| z +- sinc(|a|/pi) K z, a = h c, has the bits of
-    ``frame_rotation_apply(+-a, z)``: negating a negates K z exactly and
-    keeps |a|."""
+    The field values and f(z) are taken once per batch.  Each channel's pair
+    z +- = cos|a| z +- sinc(|a|/pi) K z, a = h c and K z = h V_c(z), is the
+    exact rotation step with dw = +-h on that channel alone: negating dw
+    negates K z exactly and keeps |a|."""
     states = np.asarray(states, dtype=float)
-    u = frame_eval_all(states)
+    v = problem.diffusion_matrix(states)
     f0 = 2.0 * f(states)
     out = np.zeros(states.shape[:-1])
-    for c in problem.frame_coefficients:
-        a = h * c
-        kz = np.einsum("...m,...mi->...i", a, u)
-        w = row_norms(a)
-        cz, skz = np.cos(w) * states, np.sinc(w / np.pi) * kz
+    for k, c in enumerate(problem.frame_coefficients):
+        w = row_norms(h * c)
+        cz, skz = np.cos(w) * states, np.sinc(w / np.pi) * (h * v[..., k, :])
         out = out + (f(cz + skz) - f0 + f(cz - skz)) / h ** 2
     return 0.5 * out
 

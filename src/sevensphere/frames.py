@@ -115,17 +115,14 @@ class CombinedField:
         a = np.asarray(self.coeffs(z), dtype=float)
         if a.shape != z.shape[:-1] + (N_FRAME_FIELDS,):
             raise ValueError(f"coefficient function returned shape {a.shape}")
-        finite = np.isfinite(a)  # argmin: the first False, without a reduce's set-up
-        if a.size and not finite.flat[finite.argmin()]:
+        if not np.isfinite(a).all():
             raise FloatingPointError("coefficient function returned non-finite values")
         return a
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         a = self.coefficients_at(z / row_norms(z))
-        # frame_eval_all's product, taken here: a call less per field value
-        u = np.matmul(z, _FRAME_TABLE, order="A").reshape(z.shape[:-1] + (N_FRAME_FIELDS, DIM))
-        return np.einsum("...m,...mi->...i", a, u)
+        return np.einsum("...m,...mi->...i", a, frame_eval_all(z))
 
 
 def killing_residual(field: CombinedField, z, h: float = 1e-5) -> np.ndarray:

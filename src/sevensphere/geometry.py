@@ -125,6 +125,12 @@ def row_norms(x) -> np.ndarray:
     return np.sqrt(t[0] + t[1]).T[..., None]
 
 
+def off_sphere(z) -> np.ndarray:
+    """True where a point of z (..., 8) is not a finite point of the unit
+    sphere to 1e-10, NaN and inf included; shape z.shape[:-1]."""
+    return ~(np.abs(row_norms(z) - 1.0) <= 1e-10)[..., 0]  # NaN compares False
+
+
 def geodesic_distance(x, y) -> np.ndarray:
     """Great-circle distance; inner product clamped into [-1, 1] before arccos."""
     x = np.asarray(x, dtype=float)
@@ -174,7 +180,7 @@ def random_cap_point(rng: np.random.Generator, center, radius: float, size=None)
     The points cos(r) center + sin(r) v are built in place in v, CAP_BLOCK rows
     at a time, so no temporary grows with the point count."""
     center = np.asarray(center, dtype=float)
-    if not abs(np.linalg.norm(center) - 1.0) <= 1e-10:  # NaN: rejected
+    if off_sphere(center):
         raise ValueError(f"cap center must be a point of the unit sphere, got {center}")
     if not 0.0 <= radius <= np.pi:
         raise ValueError(f"cap radius must lie in [0, pi], got {radius}")
@@ -195,7 +201,7 @@ def random_cap_point(rng: np.random.Generator, center, radius: float, size=None)
 __all__ = [
     "N_ANGLES", "DIM", "to_cartesian", "to_spherical", "volume_element",
     "chart_jacobian", "central_difference", "geodesic_distance",
-    "row_norms", "sphere_volume",
+    "row_norms", "off_sphere", "sphere_volume",
     "gauss_legendre", "sin_power_integral",
     "random_sphere_point", "random_cap_point",
 ]

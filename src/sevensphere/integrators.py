@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import (DIM, FRAME_GENERATORS, N_FRAME_FIELDS, CombinedField,
-                     frame_eval_all, frame_field)
-from .geometry import row_norms
+from .frames import DIM, FRAME_GENERATORS, N_FRAME_FIELDS, CombinedField, frame_field
+from .geometry import off_sphere, row_norms
 
 CHUNK = 1024  # fixed path block size; independent of the worker count
 REDUCE_BLOCK = 4 * CHUNK  # paths per ensemble work item, each handed whole to its reducer
@@ -262,12 +261,11 @@ class SdeProblem:
     the sphere: the Stratonovich SDE dz = sum_c V_c(z) o dW^c.
 
     ``frame_coefficients`` (n_fields, 7) stacks the fields' constant frame
-    ``coefficients`` (None unless every field has them) and enables the exact
-    rotation scheme.  Such fields are linear, V(z) = J z, and ``generators``
-    (n_fields, 8, 8) stacks their matrices J, which enable the Ito-Euler
-    scheme.  Its drift h(z) = sum_c (dV_c/dz) V_c(z), the Stratonovich-to-Ito
-    correction, is then z @ ``ito_drift`` with ``ito_drift`` = (sum_c J_c J_c)^T
-    = -|C|_F^2 I, C = ``frame_coefficients``; one frame field gives h = -z exactly.
+    ``coefficients`` (None unless every field has them), which the exact
+    rotation and Ito-Euler schemes need.  Such fields are linear, V_c(z) = J_c z
+    with J_c = sum_mu C[c, mu] J_mu, C = ``frame_coefficients``, and their Ito
+    drift h(z) = sum_c (dV_c/dz) V_c(z), the Stratonovich-to-Ito correction, is
+    sum_c J_c J_c z = -|C|_F^2 z; one frame field gives h = -z exactly.
     """
 
     diffusion_fields: tuple
@@ -280,14 +278,15 @@ class SdeProblem:
         self.initial = np.asarray(self.initial, dtype=float)
         if self.initial.shape != (DIM,):
             raise ValueError("initial point must be an 8-vector")
-        if abs(np.linalg.norm(self.initial) - 1.0) > 1e-10:
-            raise ValueError("initial point must lie on the unit sphere")
-        self.frame_coefficients = coeffs = _stack(self.diffusion_fields, "coefficients")
-        self.generators = gens = (None if coeffs is None
-                                  else np.tensordot(coeffs, FRAME_GENERATORS, 1))
-        # (8, n_fields * 8), F-contiguous: order "A" keeps a points-last z points-last
-        self._table = None if gens is None else gens.reshape(-1, DIM).T
-        self.ito_drift = None if gens is None else np.sum(gens @ gens, axis=0).T
+        if off_sphere(self.initial):
+            raise ValueError(f"initial point must be a finite point of the unit sphere, "
+                             f"got {self.initial}")
+        coeffs = [getattr(f, "coefficients", None) for f in self.diffusion_fields]
+        coeffs = None if any(c is None for c in coeffs) else np.array(coeffs, dtype=float)
+        self.frame_coefficients = coeffs
+        # (8, n_fields * 8) stacked J_c, F-contiguous: order "A" keeps a points-last z points-last
+        self._table = (None if coeffs is None
+                       else np.tensordot(coeffs, FRAME_GENERATORS, 1).reshape(-1, DIM).T)
 
     @property
     def n_channels(self) -> int:
@@ -302,7 +301,7 @@ class SdeProblem:
         z = np.asarray(z, dtype=float)
         if self._table is not None:
             flat = np.matmul(z, self._table, order="A")
-            return flat.reshape(z.shape[:-1] + self.generators.shape[:-1])
+            return flat.reshape(z.shape[:-1] + (self.n_channels, DIM))
         return np.stack([np.asarray(f(z), dtype=float)
                          for f in self.diffusion_fields], axis=-2)
 
@@ -320,15 +319,6 @@ def single_frame_problem(mu: int, initial) -> SdeProblem:
 def combination_problem(c, initial) -> SdeProblem:
     """Constant coefficient combination of the frame, one scalar channel."""
     return SdeProblem((CombinedField.constant(c),), initial)
-
-
-def _stack(fields, attr):
-    """The array attribute ``attr`` of every field, stacked along a new first
-    axis; None when any field lacks it."""
-    vals = [getattr(f, attr, None) for f in fields]
-    if any(v is None for v in vals):
-        return None
-    return np.array(vals, dtype=float)
 
 
 # 0-d operands: numpy converts a Python float anew in every call (~0.2 us, 2-core Xeon)
@@ -359,6 +349,11 @@ def _norm_defect(norms) -> float:
     """The largest renormalization defect |norms - 1| of a step."""
     d = np.abs(norms - _ONE)  # argmax: the max or the first NaN, without a reduce's set-up
     return float(d.flat[d.argmax()])
+
+
+def _worst(defects) -> float:
+    """The largest defect, 0.0 for none; a NaN wins (Python's max keeps a finite one)."""
+    return float(np.max(defects, initial=0.0))
 
 
 def _rotation_step(problem: SdeProblem, z, dw, c):
@@ -394,34 +389,23 @@ def heun_stratonovich_step(problem: SdeProblem, z, dw):
     return _renormalize(z + _HALF * (incr + fields[0](z + incr) * dw))
 
 
-_LINEAR_ONLY = "the Ito-Euler scheme needs every field to be linear, V(z) = J z"
+def _frame_only(problem: SdeProblem, scheme: str) -> None:
+    """Reject a problem without frame coefficients for every scheme but heun."""
+    if scheme != "heun" and problem.frame_coefficients is None:
+        raise ValueError(f"the {scheme} scheme needs every field to be linear, V(z) = J z, "
+                         "with constant frame coefficients")
 
 
 def ito_euler_step(problem: SdeProblem, z, dw, dt: float):
     """Euler-Maruyama step of the Ito form, drift h/2, then renormalization;
-    linear fields only (see ``SdeProblem.ito_drift``).  As h = -|C|_F^2 z, the
+    frame-coefficient fields only (h = -|C|_F^2 z, see ``SdeProblem``).  The
     step is c z + K z with c = 1 - dt |C|_F^2 / 2 (K and a as for Heun): it
     turns every point by theta = atan2(|a|, c), so the flow is an exact
     isometry, and the norms it returns, as Heun's, are sqrt(c^2 + |a|^2)."""
-    if problem.ito_drift is None:
-        raise ValueError(_LINEAR_ONLY)
+    _frame_only(problem, "ito_euler")
     c = problem.frame_coefficients
     return _rotation_step(problem, np.asarray(z, dtype=float), _checked_dw(problem, dw),
                           1.0 - 0.5 * dt * np.vdot(c, c))
-
-
-def frame_rotation_apply(a, z) -> np.ndarray:
-    """Apply exp(sum_mu a_mu J_mu) to z, batched over leading axes.
-
-    The frame generators pairwise anticommute and square to -I, so
-    K = sum a_mu J_mu satisfies K^2 = -|a|^2 I and the exponential is
-    cos(|a|) I + sinc(|a|) K exactly.
-    """
-    a = np.asarray(a, dtype=float)
-    z = np.asarray(z, dtype=float)
-    kz = np.einsum("...m,...mi->...i", a, frame_eval_all(z))
-    w = row_norms(a)
-    return np.cos(w) * z + np.sinc(w / np.pi) * kz
 
 
 def frame_rotation_matrix(a) -> np.ndarray:
@@ -433,12 +417,12 @@ def frame_rotation_matrix(a) -> np.ndarray:
     return np.cos(w) * np.eye(DIM) + np.sinc(w / np.pi) * k
 
 
-def exact_rotation_step(coefficients, z, dw):
+def exact_rotation_step(problem: SdeProblem, z, dw):
     """Exact isometric step for frame-coefficient dynamics.
 
-    ``coefficients`` is (n_channels, 7);  ``dw`` is (..., n_channels).  The
-    step applies exp(sum_c dw_c * sum_mu coeff[c, mu] J_mu) to z, which
-    rotates z by the angle |a| = |dw @ coefficients|.  Exact for a single
+    ``z`` is (..., 8), ``dw`` is (..., n_channels).  With K and a = dw @ C as
+    for Heun, K^2 = -|a|^2 I, so the step exp(K) z is cos|a| z + sinc|a| K z
+    exactly: it turns every point by the angle |a|.  Exact for a single
     channel.  For n > 1 independent channels it is a geodesic random walk,
     an exact isometry every step, but its one-point law has weak order 1:
     with the seven frame channels the mean contracts per step by
@@ -446,10 +430,12 @@ def exact_rotation_step(coefficients, z, dw):
     e^{-7 dt/2}, so the mean at t = 1 is 3.5% low at dt = 1e-2 and 0.35% low
     at dt = 1e-3.
     """
-    coefficients = np.atleast_2d(np.asarray(coefficients, dtype=float))
-    dw = np.asarray(dw, dtype=float)
-    a = np.matmul(dw, coefficients, order="F" if dw.flags.f_contiguous else "C")  # (..., 7)
-    return frame_rotation_apply(a, z)
+    _frame_only(problem, "exact_rotation")
+    z = np.asarray(z, dtype=float)
+    dw = _checked_dw(problem, dw)
+    a = np.matmul(dw, problem.frame_coefficients, order="F" if dw.flags.f_contiguous else "C")
+    w = row_norms(a)
+    return np.cos(w) * z + np.sinc(w / np.pi) * _increment(problem, z, dw)
 
 
 @dataclass
@@ -507,7 +493,7 @@ def _simulate_chunk(problem, scheme, out, path_lo, n_steps, dt, seed, save_idx,
     dw = np.empty((n_ch, n)).T
     z = np.empty((DIM, n)).T
     z[...] = problem.initial if initial_points is None else initial_points[path_lo:path_hi]
-    defect = 0.0
+    defects = []
     save_pos = {}  # step -> every output column saved at that step
     for j, s in enumerate(save_idx):
         save_pos.setdefault(int(s), []).append(j)
@@ -524,14 +510,14 @@ def _simulate_chunk(problem, scheme, out, path_lo, n_steps, dt, seed, save_idx,
                 block[k] = rng.normal(0.0, sd, size=block.shape[1:])
         dw[...] = block[:, step % NOISE_BLOCK]
         if scheme == "exact_rotation":
-            z = exact_rotation_step(problem.frame_coefficients, z, dw)
+            z = exact_rotation_step(problem, z, dw)
         else:
             z, norms = (heun_stratonovich_step(problem, z, dw) if scheme == "heun"
                         else ito_euler_step(problem, z, dw, dt))
-            defect = max(defect, _norm_defect(norms))
+            defects.append(_norm_defect(norms))
         if step + 1 in save_pos:
             out[:, save_pos[step + 1], :] = z[:, None, :]
-    return defect
+    return _worst(defects)
 
 
 def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float,
@@ -542,9 +528,8 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
 
     ``initial_points`` (n_paths, 8) overrides the problem's single initial
     point; like it, each row must be finite and on the unit sphere to 1e-10.
-    The exact rotation scheme requires every field to carry constant frame
-    ``coefficients`` and the Ito-Euler scheme a ``generator``; both reject
-    state-dependent problems.
+    The exact rotation and Ito-Euler schemes require every field to carry
+    constant frame ``coefficients``; both reject state-dependent problems.
 
     Without ``reduce`` the work items are the fixed path ranges
     lo + [0, CHUNK), each writing its slice of the returned ``states``.
@@ -570,20 +555,15 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
         raise ValueError(f"threads must be >= 1, got {threads}")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")
-    if scheme == "exact_rotation" and problem.frame_coefficients is None:
-        raise ValueError("exact rotation scheme needs every field to carry "
-                         "constant frame coefficients; state-dependent "
-                         "coefficient fields are not supported")
-    if scheme == "ito_euler" and problem.ito_drift is None:
-        raise ValueError(_LINEAR_ONLY)
+    _frame_only(problem, scheme)
     if initial_points is not None:
         initial_points = np.asarray(initial_points, dtype=float)
         if initial_points.shape != (n_paths, DIM):
             raise ValueError("initial_points must have shape (n_paths, 8)")
         for lo in range(0, n_paths, CHUNK):  # SdeProblem.initial's rule, a CHUNK at a time
-            on = np.abs(row_norms(initial_points[lo:lo + CHUNK]) - 1.0) <= 1e-10  # NaN: False
-            if not on.all():
-                i = lo + int(np.argmin(on))
+            off = off_sphere(initial_points[lo:lo + CHUNK])
+            if off.any():
+                i = lo + int(np.argmax(off))
                 raise ValueError(f"initial_points row {i} is not a finite point on the unit "
                                  f"sphere: {initial_points[i]}")
     save_idx, times = _save_indices(n_steps, dt, save_times)
@@ -601,9 +581,9 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
         block = states[lo:hi] if reduce is None else np.empty((hi - lo, *saved))
         gens = free.get()
         try:
-            defect = max(_simulate_chunk(problem, scheme, block[c - lo:c - lo + CHUNK], c,
-                                         n_steps, dt, seed, save_idx, initial_points, gens)
-                         for c in range(lo, hi, CHUNK))
+            defect = _worst([_simulate_chunk(problem, scheme, block[c - lo:c - lo + CHUNK], c,
+                                             n_steps, dt, seed, save_idx, initial_points, gens)
+                             for c in range(lo, hi, CHUNK)])
         finally:
             free.put(gens)
         if reduce is not None:
@@ -616,7 +596,7 @@ def simulate_ensemble(problem: SdeProblem, n_paths: int, n_steps: int, dt: float
             defects = list(pool.map(work, items))
     else:
         defects = [work(lo) for lo in items]
-    return EnsembleResult(times, states, max_renorm_defect=max([0.0, *defects]))
+    return EnsembleResult(times, states, max_renorm_defect=_worst(defects))
 
 
 def write_trajectories_csv(result: EnsembleResult, fname) -> None:
@@ -639,6 +619,6 @@ __all__ = [
     "path_generator", "sample_brownian",
     "brownian_problem", "single_frame_problem", "combination_problem",
     "heun_stratonovich_step", "ito_euler_step",
-    "exact_rotation_step", "frame_rotation_apply", "frame_rotation_matrix",
+    "exact_rotation_step", "frame_rotation_matrix",
     "simulate_ensemble", "write_trajectories_csv",
 ]

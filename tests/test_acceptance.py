@@ -61,18 +61,18 @@ def test_criterion_02_killing_property():
 
 
 def test_criterion_03_exact_flow_oracle():
-    coeffs = np.zeros((1, 7))
-    coeffs[0, 0] = 1.0
-    quarter = sint.exact_rotation_step(coeffs, E[0], np.array([np.pi / 2]))
+    quarter = sint.exact_rotation_step(sint.single_frame_problem(1, E[0]), E[0],
+                                       np.array([np.pi / 2]))
     quarter_dev = float(np.max(np.abs(quarter - E[1])))
     rng = np.random.default_rng(103)
     pts = sgeo.random_sphere_point(rng, 10)
     iu = np.triu_indices(10, 1)
     before = sgeo.geodesic_distance(pts[iu[0]], pts[iu[1]])
     noise = sint.sample_brownian(1000, 1e-3, 7, seed=103)
+    problem = sint.brownian_problem(pts[0])
     state = pts
     for dw in noise.increments:
-        state = sint.frame_rotation_apply(dw, state)
+        state = sint.exact_rotation_step(problem, state, dw)
     distort = float(np.max(np.abs(
         sgeo.geodesic_distance(state[iu[0]], state[iu[1]]) - before)))
     ok = quarter_dev <= 1e-13 and distort <= 1e-12
@@ -92,7 +92,7 @@ def test_criterion_04_integrator_convergence():
         dw = (np.sqrt(dt) * xi)[:, None]
         z = np.broadcast_to(z0, (64, 8))
         heun, _ = sint.heun_stratonovich_step(problem, z, dw)
-        exact = sint.exact_rotation_step(problem.frame_coefficients, z, dw)
+        exact = sint.exact_rotation_step(problem, z, dw)
         errors.append(float(np.mean(np.linalg.norm(heun - exact, axis=1))))
     ratios = [errors[i] / errors[i + 1] for i in range(2)]
     elapsed = time.perf_counter() - start
@@ -128,7 +128,9 @@ def test_criterion_06_ito_stratonovich_correction():
     for mu in range(1, 8):
         for _ in range(10):
             z = sgeo.random_sphere_point(rng)
-            h = z @ sint.single_frame_problem(mu, z).ito_drift
+            gens = np.tensordot(sint.single_frame_problem(mu, z).frame_coefficients,
+                                sfr.FRAME_GENERATORS, axes=(-1, 0))
+            h = z @ np.sum(gens @ gens, axis=0).T  # the Ito drift sum_c J_c J_c z
             exact_ok = exact_ok and np.array_equal(h, -z)
     n = 20000
     t = 0.1

@@ -12,7 +12,7 @@ from sevensphere.geometry import (ANGLE_UPPER, chart_jacobian, random_cap_point,
                                   random_sphere_point, sin_power_integral, sphere_volume,
                                   to_cartesian, to_spherical)
 from sevensphere.integrators import (REDUCE_BLOCK, brownian_problem, combination_problem,
-                                     frame_rotation_apply, simulate_ensemble,
+                                     exact_rotation_step, simulate_ensemble,
                                      single_frame_problem)
 from conftest import assert_same_bits
 
@@ -453,13 +453,14 @@ def test_streamed_weak_check_equals_kept_states_bitwise(threads):
 
 
 def reference_generator_apply(problem, f, states, h=1e-4):
-    """(L f)(z) by the per-channel second difference along
-    frame_rotation_apply(+-h c), the form _generator_apply takes in one
-    frame product per batch."""
+    """(L f)(z) by the per-channel second difference along the exact
+    rotation step with dw = +-h on that channel alone, the form
+    _generator_apply takes in one field product per batch."""
     out = np.zeros(states.shape[:-1])
-    for c in problem.frame_coefficients:
-        zp = frame_rotation_apply(h * c, states)
-        zm = frame_rotation_apply(-h * c, states)
+    for dw in np.eye(problem.n_channels):
+        dw = np.broadcast_to(h * dw, states.shape[:-1] + dw.shape)
+        zp = exact_rotation_step(problem, states, dw)
+        zm = exact_rotation_step(problem, states, -dw)
         out = out + (f(zp) - 2.0 * f(states) + f(zm)) / h ** 2
     return 0.5 * out
 
@@ -496,9 +497,7 @@ def test_weak_check_quadratic_single_field_vs_gaussian_oracle():
     assert abs(rep.martingale_mean) <= 3.0 * rep.stderr
     nodes, weights = np.polynomial.hermite_e.hermegauss(61)
     w = nodes * np.sqrt(t)
-    coeff = np.zeros((len(w), 7))
-    coeff[:, 0] = w
-    rotated = frame_rotation_apply(coeff, np.broadcast_to(z0, (len(w), 8)))
+    rotated = exact_rotation_step(problem, np.broadcast_to(z0, (len(w), 8)), w[:, None])
     oracle = float(np.sum(weights / np.sqrt(2 * np.pi) * np.sqrt(2 * np.pi)
                           * rotated[:, 0] ** 2) / np.sum(weights))
     mc = rep.lhs + z0[0] ** 2

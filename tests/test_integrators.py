@@ -13,8 +13,7 @@ from sevensphere.geometry import (central_difference, geodesic_distance, random_
                                   row_norms)
 from sevensphere.integrators import (CHUNK, NOISE_BLOCK, REDUCE_BLOCK, NoisePath, SdeProblem,
                                      brownian_problem, combination_problem,
-                                     exact_rotation_step, frame_rotation_apply,
-                                     frame_rotation_matrix,
+                                     exact_rotation_step, frame_rotation_matrix,
                                      heun_stratonovich_step, ito_euler_step,
                                      path_generator, sample_brownian, simulate_ensemble,
                                      single_frame_problem, write_trajectories_csv)
@@ -87,21 +86,28 @@ def test_noise_coarsening_past_the_path_keeps_one_remainder_step(extra):
 # Ito correction
 # --------------------------------------------------------------------------
 
+def ito_drift(problem):
+    """(sum_c J_c J_c)^T with J_c = sum_mu C[c, mu] J_mu from the problem's
+    frame coefficients C: z @ it is the Ito drift sum_c (dV_c/dz) V_c(z)."""
+    gens = np.tensordot(problem.frame_coefficients, FRAME_GENERATORS, axes=(-1, 0))
+    return np.sum(gens @ gens, axis=0).T
+
+
 def test_correction_single_frame_exact(rng):
     z = unit_vector(rng)
     for mu in range(1, 8):
-        np.testing.assert_array_equal(z @ single_frame_problem(mu, z).ito_drift, -z)
+        np.testing.assert_array_equal(z @ ito_drift(single_frame_problem(mu, z)), -z)
 
 
 def test_correction_zero_field(rng):
     z = unit_vector(rng)
     zero = SdeProblem((CombinedField.constant(np.zeros(7)),), z)
-    np.testing.assert_allclose(z @ zero.ito_drift, np.zeros(8), atol=0)
+    np.testing.assert_allclose(z @ ito_drift(zero), np.zeros(8), atol=0)
 
 
 def test_correction_full_frame(rng):
     z = unit_vector(rng)
-    np.testing.assert_allclose(z @ brownian_problem(z).ito_drift, -7.0 * z, atol=1e-14)
+    np.testing.assert_allclose(z @ ito_drift(brownian_problem(z)), -7.0 * z, atol=1e-14)
 
 
 COMBO = np.array([0.3, -1.2, 0.5, 0.8, -0.1, 0.7, -0.4])
@@ -116,7 +122,7 @@ def test_ito_drift_is_minus_frobenius_norm_times_identity(make):
     # Ito-Euler step scales z by 1 - dt |C|_F^2 / 2
     problem = make(E[0])
     c = problem.frame_coefficients
-    np.testing.assert_allclose(problem.ito_drift, -np.vdot(c, c) * np.eye(8),
+    np.testing.assert_allclose(ito_drift(problem), -np.vdot(c, c) * np.eye(8),
                                rtol=0, atol=4 * np.spacing(np.vdot(c, c)))
 
 
@@ -132,7 +138,7 @@ def bent_field():
 ], ids=["linear", "combination"])
 def test_correction_batch_matches_rows(rng, fields):
     z = random_sphere_point(rng, 60).reshape(3, 20, 8)
-    drift = SdeProblem(fields(z[0, 0]), z[0, 0]).ito_drift
+    drift = ito_drift(SdeProblem(fields(z[0, 0]), z[0, 0]))
     rows = np.array([[np.matmul(p, drift, order="A") for p in row] for row in z])
     np.testing.assert_array_equal(np.matmul(z, drift, order="A"), rows)
 
@@ -142,7 +148,7 @@ def test_correction_fd_matches_generator(rng):
     z = unit_vector(rng)
     fields = (CombinedField.constant(np.array([0.5, 0, -1.0, 0, 0, 2.0, 0])), frame_field(4))
     fd = sum(central_difference(f, z, 1e-6) @ f(z) for f in fields)
-    np.testing.assert_allclose(z @ SdeProblem(fields, z).ito_drift, fd, atol=1e-6)
+    np.testing.assert_allclose(z @ ito_drift(SdeProblem(fields, z)), fd, atol=1e-6)
 
 
 # --------------------------------------------------------------------------
@@ -150,15 +156,13 @@ def test_correction_fd_matches_generator(rng):
 # --------------------------------------------------------------------------
 
 def test_exact_step_quarter_turn():
-    coeffs = np.zeros((1, 7))
-    coeffs[0, 0] = 1.0
-    out = exact_rotation_step(coeffs, E[0], np.array([np.pi / 2]))
+    out = exact_rotation_step(single_frame_problem(1, E[0]), E[0], np.array([np.pi / 2]))
     np.testing.assert_allclose(out, E[1], atol=1e-13)
 
 
 def test_exact_step_zero_increment(rng):
     z = unit_vector(rng)
-    out = exact_rotation_step(np.eye(7), z, np.zeros(7))
+    out = exact_rotation_step(brownian_problem(z), z, np.zeros(7))
     np.testing.assert_array_equal(out, z)
 
 
@@ -166,8 +170,8 @@ def test_exact_step_isometry(rng):
     x = unit_vector(rng)
     y = unit_vector(rng)
     dw = rng.normal(0, 0.3, 7)
-    xr = frame_rotation_apply(dw, x)
-    yr = frame_rotation_apply(dw, y)
+    xr = exact_rotation_step(brownian_problem(x), x, dw)
+    yr = exact_rotation_step(brownian_problem(x), y, dw)
     assert abs(np.linalg.norm(xr) - 1.0) <= 1e-14
     assert abs(np.dot(xr, yr) - np.dot(x, y)) <= 1e-13
 
@@ -175,7 +179,7 @@ def test_exact_step_isometry(rng):
 def test_exact_step_turns_by_increment_norm(rng):
     z = random_sphere_point(rng, 50)
     a = rng.normal(0.0, 0.8, (50, 7))
-    out = exact_rotation_step(np.eye(7), z, a)
+    out = exact_rotation_step(brownian_problem(z[0]), z, a)
     np.testing.assert_allclose(np.sum(out * z, axis=-1), np.cos(np.linalg.norm(a, axis=-1)),
                                atol=1e-14)
 
@@ -259,7 +263,7 @@ def test_heun_one_step_order_three_halves():
         dw = (np.sqrt(dt) * xi)[:, None]
         z = np.broadcast_to(z0, (64, 8))
         heun, _ = heun_stratonovich_step(problem, z, dw)
-        exact = exact_rotation_step(problem.frame_coefficients, z, dw)
+        exact = exact_rotation_step(problem, z, dw)
         errors.append(float(np.mean(np.linalg.norm(heun - exact, axis=1))))
     for a, b in zip(errors, errors[1:]):
         assert 2.5 <= a / b <= 3.2
@@ -286,11 +290,31 @@ def test_exact_rejected_for_state_dependent():
         simulate_ensemble(problem, 2, 2, 0.01, seed=1, scheme="exact_rotation")
 
 
+@pytest.mark.parametrize("fields", [(bent_field,), (lambda: frame_field(1), bent_field)],
+                         ids=["bent", "frame1-bent"])
+def test_exact_step_rejects_state_dependent_problems(fields):
+    problem = SdeProblem(tuple(make() for make in fields), E[0])
+    with pytest.raises(ValueError, match="exact_rotation scheme needs every field to be linear"):
+        exact_rotation_step(problem, E[:3], np.zeros((3, len(fields))))
+
+
+@pytest.mark.parametrize("make, dw_shape", [
+    (brownian_problem, (3, 1)), (brownian_problem, (3, 8)), (brownian_problem, ()),
+    (functools.partial(single_frame_problem, 3), (3, 7)),
+    (functools.partial(combination_problem, COMBO), (3, 2))],
+    ids=["full-1", "full-8", "full-scalar", "frame3-7", "combo-2"])
+def test_exact_step_rejects_noise_of_another_channel_count(make, dw_shape):
+    problem = make(E[0])
+    with pytest.raises(ValueError, match=rf"shape {re.escape(str(dw_shape))}.* "
+                                         rf"{problem.n_channels} channel"):
+        exact_rotation_step(problem, E[:3], np.full(dw_shape, 0.1))
+
+
 def test_ito_euler_rejected_for_state_dependent(monkeypatch):
     drawn = []
     monkeypatch.setattr(integrators, "path_generator", lambda *a: drawn.append(a))
     problem = SdeProblem((bent_field(),), E[0])
-    assert problem.ito_drift is None
+    assert problem.frame_coefficients is None
     with pytest.raises(ValueError, match="linear"):
         simulate_ensemble(problem, 2, 2, 0.01, seed=1, scheme="ito_euler")
     assert drawn == []  # rejected before any noise is drawn
@@ -315,7 +339,7 @@ def test_strong_error_decreases_with_refinement():
             zx = z0.copy()
             for dw in coarse.increments:
                 z, _ = heun_stratonovich_step(problem, z, dw)
-                zx = exact_rotation_step(problem.frame_coefficients, zx, dw)
+                zx = exact_rotation_step(problem, zx, dw)
             level_errors.append(np.linalg.norm(z - zx))
         errors.append(float(np.mean(level_errors)))
     assert all(a > b for a, b in zip(errors, errors[1:]))
@@ -404,9 +428,10 @@ def test_exact_n_point_isometry_over_many_steps(rng):
     iu = np.triu_indices(12, 1)
     before = geodesic_distance(pts[iu[0]], pts[iu[1]])
     noise = sample_brownian(1000, 1e-3, 7, seed=12)
+    problem = brownian_problem(pts[0])
     state = pts.copy()
     for dw in noise.increments:
-        state = frame_rotation_apply(dw, state)
+        state = exact_rotation_step(problem, state, dw)
     after = geodesic_distance(state[iu[0]], state[iu[1]])
     assert np.max(np.abs(after - before)) < 1e-12
 
@@ -508,6 +533,45 @@ def test_ensemble_rejects_start_points_off_the_sphere(row, start):
     assert np.isfinite(result.states).all()
 
 
+@pytest.mark.parametrize("start", [np.full(8, np.nan), np.r_[np.inf, np.zeros(7)],
+                                   np.r_[np.nan, np.zeros(7)]], ids=["nan", "inf", "one-nan"])
+@pytest.mark.parametrize("make", [brownian_problem, functools.partial(single_frame_problem, 1)],
+                         ids=["full", "frame1"])
+def test_problem_rejects_non_finite_start(make, start):
+    """A NaN start had constructed, and its heun and exact_rotation ensembles
+    ran to all-NaN states: |NaN - 1| > 1e-10 is False."""
+    with pytest.raises(ValueError, match="finite point of the unit sphere"):
+        make(start)
+
+
+def nan_after_a_turn(z):
+    """Frame field 1 where z8 <= 0.5, NaN beyond: J1 turns the (z7, z8)
+    plane, so a path started near e7 turns NaN once z8 passes 0.5."""
+    return np.where(z[..., 7:] > 0.5, np.nan, frame_field(1)(z))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_defect_is_nan_when_a_path_turns_nan(threads):
+    """Paths of the last chunk of the second work item turn NaN mid-run:
+    after finite steps, after a finite chunk and after a finite item, each a
+    place where Python's max had kept the finite defect."""
+    n_paths, n_steps = REDUCE_BLOCK + CHUNK + 16, 20
+    starts = np.tile(E[0], (n_paths, 1))
+    starts[-16:] = np.cos(0.45) * E[6] + np.sin(0.45) * E[7]
+    problem = SdeProblem((nan_after_a_turn,), E[0])
+    kept = {}
+    result = simulate_ensemble(problem, n_paths, n_steps, 0.01, seed=3, threads=threads,
+                               initial_points=starts,
+                               reduce=lambda lo, block: kept.update({lo: block[:, -1].copy()}))
+    final = np.concatenate([kept[lo] for lo in sorted(kept)])
+    assert np.isfinite(final[:-16]).all()
+    assert np.isnan(final[-16:]).any() and np.isfinite(final[-16:]).any()
+    assert np.isnan(result.max_renorm_defect)
+    clean = simulate_ensemble(problem, n_paths - 16, n_steps, 0.01, seed=3, threads=threads,
+                              initial_points=starts[:-16], reduce=lambda lo, block: None)
+    assert np.isfinite(clean.max_renorm_defect) and clean.max_renorm_defect > 0.0
+
+
 def test_problem_rejects_empty_field_tuple():
     with pytest.raises(ValueError, match="at least one diffusion field"):
         SdeProblem((), E[0])
@@ -519,7 +583,7 @@ def test_shared_channel_combination_matches_single_generator(rng):
     problem = combination_problem(c, z0)
     assert problem.n_channels == 1
     dw = np.array([0.3])
-    out = exact_rotation_step(problem.frame_coefficients, z0, dw)
+    out = exact_rotation_step(problem, z0, dw)
     k = 0.6 * generator_matrix(1) + 0.8 * generator_matrix(4)
     np.testing.assert_allclose(out, expm(0.3 * k) @ z0, atol=1e-13)
 
@@ -586,7 +650,7 @@ def per_path_reference(scheme, paths, n_steps, save):
     for step in range(n_steps):
         dw = inc[:, step]
         if scheme == "exact_rotation":
-            z = exact_rotation_step(problem.frame_coefficients, z, dw)
+            z = exact_rotation_step(problem, z, dw)
         elif scheme == "heun":
             z = heun_stratonovich_step(problem, z, dw)[0]
         else:
@@ -712,7 +776,7 @@ def per_field_values(problem, z):
 ], ids=["brownian", "three-frame"] + [f"frame{mu}" for mu in range(1, 8)])
 def test_stacked_generators_match_per_field_bitwise(rng, make):
     problem = make(unit_vector(rng))
-    assert problem.generators is not None
+    assert problem.frame_coefficients is not None
     z = random_sphere_point(rng, 60).reshape(3, 20, 8)
     np.testing.assert_array_equal(problem.diffusion_matrix(z), per_field_values(problem, z))
     np.testing.assert_array_equal(problem.diffusion_matrix(z[0, 0]),
@@ -734,7 +798,7 @@ def test_field_without_generator_takes_per_field_path(rng):
         return frame_field(3)(z)
 
     problem = SdeProblem((frame_field(1), bare), unit_vector(rng))
-    assert problem.frame_coefficients is None and problem.generators is None
+    assert problem.frame_coefficients is None
     z = random_sphere_point(rng, 5)
     vals = problem.diffusion_matrix(z)
     assert calls == [(5, 8)]
@@ -755,11 +819,12 @@ def test_frame_coefficients_follow_the_fields(rng):
              (SdeProblem(tuple(frame_field(mu) for mu in (2, 5, 7)), z0),
               np.eye(7)[[1, 4, 6]])]
     cases += [(single_frame_problem(mu, z0), np.eye(7)[mu - 1:mu]) for mu in range(1, 8)]
+    z = random_sphere_point(rng, 20)
     for problem, coeffs in cases:
         np.testing.assert_array_equal(problem.frame_coefficients, coeffs)
-        np.testing.assert_array_equal(
-            np.tensordot(problem.frame_coefficients, FRAME_GENERATORS, axes=(-1, 0)),
-            problem.generators)
+        gens = np.tensordot(coeffs, FRAME_GENERATORS, axes=(-1, 0))
+        np.testing.assert_array_equal(problem.diffusion_matrix(z),
+                                      (z @ gens.reshape(-1, 8).T).reshape(20, -1, 8))
 
 
 def test_field_without_coefficients_has_no_exact_scheme():
@@ -778,10 +843,11 @@ def test_field_without_coefficients_has_no_exact_scheme():
 # --------------------------------------------------------------------------
 
 def reference_diffusion_matrix(problem, z):
-    """Generator product with the reshaped-transposed table, else np.stack."""
-    if problem.generators is not None:
-        flat = z @ problem.generators.reshape(-1, 8).T
-        return flat.reshape(z.shape[:-1] + problem.generators.shape[:-1])
+    """Product with the reshaped-transposed table of the generators
+    J_c = sum_mu C[c, mu] J_mu, else np.stack."""
+    if problem.frame_coefficients is not None:
+        gens = np.tensordot(problem.frame_coefficients, FRAME_GENERATORS, axes=(-1, 0))
+        return (z @ gens.reshape(-1, 8).T).reshape(z.shape[:-1] + gens.shape[:-1])
     return np.stack([np.asarray(f(z), dtype=float) for f in problem.diffusion_fields],
                     axis=-2)
 
@@ -803,7 +869,7 @@ def reference_heun(problem, z, dw):
 
 
 def reference_ito_euler(problem, z, dw, dt):
-    h = z @ np.sum(problem.generators @ problem.generators, axis=0).T
+    h = z @ ito_drift(problem)
     return reference_renormalize(z + 0.5 * dt * h + reference_increment(problem, z, dw))
 
 
@@ -863,7 +929,7 @@ def test_steps_equal_reference_formulas_bitwise(rng, scheme, case, n_points, lay
     Frame-coefficient fields: bit for bit the rotation form, and within
     CLOSED_FORM_ULPS of the predictor-corrector or drift formula."""
     problem, reference = STEP_CASES[case](rng, unit_vector(rng))
-    linear = problem.generators is not None
+    linear = problem.frame_coefficients is not None
     layout = points_last if layout == "points-last" else np.asarray
     dt = 0.01
     z = random_sphere_point(rng, n_points)
@@ -916,7 +982,8 @@ def test_steps_return_the_norms_they_divide_by(rng, scheme, case):
         dw = rng.normal(0.0, 0.1, (8, problem.n_channels))
         if scheme == "heun":
             got = heun_stratonovich_step(problem, z, dw)
-            want = (reference_heun_rotation(reference, z, dw) if problem.generators is not None
+            want = (reference_heun_rotation(reference, z, dw)
+                    if problem.frame_coefficients is not None
                     else reference_heun(reference, z, dw))
         else:
             got = ito_euler_step(problem, z, dw, 0.01)
@@ -990,30 +1057,43 @@ def test_steps_reject_noise_of_another_channel_count(rng, scheme, fields, n_poin
             ito_euler_step(problem, z, dw, 0.01)
 
 
-def reference_rotation_apply(a, z):
-    """frame_rotation_apply's formula: the C-order frame table product, einsum
-    over the fields, np.linalg.norm, np.cos and np.sinc."""
+def reference_frame_table_rotation(a, z):
+    """exp(sum_mu a_mu J_mu) z by the seven frame fields' values: the C-order
+    frame table product, einsum over the fields, np.linalg.norm, np.cos and
+    np.sinc."""
     u = (z @ FRAME_GENERATORS.reshape(56, 8).T).reshape(z.shape[:-1] + (7, 8))
     kz = np.einsum("...m,...mi->...i", a, u)
     w = np.linalg.norm(a, axis=-1, keepdims=True)
     return np.cos(w) * z + np.sinc(w / np.pi) * kz
 
 
+def reference_exact_rotation(problem, z, dw):
+    """cos|a| z + sinc|a| K z, a = dw @ C and K z the problem's increment."""
+    w = np.linalg.norm(dw @ problem.frame_coefficients, axis=-1, keepdims=True)
+    return np.cos(w) * z + np.sinc(w / np.pi) * reference_increment(problem, z, dw)
+
+
 @LAYOUTS
 @pytest.mark.parametrize("coefficients", ["eye", "combination", "random-3x7"])
 def test_rotation_steps_equal_reference_formula_bitwise(rng, coefficients, n_points, layout):
+    """The exact step takes K z from the problem's generator table, as Heun
+    and Ito-Euler do.  On the seven frame fields that has the bits of the
+    frame-value form the step took before, so every full-frame ensemble keeps
+    its bytes."""
     c = {"eye": np.eye(7), "combination": rng.standard_normal((1, 7)),
          "random-3x7": rng.standard_normal((3, 7))}[coefficients]
+    problem = SdeProblem(tuple(CombinedField.constant(row) for row in c), E[0])
     layout = points_last if layout == "points-last" else np.asarray
     z = random_sphere_point(rng, n_points)
     if n_points == 1:
         z = z[0]
     for _ in range(3):
         dw = rng.normal(0.0, 0.1, z.shape[:-1] + (len(c),))
-        want = reference_rotation_apply(dw @ c, z)
-        assert_same_bits(frame_rotation_apply(layout(dw @ c), layout(z)), want)
-        got = exact_rotation_step(c, layout(z), layout(dw))
+        want = reference_exact_rotation(problem, z, dw)
+        got = exact_rotation_step(problem, layout(z), layout(dw))
         assert_same_bits(got, want)
+        if coefficients == "eye":
+            assert_same_bits(got, reference_frame_table_rotation(dw, z))
         if layout is points_last and n_points > 1:
             assert got.flags.f_contiguous  # an ensemble chunk stays points-last
         z = want

@@ -10,8 +10,9 @@ per checkout and compare the outputs; on a shared host run it a few times in
 alternation.  Each line gives the step, the number of points, their layout
 and the best time per call:
 
-- ``heun_stratonovich_step`` and ``ito_euler_step`` on the seven-field
-  Brownian problem, ``exact_rotation_step`` with the identity coefficients;
+- ``heun_stratonovich_step``, ``ito_euler_step`` and ``exact_rotation_step``
+  on the seven-field Brownian problem (in a checkout whose exact step takes
+  the coefficients rather than the problem, with the identity coefficients);
 - at 1 point (an 8-vector), and at 8 and 1024 points both in C order and
   points-last (the (n, 8) transposed view of an (8, n) array, with the
   noise likewise, as an ensemble chunk holds them);
@@ -29,6 +30,9 @@ and the best time per call:
 - ``IntegratedFlow.apply`` on 8 points for the same two problems, over
   APPLY_STEPS noise steps at flow-check's fine dt, given per step: the Heun
   step as flow-check's flows take it, with the flow's loop around it;
+- the weak check's stencil, ``density._generator_apply``, on one
+  ``WEAK_SLICE`` x ``WEAK_SAVES`` slice of Brownian states with fp-check's
+  function z1;
 - ``path_generator`` per path: building a new generator
   (``path_generator(seed, i)``), and re-keying an existing one in place
   (``into=``) where the checkout has it;
@@ -113,7 +117,8 @@ def cases(sint, sfr, scli):
     rng = np.random.default_rng(0)
     brownian = sint.brownian_problem(np.eye(8)[0])
     frame3 = sint.single_frame_problem(3, np.eye(8)[0])
-    coefficients = np.eye(7)
+    first = next(iter(inspect.signature(sint.exact_rotation_step).parameters))
+    exact = brownian if first == "problem" else np.eye(7)  # the step's own first argument
     bent = sint.SdeProblem((bent_field(scli, sfr),), np.eye(8)[0])
     library = sfr.CombinedField(first_coordinate)
     out = []
@@ -129,7 +134,7 @@ def cases(sint, sfr, scli):
                 ("ito_euler_step", n_points, layout,
                  lambda zl=zl, dwl=dwl: sint.ito_euler_step(brownian, zl, dwl, DT)),
                 ("exact_rotation_step", n_points, layout,
-                 lambda zl=zl, dwl=dwl: sint.exact_rotation_step(coefficients, zl, dwl)),
+                 lambda zl=zl, dwl=dwl: sint.exact_rotation_step(exact, zl, dwl)),
             ]
         if n_points > 1:
             zl, dwl = points_last(z), points_last(dw[:, :1])
@@ -151,6 +156,16 @@ def cases(sint, sfr, scli):
         out.append(("path_generator into", 1, "-",
                     lambda: sint.path_generator(SEED, PATH, into=rng)))
     return out
+
+
+def weak_case(sint, sdens):
+    """(name, points, layout, call): the weak check's stencil on one slice."""
+    rng = np.random.default_rng(3)
+    states = rng.standard_normal((sdens.WEAK_SLICE, sdens.WEAK_SAVES, 8))
+    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    brownian = sint.brownian_problem(np.eye(8)[0])
+    return ("_generator_apply", states.shape[0] * states.shape[1], "C",
+            lambda: sdens._generator_apply(brownian, lambda z: z[..., 0], states))
 
 
 def flow_problems(sint, sfr, scli):
@@ -203,13 +218,15 @@ def main(argv=None) -> int:
         parser.error("--repeat must be >= 1")
     sys.path.insert(0, str(src))
     from sevensphere import cli as scli
+    from sevensphere import density as sdens
     from sevensphere import exotic as sexo
     from sevensphere import flows as sflow
     from sevensphere import frames as sfr
     from sevensphere import integrators as sint
 
     lines = [(case, args.repeat, 1)
-             for case in cases(sint, sfr, scli) + exotic_cases(sexo, sfr)]
+             for case in cases(sint, sfr, scli) + [weak_case(sint, sdens)]
+             + exotic_cases(sexo, sfr)]
     lines += [(case, args.repeat, APPLY_STEPS) for case in apply_cases(sint, sfr, sflow, scli)]
     lines += [(case, min(args.repeat, FLOW_REPEAT), 1)
               for case in flow_cases(sint, sfr, sflow, scli)]
